@@ -10,6 +10,7 @@ bit (1 = active on |1>, 0 = active on |0>).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,16 @@ class Gate:
     def base_matrix(self) -> np.ndarray:
         return self.payload if self.kind == "OPAQUE" else _BASES[self.kind]
 
+    @cached_property
+    def block(self) -> np.ndarray:
+        """The 2**k unitary on `qubits()` (controls first, then targets), built once."""
+        base = self.base_matrix()
+        proj = np.array([1.0], dtype=complex)
+        for _, pol in self.controls:
+            proj = np.kron(proj, np.array([1.0 - pol, float(pol)], dtype=complex))
+        proj = np.diag(proj)
+        return kron(proj, base) + kron(np.eye(proj.shape[0]) - proj, np.eye(base.shape[0]))
+
     def qubits(self) -> list[int]:
         return [q for q, _ in self.controls] + list(self.targets)
 
@@ -95,16 +106,7 @@ class Circuit:
 
 def gate_matrix(g: Gate, n: int) -> np.ndarray:
     """Full 2**n unitary of a (possibly controlled) gate."""
-    base = g.base_matrix()
-    if not g.controls:
-        return embed_gate(base, g.targets, n)
-    diag = np.array([1.0], dtype=complex)
-    for _, pol in g.controls:
-        diag = np.kron(diag, np.array([1.0 - pol, float(pol)], dtype=complex))
-    proj = np.diag(diag)
-    nc = len(g.controls)
-    block = kron(proj, base) + kron(np.eye(2**nc) - proj, np.eye(base.shape[0]))
-    return embed_gate(block, [q for q, _ in g.controls] + list(g.targets), n)
+    return embed_gate(g.block, g.qubits(), n)
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:

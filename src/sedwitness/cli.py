@@ -20,8 +20,8 @@ from .ancilla import AncillaConfig, ancilla_readout, intermediate_identities
 from .circuit import circuit_unitary, gate_count_G, gate_count_exponent, ghz_entangler, w_entangler
 from .noise import grid_values, sweep, sweep_csv, zero_crossing_h
 from .sed import build_vprime, conjugated_observable, verify_equality
-from .states import PseudopureState, PureState, make_ghz, make_w, pseudopure_matrix
-from .witness import Witness, class_witness, epsilon_limit, expectation, generic_witness
+from .states import PseudopureState, PureState, pseudopure_matrix
+from .witness import epsilon_limit, expectation, select_witness
 
 
 def _fmt(x) -> str:
@@ -37,20 +37,8 @@ def _emit(report: dict, json_path: str | None):
             fh.write("\n")
 
 
-def _select_witness(kind: str, n: int) -> Witness:
-    kind = kind.lower()
-    if kind in ("ghz", "w") and n == 3:
-        return class_witness(kind)
-    if kind == "generic" or n != 3:
-        # class constants are specific to three qubits; otherwise fall back
-        # to the biseparability bound for the requested target family
-        target = make_w(n) if kind == "w" else make_ghz(n)
-        return generic_witness(target)
-    raise ValueError(f"unknown witness kind {kind!r}")
-
-
 def cmd_witness(args, parser) -> int:
-    w = _select_witness(args.kind, args.n)
+    w = select_witness(args.kind, args.n)
     report = {
         "kind": args.kind,
         "n": args.n,
@@ -89,7 +77,7 @@ def cmd_ancilla(args, parser) -> int:
         cfg = AncillaConfig(p=args.p, n=args.n)
     except ValueError as exc:
         parser.error(str(exc))
-    w = _select_witness(args.kind, args.n)
+    w = select_witness(args.kind, args.n)
     entangler = w_entangler(args.n) if args.kind.lower() == "w" else ghz_entangler(args.n)
     v = circuit_unitary(entangler)
     psi_in = PureState(args.n, v[:, 0])
@@ -144,7 +132,6 @@ def cmd_sweep(args, parser) -> int:
             grid_p,
             grid_h,
             witness_kind=args.kind,
-            seed=args.seed,
             entangler_mode=args.entangler,
         )
     except ValueError as exc:
@@ -219,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-min", type=float, default=0.5)
     p.add_argument("--h-max", type=float, default=1.0)
     p.add_argument("--h-step", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--entangler", default="witness", choices=["witness", "identity"])
     p.add_argument("--out", required=True)
     p.add_argument("--format", default="csv", choices=["csv", "json"])

@@ -6,16 +6,26 @@ is replaced by the maximally mixed state:
 
     E(rho) = p_s U rho U^dag + (1 - p_s) Tr_t(rho) (x) 1/2**len(t)
 
-with the mixed factor re-embedded at the gate's qubit positions.  The sweep
-prepares a thermal product state, runs the noisy entangler, then compares
-the conventional witness (noiseless direct trace) with the single-run
-readout whose measurement circuit (disentangler followed by the expanded
-V'^dag circuit) is itself noisy.
+with the mixed factor re-embedded at the gate's qubit positions.  A noisy
+gate only touches the row and column axes of its own qubits, so it costs
+O(4**n * 4**k) instead of the O(8**n) of a dense 2**n x 2**n product.
+
+The sweep prepares a thermal product state, runs the noisy entangler, then
+compares the conventional witness (noiseless direct trace) with the
+single-run readout whose measurement circuit (disentangler followed by the
+expanded V'^dag circuit) is itself noisy.  It works in the Heisenberg
+picture: p_s is the same for g and g^dag and the failure term is
+self-adjoint, so E_g^dag = E_{g^dag} and the adjoint of a noisy circuit is
+the noisy run of its dagger circuit.  Each h takes one backward pass of
+the readout observable and of the witness; every p then reads them
+against the diagonal thermal input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -25,15 +35,14 @@ from .circuit import (
     circuit_unitary,
     dagger_circuit,
     expand_multicontrolled,
-    gate_matrix,
     ghz_entangler,
     vprime_dagger_circuit,
     w_entangler,
 )
-from .sed import SedDecomposition, build_vprime
-from .states import PureState, ThermalProductState, thermal_matrix
-from .tensor import Z, dagger, embed_gate, kron, n_qubits, partial_trace, reorder_qubits
-from .witness import GHZ_CLASS_C, W_CLASS_C, biseparable_c
+from .sed import build_vprime, weighted_z_sum
+from .states import ThermalProductState, thermal_matrix
+from .tensor import n_qubits
+from .witness import select_witness
 
 
 @dataclass(frozen=True)
@@ -54,24 +63,90 @@ class SweepRecord:
     h: float
     value_conv: float
     value_sed: float
-    value_ancilla: float | None = None
+
+
+@lru_cache(maxsize=4096)
+def _local_axes(n: int, qubits: tuple[int, ...]):
+    """Axes of `qubits` in the (2,)*2n view of a 2**n x 2**n matrix.
+
+    Returns einsum labels for the view's axes (qubit i's row and column
+    axes share label i, every other axis has a label >= k) and, per local
+    basis index a (first qubit most significant), the index of row block a
+    and of column block a.
+    """
+    k = len(qubits)
+    labels = list(range(k, k + 2 * n))
+    for i, q in enumerate(qubits):
+        labels[q - 1] = labels[n + q - 1] = i
+
+    def select(first_axis, a):
+        idx = [slice(None)] * (2 * n)
+        for i, q in enumerate(qubits):
+            idx[first_axis + q - 1] = (a >> (k - 1 - i)) & 1
+        return tuple(idx)
+
+    rows = tuple(select(0, a) for a in range(2**k))
+    cols = tuple(select(n, a) for a in range(2**k))
+    return tuple(labels), rows, cols
+
+
+def _terms(u: np.ndarray) -> tuple:
+    """Nonzero entries of each block row that is not an identity row."""
+    out = []
+    for a, row in enumerate(u):
+        nz = np.flatnonzero(row)
+        if not (len(nz) == 1 and nz[0] == a and row[a] == 1):
+            out.append((a, tuple((int(b), complex(row[b])) for b in nz)))
+    return tuple(out)
+
+
+_BLOCK_TERMS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _block_terms(g: Gate) -> tuple[tuple, tuple]:
+    """Terms of the gate block on the row axes and of its conjugate on the
+    column axes, kept for as long as the gate lives."""
+    if g not in _BLOCK_TERMS:
+        _BLOCK_TERMS[g] = (_terms(g.block), _terms(g.block.conj()))
+    return _BLOCK_TERMS[g]
+
+
+def _apply_block(t: np.ndarray, terms: tuple, blocks: tuple, scale: float) -> np.ndarray:
+    """scale times the block applied on the axes that `blocks` selects of t."""
+    out = np.multiply(t, scale)
+    for a, row in terms:
+        dst = out[blocks[a]]
+        (b, coef), *rest = row
+        np.multiply(t[blocks[b]], scale * coef, out=dst)
+        for b, coef in rest:
+            dst += (scale * coef) * t[blocks[b]]
+    return out
 
 
 def apply_noisy_gate(rho: np.ndarray, g: Gate, model: NoiseModel) -> np.ndarray:
+    """E(rho) for one noisy gate, computed on the gate's own axes of rho.
+
+    The block acts on the touched row axes and its conjugate on the touched
+    column axes; the failure term adds Tr_t(rho) / 2**k to the diagonal
+    blocks of the touched qubits.
+    """
     rho = np.asarray(rho, dtype=complex)
     n = n_qubits(rho.shape[0])
-    touched = sorted(g.qubits())
-    if touched and touched[-1] > n:
+    qubits = tuple(g.qubits())
+    if max(qubits) > n:
         raise ValueError("gate does not fit the state dimension")
-    u = gate_matrix(g, n)
+    labels, rows, cols = _local_axes(n, qubits)
+    row_terms, col_terms = _block_terms(g)
     ps = model.p_success(g)
-    ideal = u @ rho @ dagger(u)
-    if ps == 1.0:
-        return ideal
-    keep = [q for q in range(1, n + 1) if q not in touched]
-    mixed = kron(partial_trace(rho, keep), np.eye(2 ** len(touched), dtype=complex) / 2 ** len(touched))
-    mixed = reorder_qubits(mixed, keep + touched)
-    return ps * ideal + (1 - ps) * mixed
+    t = rho.reshape((2,) * (2 * n))
+    out = _apply_block(_apply_block(t, row_terms, rows, 1.0), col_terms, cols, ps)
+    if ps != 1.0:
+        k = len(qubits)
+        rest = [lab for lab in labels if lab >= k]
+        traced = np.einsum(t, labels, rest)  # Tr_t(rho)
+        diagonal = np.einsum(out, labels, list(range(k)) + rest)  # writable view
+        diagonal += traced * ((1 - ps) / 2**k)
+    return out.reshape(rho.shape)
 
 
 def simulate_noisy(c: Circuit, rho0: np.ndarray, model: NoiseModel) -> np.ndarray:
@@ -86,26 +161,10 @@ def simulate_noisy(c: Circuit, rho0: np.ndarray, model: NoiseModel) -> np.ndarra
 def _witness_setup(n: int, witness_kind: str) -> tuple[Circuit, float]:
     """Entangler circuit and witness constant for the sweep."""
     kind = witness_kind.lower()
-    if kind == "ghz":
-        entangler = ghz_entangler(n)
-        c = GHZ_CLASS_C if n == 3 else 0.5
-    elif kind == "w":
-        entangler = w_entangler(n)
-        c = W_CLASS_C if n == 3 else biseparable_c(PureState(n, circuit_unitary(entangler)[:, 0]))
-    else:
+    if kind not in ("ghz", "w"):
         raise ValueError(f"unknown witness kind {witness_kind!r}")
-    return entangler, c
-
-
-def sed_readout_value(rho: np.ndarray, measurement: Circuit, dec: SedDecomposition, model: NoiseModel) -> float:
-    """Noisy measurement circuit followed by noiseless Z readouts."""
-    n = dec.n
-    rho_f = simulate_noisy(measurement, rho, model)
-    value = dec.a0
-    for k in range(1, n + 1):
-        zk = embed_gate(Z, [n - k + 1], n)
-        value += dec.a[k - 1] * np.trace(rho_f @ zk).real
-    return float(value)
+    entangler = ghz_entangler(n) if kind == "ghz" else w_entangler(n)
+    return entangler, select_witness(kind, n).c
 
 
 def sweep(
@@ -113,7 +172,6 @@ def sweep(
     grid_p,
     grid_h,
     witness_kind: str = "ghz",
-    seed: int = 0,
     entangler_mode: str = "witness",
 ) -> list[SweepRecord]:
     """Noise sweep over the (p, h) grid, p-major order.
@@ -121,33 +179,34 @@ def sweep(
     entangler_mode "witness" prepares the witness target through the noisy
     entangler; "identity" skips preparation (the register stays in the
     separable thermal state) while the measurement circuit is unchanged.
-    The superoperator is deterministic; `seed` is recorded for any future
-    randomized decompositions.
     """
-    del seed  # deterministic pipeline
     grid_p = [float(p) for p in grid_p]
     grid_h = [float(h) for h in grid_h]
     if any(not 0 <= v <= 1 for v in grid_p + grid_h):
         raise ValueError("grid values must lie in [0, 1]")
-    entangler, c = _witness_setup(n, witness_kind)
-    core = build_vprime(n)
-    dec = SedDecomposition(core.n, core.vprime, core.b, core.a, c=c)
-    v = circuit_unitary(entangler)
-    psi_in = v[:, 0]
-    w_conv = c * np.eye(2**n, dtype=complex) - np.outer(psi_in, psi_in.conj())
-    prep = entangler if entangler_mode == "witness" else Circuit(n, ())
     if entangler_mode not in ("witness", "identity"):
         raise ValueError(f"unknown entangler mode {entangler_mode!r}")
+    entangler, c = _witness_setup(n, witness_kind)
+    dec = build_vprime(n, c)
+    psi_in = circuit_unitary(entangler)[:, 0]
+    w_conv = c * np.eye(2**n, dtype=complex) - np.outer(psi_in, psi_in.conj())
+    readout = weighted_z_sum(n, 0.0, dec.a)
+    prep = entangler if entangler_mode == "witness" else Circuit(n, ())
     measurement = dagger_circuit(entangler).then(expand_multicontrolled(vprime_dagger_circuit(n)))
+    back_sed = dagger_circuit(prep.then(measurement))
+    back_conv = dagger_circuit(prep)
+    # per h, the diagonals of the observables pulled back to the thermal input
+    pulled = []
+    for h in grid_h:
+        model = NoiseModel(h)
+        o_conv = np.diag(simulate_noisy(back_conv, w_conv, model)).real
+        o_sed = np.diag(simulate_noisy(back_sed, readout, model)).real
+        pulled.append((h, o_conv, o_sed))
     records = []
     for p in grid_p:
-        rho0 = thermal_matrix(ThermalProductState(n, p))
-        for h in grid_h:
-            model = NoiseModel(h)
-            rho_prep = simulate_noisy(prep, rho0, model)
-            value_conv = float(np.trace(w_conv @ rho_prep).real)
-            value_sed = sed_readout_value(rho_prep, measurement, dec, model)
-            records.append(SweepRecord(p, h, value_conv, value_sed))
+        rho0 = np.diag(thermal_matrix(ThermalProductState(n, p))).real
+        for h, o_conv, o_sed in pulled:
+            records.append(SweepRecord(p, h, float(rho0 @ o_conv), dec.a0 + float(rho0 @ o_sed)))
     return records
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import H, I2, SWAP, Z, dagger, embed_gate, haar_unitary
+from .tensor import H, I2, SWAP, dagger, embed_gate, haar_unitary, z_signs
 from .witness import Witness
 
 DIAGONAL_ATOL = 1e-10  # audit threshold for the diagonal-rho_out precondition
@@ -88,8 +88,8 @@ class SedMeasurementResult:
     diagonal_ok: bool
 
 
-def build_vprime(n: int) -> SedDecomposition:
-    """Inductive construction of V'_n and its coefficients (no witness attached)."""
+def build_vprime(n: int, c: float | None = None) -> SedDecomposition:
+    """Inductive construction of V'_n and its coefficients, with witness constant c."""
     if n < 2:
         raise ValueError("SED decomposition needs n >= 2")
     v, b, a = vprime2()
@@ -98,20 +98,16 @@ def build_vprime(n: int) -> SedDecomposition:
         v = blockdiag_ubd(m) @ permutation_up(m) @ np.kron(I2, v)
         b = b / 2
         a = [x / 2 for x in a] + [-0.5]
-    return SedDecomposition(n, v, b, np.array(a))
+    return SedDecomposition(n, v, b, np.array(a), c)
 
 
 def sed_decomposition(w: Witness) -> SedDecomposition:
-    core = build_vprime(w.n)
-    return SedDecomposition(core.n, core.vprime, core.b, core.a, c=w.c)
+    return build_vprime(w.n, w.c)
 
 
 def weighted_z_sum(n: int, b: float, a: np.ndarray) -> np.ndarray:
     """b * identity + sum_k a_k Z placed on tensor slot n-k+1."""
-    out = b * np.eye(2**n, dtype=complex)
-    for k in range(1, n + 1):
-        out += a[k - 1] * embed_gate(Z, [n - k + 1], n)
-    return out
+    return np.diag(b + np.asarray(a) @ z_signs(n)).astype(complex)
 
 
 def conjugated_observable(dec: SedDecomposition) -> np.ndarray:
@@ -134,10 +130,9 @@ def sed_measure(rho_in: np.ndarray, v_entangler: np.ndarray, dec: SedDecompositi
     rho_out = dagger(v_entangler) @ rho_in @ v_entangler
     off = rho_out - np.diag(np.diag(rho_out))
     diagonal_ok = bool(np.max(np.abs(off)) <= DIAGONAL_ATOL)
-    sigma = dagger(dec.vprime) @ rho_out @ dec.vprime
-    z = np.empty(n)
-    for k in range(1, n + 1):
-        z[k - 1] = np.trace(sigma @ embed_gate(Z, [n - k + 1], n)).real
+    # diagonal of sigma = V'^dag rho_out V'
+    sigma_diag = np.einsum("ij,ij->j", dec.vprime.conj(), rho_out @ dec.vprime).real
+    z = z_signs(n) @ sigma_diag
     value = dec.a0 + float(np.dot(dec.a, z))
     return SedMeasurementResult(z, value, diagonal_ok)
 
@@ -154,8 +149,7 @@ def verify_equality(n: int, trials: int = 100, seed: int = 0) -> dict:
         raise ValueError("verify_equality needs n >= 2")
     rng = np.random.default_rng(seed)
     c = 0.5
-    core = build_vprime(n)
-    dec = SedDecomposition(core.n, core.vprime, core.b, core.a, c=c)
+    dec = build_vprime(n, c)
     dim = 2**n
     zero_proj = np.zeros((dim, dim), dtype=complex)
     zero_proj[0, 0] = 1.0

@@ -88,6 +88,13 @@ def embed_gate(g: np.ndarray, targets, n: int) -> np.ndarray:
     return reorder_qubits(full, list(targets) + rest)
 
 
+def z_signs(n: int) -> np.ndarray:
+    """Z eigenvalues read off the basis: row k-1 holds, for every basis index,
+    the +-1 of Z on tensor slot n-k+1 (bit k-1 counted from the right)."""
+    bits = (np.arange(2**n)[None, :] >> np.arange(n)[:, None]) & 1
+    return (1 - 2 * bits).astype(float)
+
+
 def partial_trace(m: np.ndarray, keep) -> np.ndarray:
     """Trace out all qubits not listed in `keep` (1-based, order preserved)."""
     m = np.asarray(m, dtype=complex)

@@ -81,6 +81,17 @@ def generic_witness(target: PureState, c: float | None = None, label: str | None
     return _witness_from(target, c, label or "generic")
 
 
+def select_witness(kind: str, n: int) -> Witness:
+    """Witness for a target family: the class witness for ghz/w at n = 3,
+    otherwise the biseparability bound of the GHZ or W target."""
+    kind = kind.lower()
+    if kind not in ("ghz", "w", "generic"):
+        raise ValueError(f"unknown witness kind {kind!r}")
+    if kind != "generic" and n == 3:
+        return class_witness(kind)
+    return generic_witness(make_w(n) if kind == "w" else make_ghz(n))
+
+
 def expectation(w: Witness, rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != w.matrix.shape:

@@ -1,9 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sedwitness.circuit import Circuit, Gate, circuit_unitary, ghz_entangler
+from sedwitness.cli import main
 from sedwitness.noise import (
     NoiseModel,
+    _witness_setup,
     apply_noisy_gate,
     grid_values,
     simulate_noisy,
@@ -13,6 +18,8 @@ from sedwitness.noise import (
 )
 from sedwitness.states import make_ghz
 from sedwitness.tensor import dagger, kron, random_density_matrix
+
+DATA = Path(__file__).with_name("data")
 
 
 def test_success_probability_policy():
@@ -151,3 +158,26 @@ def test_w_kind_sweep_smoke():
     records = sweep(3, [1.0], [1.0], "w")
     assert records[0].value_conv == pytest.approx(0.25 - 1.0, abs=1e-10)
     assert abs(records[0].value_sed - records[0].value_conv) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["ghz", "w"])
+def test_default_grid_matches_golden_csv(kind):
+    # tests/data/sweep_<kind>_n3.csv: the default 11 x 11 grid at n = 3 from
+    # the forward (Schroedinger-picture) sweep with dense gate matrices
+    golden = (DATA / f"sweep_{kind}_n3.csv").read_text().splitlines()
+    grid = grid_values(0.5, 1.0, 0.05)
+    ours = sweep_csv(sweep(3, grid, grid, kind)).splitlines()
+    assert ours[0] == golden[0] and len(ours) == len(golden)
+    for line, ref in zip(ours[1:], golden[1:]):
+        got, want = line.split(","), ref.split(",")
+        assert got[:2] == want[:2]
+        assert all(abs(float(x) - float(y)) <= 1e-12 for x, y in zip(got[2:], want[2:]))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("kind", ["ghz", "w"])
+def test_sweep_uses_cli_witness_constant(n, kind, tmp_path, capsys):
+    path = tmp_path / "w.json"
+    assert main(["witness", "--kind", kind, "--n", str(n), "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert _witness_setup(n, kind)[1] == json.loads(path.read_text())["c"]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sedwitness.sed import (
-    SedDecomposition,
     blockdiag_ubd,
     build_vprime,
     conjugated_observable,
@@ -194,8 +193,7 @@ def test_sed_measure_reports_nondiagonal():
 def test_sed_measure_zero_state_trial():
     # rho_out = |0...0><0...0| makes both sides equal c - 1
     rng = np.random.default_rng(17)
-    core = build_vprime(3)
-    dec = SedDecomposition(core.n, core.vprime, core.b, core.a, c=0.5)
+    dec = build_vprime(3, c=0.5)
     v = haar_unitary(8, rng)
     rho_out = np.zeros((8, 8), dtype=complex)
     rho_out[0, 0] = 1.0
@@ -219,6 +217,12 @@ def test_weighted_z_sum_slots():
     a = np.array([0.0, 0.0, 1.0])
     m = weighted_z_sum(n, 0.0, a)
     assert np.max(np.abs(m - embed_gate(Z, [1], n))) == 0.0
+
+
+def test_build_vprime_attaches_witness_constant():
+    dec = build_vprime(4, c=0.5)
+    assert dec.c == 0.5 and dec.a0 == 0.5 + dec.b
+    assert sed_decomposition(class_witness("w")).a0 == 0.25 + build_vprime(3).b
 
 
 def test_build_vprime_errors():

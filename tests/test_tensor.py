@@ -16,6 +16,7 @@ from sedwitness.tensor import (
     partial_trace,
     partial_transpose,
     random_density_matrix,
+    z_signs,
 )
 
 
@@ -158,3 +159,11 @@ def test_min_eig_pseudopure_ghz_partial_transpose():
     val = min_eigenvalue_hermitian(partial_transpose(rho, [1]))
     assert val == pytest.approx(-0.5, abs=1e-12)
     assert val < 0
+
+
+def test_z_signs_is_diagonal_of_embedded_z():
+    for n in range(1, 6):
+        signs = z_signs(n)
+        assert signs.shape == (n, 2**n)
+        for k in range(1, n + 1):
+            assert np.array_equal(signs[k - 1], np.diag(embed_gate(Z, [n - k + 1], n)).real)
