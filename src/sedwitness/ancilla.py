@@ -15,11 +15,10 @@ a nondestructive ensemble average: Tr(rho Z_ancilla) with no state update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .tensor import X, Z, dagger, kron, partial_trace
+from .tensor import ATOL_ALGEBRA, dagger, kron, z_signs
 
 ILL_CONDITIONED_P = 1e-6  # guard: 1/(2p-1) amplification stays below 5e5
 
@@ -57,54 +56,62 @@ class ConcatSpec:
             v = np.asarray(s.v, dtype=complex)
             if v.shape != (dim, dim):
                 raise ValueError("all stage entanglers must share the register dimension")
-            if np.max(np.abs(v @ dagger(v) - np.eye(dim))) > 1e-12:
+            if np.max(np.abs(v @ dagger(v) - np.eye(dim))) > ATOL_ALGEBRA:
                 raise ValueError(f"stage {s.label!r} entangler is not unitary")
 
 
-@lru_cache(maxsize=None)
-def _flip_on_all_zero(n: int) -> np.ndarray:
-    """CnNOT on n+1 qubits: ancilla (qubit 1) flips iff register = |0...0>."""
-    dim = 2**n
-    proj0 = np.zeros((dim, dim), dtype=complex)
-    proj0[0, 0] = 1.0
-    return kron(X, proj0) + kron(np.eye(2, dtype=complex), np.eye(dim) - proj0)
+def _flip_on_all_zero(joint: np.ndarray) -> None:
+    """CnNOT in place: the ancilla (qubit 1) flips iff the register is |0...0>,
+    which swaps joint basis states 0 and 2**n."""
+    dim = joint.shape[0] // 2
+    joint[[0, dim]] = joint[[dim, 0]]
+    joint[:, [0, dim]] = joint[:, [dim, 0]]
 
 
-def _ancilla_matrix(p: float) -> np.ndarray:
-    return np.diag([p, 1 - p]).astype(complex)
+def _conjugate_register(joint: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(1 (x) u) joint (1 (x) u)^dag, applied on each of the four ancilla blocks."""
+    two_dim, dim = joint.shape[0], u.shape[0]
+    rows = u @ joint.reshape(2, dim, two_dim)
+    return (rows.reshape(2 * two_dim, dim) @ dagger(u)).reshape(two_dim, two_dim)
 
 
-def _readout_z(joint: np.ndarray) -> float:
-    rho_a = partial_trace(joint, [1])
-    return float(np.trace(rho_a @ Z).real)
+def _ancilla_z(rho_in: np.ndarray, entanglers, cfg: AncillaConfig) -> list[float]:
+    """Tr(rho_a Z) after each stage of one run on the joint ancilla-register
+    state: disentangle with V^dag, flip, read; before each later stage,
+    un-compute the previous one (flip back, then apply its V)."""
+    rho_in = np.asarray(rho_in, dtype=complex)
+    dim = 2**cfg.n
+    if rho_in.shape != (dim, dim) or any(v.shape != (dim, dim) for v in entanglers):
+        raise ValueError("dimension mismatch with ancilla configuration")
+    signs = z_signs(cfg.n + 1)[cfg.n]  # Z on the ancilla, tensor slot 1
+    joint = kron(np.diag([cfg.p, 1 - cfg.p]), rho_in)
+    values = []
+    for i, v in enumerate(entanglers):
+        if i:
+            _flip_on_all_zero(joint)
+            joint = _conjugate_register(joint, entanglers[i - 1])
+        joint = _conjugate_register(joint, dagger(v))
+        _flip_on_all_zero(joint)
+        values.append(float(signs @ np.diag(joint).real))
+    return values
+
+
+def _value(c: float, trz: float, p: float) -> float:
+    return c - 0.5 + trz / (2 * (2 * p - 1))
 
 
 def ancilla_readout(rho_in: np.ndarray, v: np.ndarray, c: float, cfg: AncillaConfig) -> float:
     """Witness value Tr(rho (c*1 - V|0..0><0..0|V^dag)) from one ancilla polarization."""
-    rho_in = np.asarray(rho_in, dtype=complex)
-    dim = 2**cfg.n
-    if rho_in.shape != (dim, dim) or v.shape != (dim, dim):
-        raise ValueError("dimension mismatch with ancilla configuration")
-    sigma = dagger(v) @ rho_in @ v
-    joint = kron(_ancilla_matrix(cfg.p), sigma)
-    cn = _flip_on_all_zero(cfg.n)
-    joint = cn @ joint @ dagger(cn)
-    trz = _readout_z(joint)
-    return c - 0.5 + trz / (2 * (2 * cfg.p - 1))
+    return _value(c, _ancilla_z(rho_in, [v], cfg)[0], cfg.p)
 
 
 def intermediate_identities(rho_in: np.ndarray, v: np.ndarray, cfg: AncillaConfig) -> dict:
     """Return P(0...0) and Tr(rho_a_out Z) and check the two readout identities."""
-    rho_in = np.asarray(rho_in, dtype=complex)
-    sigma = dagger(v) @ rho_in @ v
-    p_tilde = float(sigma[0, 0].real)
-    joint = kron(_ancilla_matrix(cfg.p), sigma)
-    cn = _flip_on_all_zero(cfg.n)
-    joint = cn @ joint @ dagger(cn)
-    trz = _readout_z(joint)
+    (trz,) = _ancilla_z(rho_in, [v], cfg)
+    p_tilde = float(np.vdot(v[:, 0], np.asarray(rho_in) @ v[:, 0]).real)
     residual_trz = abs(trz - (1 - 2 * cfg.p) * (2 * p_tilde - 1))
     residual_ptilde = abs(p_tilde - (0.5 - trz / (2 * (2 * cfg.p - 1))))
-    if residual_trz > 1e-12 or residual_ptilde > 1e-12:
+    if residual_trz > ATOL_ALGEBRA or residual_ptilde > ATOL_ALGEBRA:
         raise AssertionError(
             f"readout identities violated: {residual_trz:.3e}, {residual_ptilde:.3e}"
         )
@@ -121,20 +128,5 @@ def intermediate_identities(rho_in: np.ndarray, v: np.ndarray, cfg: AncillaConfi
 def run_concatenated(rho_in: np.ndarray, spec: ConcatSpec, cfg: AncillaConfig) -> list[float]:
     """Read several witnesses in one run: per stage disentangle, flip, read,
     then un-compute before the next stage."""
-    rho_in = np.asarray(rho_in, dtype=complex)
-    dim = 2**cfg.n
-    if rho_in.shape != (dim, dim) or spec.stages[0].v.shape != (dim, dim):
-        raise ValueError("dimension mismatch with ancilla configuration")
-    eye_a = np.eye(2, dtype=complex)
-    cn = _flip_on_all_zero(cfg.n)
-    joint = kron(_ancilla_matrix(cfg.p), rho_in)
-    values = []
-    for stage in spec.stages:
-        vfull = kron(eye_a, stage.v)
-        joint = dagger(vfull) @ joint @ vfull
-        joint = cn @ joint @ dagger(cn)
-        trz = _readout_z(joint)
-        values.append(stage.c - 0.5 + trz / (2 * (2 * cfg.p - 1)))
-        joint = dagger(cn) @ joint @ cn
-        joint = vfull @ joint @ dagger(vfull)
-    return values
+    trzs = _ancilla_z(rho_in, [s.v for s in spec.stages], cfg)
+    return [_value(s.c, trz, cfg.p) for s, trz in zip(spec.stages, trzs)]

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import sed
-from .tensor import H, SWAP, X, dagger, embed_gate, kron
+from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, H, SWAP, X, dagger, embed_gate, kron
 
 KINDS = ("H", "X", "CNOT", "SWAP", "CnNOT", "CnH", "OPAQUE")
 
@@ -58,7 +58,7 @@ class Gate:
             d = 2 ** len(self.targets)
             if m.shape != (d, d):
                 raise ValueError("payload dimension does not match targets")
-            if np.max(np.abs(m @ m.conj().T - np.eye(d))) > 1e-12:
+            if np.max(np.abs(m @ m.conj().T - np.eye(d))) > ATOL_ALGEBRA:
                 raise ValueError("payload is not unitary")
             object.__setattr__(self, "payload", m)
         elif self.payload is not None:
@@ -146,6 +146,14 @@ def w_entangler(n: int) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
+def select_entangler(kind: str, n: int) -> Circuit:
+    """Entangler circuit of a witness target family: ghz or w."""
+    kind = kind.lower()
+    if kind not in ("ghz", "w"):
+        raise ValueError(f"unknown entangler kind {kind!r}")
+    return ghz_entangler(n) if kind == "ghz" else w_entangler(n)
+
+
 def vprime_dagger_circuit(n: int) -> Circuit:
     """Recursive circuit for V'_n^dag.
 
@@ -187,7 +195,7 @@ def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
 
 
 def _is(u: np.ndarray, ref: np.ndarray) -> bool:
-    return u.shape == ref.shape and np.max(np.abs(u - ref)) <= 1e-12
+    return u.shape == ref.shape and np.max(np.abs(u - ref)) <= ATOL_ALGEBRA
 
 
 def _emit_plain(u: np.ndarray, target: int) -> Gate:
@@ -224,7 +232,7 @@ def _lambda(u: np.ndarray, controls: list[int], target: int, n: int, out: list[G
         return
     used = set(controls) | {target}
     free = [q for q in range(1, n + 1) if q not in used]
-    self_inverse = np.max(np.abs(u @ u - np.eye(2))) <= 1e-12
+    self_inverse = np.max(np.abs(u @ u - np.eye(2))) <= ATOL_ALGEBRA
     if self_inverse and len(free) >= m - 2:
         # borrowed-qubit chain: 4(m-2) two-controlled gates, dirty borrows
         # are restored and the double pass cancels their unknown values
@@ -283,7 +291,7 @@ def gate_count_exponent(n_values, counts) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def phase_insensitive_equal(m1: np.ndarray, m2: np.ndarray, atol: float = 1e-10) -> bool:
+def phase_insensitive_equal(m1: np.ndarray, m2: np.ndarray, atol: float = ATOL_PHYSICS) -> bool:
     """Compare unitaries up to a global phase (taken from the largest entry)."""
     prod = m1 @ dagger(m2)
     idx = np.unravel_index(np.argmax(np.abs(prod)), prod.shape)
@@ -313,32 +321,37 @@ def circuit_to_text(c: Circuit) -> str:
 
 
 def circuit_from_text(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("qubits"):
+    """Parse the text format; a malformed line raises ValueError naming its number."""
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1].split()[0] != "qubits":
         raise ValueError("missing 'qubits N' header")
-    n = int(lines[0].split()[1])
+    (lineno, header), *body = lines
+    fields = header.split()
+    if len(fields) != 2 or not fields[1].isdecimal():
+        raise ValueError(f"line {lineno}: {header!r}: expected 'qubits N'")
     gates = []
-    for ln in lines[1:]:
-        tokens = ln.split()
-        kind = tokens[0]
-        rest = tokens[1:]
-        targets, controls, payload_tokens = [], [], []
-        section = "targets"
-        for tok in rest:
-            if tok == "|":
-                section = "controls"
-            elif tok == "@":
-                section = "payload"
-            elif section == "targets":
-                targets.append(int(tok))
-            elif section == "controls":
-                q, p = tok[:-1].split("(")
-                controls.append((int(q), int(p)))
-            else:
-                payload_tokens.append(tok)
-        payload = None
-        if payload_tokens:
-            d = 2 ** len(targets)
-            payload = np.array([complex(t) for t in payload_tokens]).reshape(d, d)
-        gates.append(Gate(kind, tuple(targets), tuple(controls), payload))
-    return Circuit(n, tuple(gates))
+    for lineno, ln in body:
+        try:
+            kind, *rest = ln.split()
+            targets, controls, payload_tokens = [], [], []
+            section = "targets"
+            for tok in rest:
+                if tok == "|":
+                    section = "controls"
+                elif tok == "@":
+                    section = "payload"
+                elif section == "targets":
+                    targets.append(int(tok))
+                elif section == "controls":
+                    q, p = tok[:-1].split("(")
+                    controls.append((int(q), int(p)))
+                else:
+                    payload_tokens.append(tok)
+            payload = None
+            if payload_tokens:
+                d = 2 ** len(targets)
+                payload = np.array([complex(t) for t in payload_tokens]).reshape(d, d)
+            gates.append(Gate(kind, tuple(targets), tuple(controls), payload))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {ln!r}: {exc}") from exc
+    return Circuit(int(fields[1]), tuple(gates))

@@ -17,10 +17,11 @@ import sys
 import numpy as np
 
 from .ancilla import AncillaConfig, ancilla_readout, intermediate_identities
-from .circuit import circuit_unitary, gate_count_G, gate_count_exponent, ghz_entangler, w_entangler
+from .circuit import circuit_unitary, gate_count_G, gate_count_exponent, select_entangler
 from .noise import grid_values, sweep, sweep_csv, zero_crossing_h
 from .sed import build_vprime, conjugated_observable, verify_equality
 from .states import PseudopureState, PureState, pseudopure_matrix
+from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS
 from .witness import epsilon_limit, expectation, select_witness
 
 
@@ -28,13 +29,17 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _emit(report: dict, json_path: str | None):
-    for key, val in report.items():
-        print(f"{key} = {_fmt(val) if isinstance(val, float) else val}")
+def _write_json(report: dict, json_path: str | None):
     if json_path:
         with open(json_path, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _emit(report: dict, json_path: str | None):
+    for key, val in report.items():
+        print(f"{key} = {_fmt(val) if isinstance(val, float) else val}")
+    _write_json(report, json_path)
 
 
 def cmd_witness(args, parser) -> int:
@@ -66,8 +71,8 @@ def cmd_sed_verify(args, parser) -> int:
     target = np.zeros(2**args.n)
     target[0] = -1.0
     report["diag_deviation"] = float(np.max(np.abs(diag - target)))
-    report["diag_tolerance"] = 1e-10
-    report["passed"] = bool(report["passed"] and report["diag_deviation"] <= 1e-10)
+    report["diag_tolerance"] = ATOL_PHYSICS
+    report["passed"] = bool(report["passed"] and report["diag_deviation"] <= ATOL_PHYSICS)
     _emit(report, args.json)
     return 0 if report["passed"] else 1
 
@@ -78,8 +83,7 @@ def cmd_ancilla(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     w = select_witness(args.kind, args.n)
-    entangler = w_entangler(args.n) if args.kind.lower() == "w" else ghz_entangler(args.n)
-    v = circuit_unitary(entangler)
+    v = circuit_unitary(select_entangler(args.kind, args.n))
     psi_in = PureState(args.n, v[:, 0])
     rho_in = pseudopure_matrix(PseudopureState(args.n, args.epsilon, psi_in))
     recovered = ancilla_readout(rho_in, v, w.c, cfg)
@@ -99,7 +103,7 @@ def cmd_ancilla(args, parser) -> int:
         "difference": abs(recovered - oracle),
     }
     _emit(report, args.json)
-    return 0 if report["difference"] <= 1e-10 else 1
+    return 0 if report["difference"] <= ATOL_PHYSICS else 1
 
 
 def cmd_gatecount(args, parser) -> int:
@@ -116,10 +120,7 @@ def cmd_gatecount(args, parser) -> int:
         exponent = gate_count_exponent(ns, counts)
         report["fit_exponent"] = exponent
         print(f"fit_exponent = {_fmt(exponent)}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_json(report, args.json)
     return 0
 
 
@@ -155,7 +156,7 @@ def cmd_sweep(args, parser) -> int:
     print(f"rows = {len(records)}")
     print(f"min_value_conv = {_fmt(min(r.value_conv for r in records))}")
     print(f"min_value_sed = {_fmt(min(r.value_sed for r in records))}")
-    if any(abs(p - 1.0) < 1e-12 for p in grid_p):
+    if any(abs(p - 1.0) < ATOL_ALGEBRA for p in grid_p):
         for field in ("value_conv", "value_sed"):
             crossing = zero_crossing_h(records, 1.0, field)
             print(f"zero_crossing_h_{field} = {'none' if crossing is None else _fmt(crossing)}")

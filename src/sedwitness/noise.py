@@ -35,13 +35,12 @@ from .circuit import (
     circuit_unitary,
     dagger_circuit,
     expand_multicontrolled,
-    ghz_entangler,
+    select_entangler,
     vprime_dagger_circuit,
-    w_entangler,
 )
 from .sed import build_vprime, weighted_z_sum
 from .states import ThermalProductState, thermal_matrix
-from .tensor import n_qubits
+from .tensor import ATOL_ALGEBRA, n_qubits
 from .witness import select_witness
 
 
@@ -158,15 +157,6 @@ def simulate_noisy(c: Circuit, rho0: np.ndarray, model: NoiseModel) -> np.ndarra
     return rho
 
 
-def _witness_setup(n: int, witness_kind: str) -> tuple[Circuit, float]:
-    """Entangler circuit and witness constant for the sweep."""
-    kind = witness_kind.lower()
-    if kind not in ("ghz", "w"):
-        raise ValueError(f"unknown witness kind {witness_kind!r}")
-    entangler = ghz_entangler(n) if kind == "ghz" else w_entangler(n)
-    return entangler, select_witness(kind, n).c
-
-
 def sweep(
     n: int,
     grid_p,
@@ -186,7 +176,8 @@ def sweep(
         raise ValueError("grid values must lie in [0, 1]")
     if entangler_mode not in ("witness", "identity"):
         raise ValueError(f"unknown entangler mode {entangler_mode!r}")
-    entangler, c = _witness_setup(n, witness_kind)
+    entangler = select_entangler(witness_kind, n)
+    c = select_witness(witness_kind, n).c
     dec = build_vprime(n, c)
     psi_in = circuit_unitary(entangler)[:, 0]
     w_conv = c * np.eye(2**n, dtype=complex) - np.outer(psi_in, psi_in.conj())
@@ -230,7 +221,7 @@ def zero_crossing_h(records: list[SweepRecord], p: float, field: str = "value_se
 
     Returns None when the value at the largest grid h is non-negative.
     """
-    row = sorted((r for r in records if abs(r.p - p) < 1e-12), key=lambda r: -r.h)
+    row = sorted((r for r in records if abs(r.p - p) < ATOL_ALGEBRA), key=lambda r: -r.h)
     crossing = None
     for r in row:
         if getattr(r, field) < 0:

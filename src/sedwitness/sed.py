@@ -23,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import H, I2, SWAP, dagger, embed_gate, haar_unitary, z_signs
+from .tensor import ATOL_PHYSICS, H, I2, SWAP, dagger, embed_gate, haar_unitary, z_signs
 from .witness import Witness
-
-DIAGONAL_ATOL = 1e-10  # audit threshold for the diagonal-rho_out precondition
 
 
 def vprime2() -> tuple[np.ndarray, float, np.ndarray]:
@@ -129,7 +127,7 @@ def sed_measure(rho_in: np.ndarray, v_entangler: np.ndarray, dec: SedDecompositi
         raise ValueError("dimension mismatch between state, entangler and decomposition")
     rho_out = dagger(v_entangler) @ rho_in @ v_entangler
     off = rho_out - np.diag(np.diag(rho_out))
-    diagonal_ok = bool(np.max(np.abs(off)) <= DIAGONAL_ATOL)
+    diagonal_ok = bool(np.max(np.abs(off)) <= ATOL_PHYSICS)
     # diagonal of sigma = V'^dag rho_out V'
     sigma_diag = np.einsum("ij,ij->j", dec.vprime.conj(), rho_out @ dec.vprime).real
     z = z_signs(n) @ sigma_diag
@@ -168,6 +166,6 @@ def verify_equality(n: int, trials: int = 100, seed: int = 0) -> dict:
         "trials": trials,
         "seed": seed,
         "max_deviation": max_dev,
-        "tolerance": 1e-10,
-        "passed": bool(max_dev <= 1e-10),
+        "tolerance": ATOL_PHYSICS,
+        "passed": bool(max_dev <= ATOL_PHYSICS),
     }

@@ -1,5 +1,14 @@
+"""Tests of the one-ancilla readout.
+
+The dense pipeline below (a 2**(n+1) CnNOT matrix, kron(1, V) conjugations
+and the ancilla Z through a partial trace) is the implementation the joint
+state routine replaced; it is kept here as the oracle.
+"""
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sedwitness.ancilla import (
     AncillaConfig,
@@ -12,11 +21,35 @@ from sedwitness.ancilla import (
 )
 from sedwitness.circuit import circuit_unitary, ghz_entangler, w_entangler
 from sedwitness.states import make_ghz
-from sedwitness.tensor import dagger, haar_unitary, random_density_matrix
+from sedwitness.tensor import X, Z, dagger, haar_unitary, kron, partial_trace, random_density_matrix
 
 
 def ghz_v():
     return circuit_unitary(ghz_entangler(3))
+
+
+def dense_cnnot(n):
+    """CnNOT on n+1 qubits: ancilla (qubit 1) flips iff register = |0...0>."""
+    dim = 2**n
+    proj0 = np.zeros((dim, dim), dtype=complex)
+    proj0[0, 0] = 1.0
+    return kron(X, proj0) + kron(np.eye(2), np.eye(dim) - proj0)
+
+
+def dense_run(rho_in, stages, p):
+    """Per stage (v, c): conjugate by kron(1, V^dag), flip, read the ancilla Z
+    through a partial trace, un-compute. Returns (trz, value) per stage."""
+    n = int(np.log2(rho_in.shape[0]))
+    cn = dense_cnnot(n)
+    joint = kron(np.diag([p, 1 - p]), rho_in)
+    out = []
+    for v, c in stages:
+        vfull = kron(np.eye(2), v)
+        joint = cn @ dagger(vfull) @ joint @ vfull @ dagger(cn)
+        trz = np.trace(partial_trace(joint, [1]) @ Z).real
+        out.append((trz, c - 0.5 + trz / (2 * (2 * p - 1))))
+        joint = vfull @ dagger(cn) @ joint @ cn @ dagger(vfull)
+    return out
 
 
 def test_config_validation():
@@ -28,14 +61,40 @@ def test_config_validation():
 
 
 def test_cnnot_flips_only_on_all_zero_register():
-    cn = _flip_on_all_zero(2)
-    # |0>|00> -> |1>|00>, |0>|01> unchanged
-    vec = np.zeros(8)
-    vec[0] = 1.0
-    assert np.argmax(np.abs(cn @ vec)) == 4
-    vec = np.zeros(8)
-    vec[1] = 1.0
-    assert np.argmax(np.abs(cn @ vec)) == 1
+    # the in-place swap of joint basis states 0 and 2**n is the dense CnNOT
+    rng = np.random.default_rng(3)
+    for n in range(1, 5):
+        dim = 2 ** (n + 1)
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        cn = dense_cnnot(n)
+        want = cn @ m @ cn.T
+        _flip_on_all_zero(m)
+        assert np.array_equal(m, want)
+
+
+@st.composite
+def readout_cases(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stages = [
+        (haar_unitary(2**n, rng), draw(st.floats(0.0, 1.0)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return random_density_matrix(2**n, rng), stages, AncillaConfig(draw(st.floats(0.55, 1.0)), n)
+
+
+@given(readout_cases())
+def test_readouts_match_dense_pipeline(case):
+    rho, stages, cfg = case
+    want = dense_run(rho, stages, cfg.p)
+    v, c = stages[0]
+    assert abs(ancilla_readout(rho, v, c, cfg) - want[0][1]) <= 1e-12
+    ident = intermediate_identities(rho, v, cfg)
+    assert abs(ident["tr_ancilla_z"] - want[0][0]) <= 1e-12
+    assert abs(ident["p_tilde"] - (dagger(v) @ rho @ v)[0, 0].real) <= 1e-12
+    got = run_concatenated(rho, ConcatSpec(tuple(Stage(v, c) for v, c in stages)), cfg)
+    assert len(got) == len(stages)
+    assert all(abs(g - w[1]) <= 1e-12 for g, w in zip(got, want))
 
 
 def test_ghz_pure_state_readout():

@@ -14,6 +14,7 @@ from sedwitness.circuit import (
     gate_matrix,
     ghz_entangler,
     phase_insensitive_equal,
+    select_entangler,
     vprime_dagger_circuit,
     w_entangler,
 )
@@ -65,6 +66,10 @@ def test_entangler_errors():
         ghz_entangler(1)
     with pytest.raises(ValueError):
         w_entangler(1)
+    with pytest.raises(ValueError):
+        select_entangler("generic", 3)
+    assert circuit_to_text(select_entangler("W", 4)) == circuit_to_text(w_entangler(4))
+    assert circuit_to_text(select_entangler("ghz", 4)) == circuit_to_text(ghz_entangler(4))
 
 
 def test_vprime_dagger_circuit_matches_matrices():
@@ -199,3 +204,20 @@ def test_serialization_roundtrip():
 def test_serialization_errors():
     with pytest.raises(ValueError):
         circuit_from_text("H 1\n")
+
+
+@pytest.mark.parametrize(
+    "text, lineno, line",
+    [
+        ("qubits", 1, "qubits"),
+        ("qubits x", 1, "qubits x"),
+        ("qubits 3\nH 1 | 2(", 2, "H 1 | 2("),
+        ("qubits 3\nH x", 2, "H x"),
+        ("qubits 3\n\nOPAQUE 1 @ 1 0 0", 3, "OPAQUE 1 @ 1 0 0"),
+        ("qubits 3\nH 1\n  NOPE 2", 3, "NOPE 2"),
+    ],
+)
+def test_parse_errors_name_the_line(text, lineno, line):
+    with pytest.raises(ValueError) as err:
+        circuit_from_text(text)
+    assert str(err.value).startswith(f"line {lineno}: {line!r}")

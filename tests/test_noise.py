@@ -8,7 +8,6 @@ from sedwitness.circuit import Circuit, Gate, circuit_unitary, ghz_entangler
 from sedwitness.cli import main
 from sedwitness.noise import (
     NoiseModel,
-    _witness_setup,
     apply_noisy_gate,
     grid_values,
     simulate_noisy,
@@ -180,4 +179,6 @@ def test_sweep_uses_cli_witness_constant(n, kind, tmp_path, capsys):
     path = tmp_path / "w.json"
     assert main(["witness", "--kind", kind, "--n", str(n), "--json", str(path)]) == 0
     capsys.readouterr()
-    assert _witness_setup(n, kind)[1] == json.loads(path.read_text())["c"]
+    # the noiseless pure target reads c - 1 at p = h = 1
+    (record,) = sweep(n, [1.0], [1.0], kind)
+    assert abs(record.value_conv - (json.loads(path.read_text())["c"] - 1)) <= 1e-12

@@ -17,9 +17,10 @@ from sedwitness.circuit import (
     dagger_circuit,
     expand_multicontrolled,
     gate_matrix,
+    select_entangler,
     vprime_dagger_circuit,
 )
-from sedwitness.noise import NoiseModel, _witness_setup, apply_noisy_gate, simulate_noisy, sweep
+from sedwitness.noise import NoiseModel, apply_noisy_gate, simulate_noisy, sweep
 from sedwitness.sed import build_vprime
 from sedwitness.states import ThermalProductState, thermal_matrix
 from sedwitness.tensor import (
@@ -33,6 +34,7 @@ from sedwitness.tensor import (
     random_density_matrix,
     reorder_qubits,
 )
+from sedwitness.witness import select_witness
 
 
 def dense_noisy_gate(rho, g, model):
@@ -52,7 +54,7 @@ def dense_noisy_gate(rho, g, model):
 
 def forward_sweep(n, grid_p, grid_h, witness_kind, entangler_mode):
     """Schroedinger picture: one noisy forward run per (p, h), Z readouts by trace."""
-    entangler, c = _witness_setup(n, witness_kind)
+    entangler, c = select_entangler(witness_kind, n), select_witness(witness_kind, n).c
     dec = build_vprime(n, c)
     psi_in = circuit_unitary(entangler)[:, 0]
     w_conv = c * np.eye(2**n) - np.outer(psi_in, psi_in.conj())
