@@ -43,6 +43,12 @@ class Stage:
     c: float
     label: str = ""
 
+    def __post_init__(self):
+        v = np.asarray(self.v, dtype=complex)
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise ValueError(f"stage {self.label!r} entangler is not a square matrix")
+        object.__setattr__(self, "v", v)
+
 
 @dataclass(frozen=True, eq=False)
 class ConcatSpec:
@@ -53,10 +59,9 @@ class ConcatSpec:
             raise ValueError("need at least one stage")
         dim = self.stages[0].v.shape[0]
         for s in self.stages:
-            v = np.asarray(s.v, dtype=complex)
-            if v.shape != (dim, dim):
+            if s.v.shape != (dim, dim):
                 raise ValueError("all stage entanglers must share the register dimension")
-            if np.max(np.abs(v @ dagger(v) - np.eye(dim))) > ATOL_ALGEBRA:
+            if np.max(np.abs(s.v @ dagger(s.v) - np.eye(dim))) > ATOL_ALGEBRA:
                 raise ValueError(f"stage {s.label!r} entangler is not unitary")
 
 
@@ -96,13 +101,14 @@ def _ancilla_z(rho_in: np.ndarray, entanglers, cfg: AncillaConfig) -> list[float
     return values
 
 
-def _value(c: float, trz: float, p: float) -> float:
+def readout_value(c: float, trz: float, p: float) -> float:
+    """Witness value c - 1/2 + Tr(rho_a Z) / (2 (2p - 1)) from the ancilla polarization."""
     return c - 0.5 + trz / (2 * (2 * p - 1))
 
 
 def ancilla_readout(rho_in: np.ndarray, v: np.ndarray, c: float, cfg: AncillaConfig) -> float:
     """Witness value Tr(rho (c*1 - V|0..0><0..0|V^dag)) from one ancilla polarization."""
-    return _value(c, _ancilla_z(rho_in, [v], cfg)[0], cfg.p)
+    return readout_value(c, _ancilla_z(rho_in, [v], cfg)[0], cfg.p)
 
 
 def intermediate_identities(rho_in: np.ndarray, v: np.ndarray, cfg: AncillaConfig) -> dict:
@@ -129,4 +135,4 @@ def run_concatenated(rho_in: np.ndarray, spec: ConcatSpec, cfg: AncillaConfig) -
     """Read several witnesses in one run: per stage disentangle, flip, read,
     then un-compute before the next stage."""
     trzs = _ancilla_z(rho_in, [s.v for s in spec.stages], cfg)
-    return [_value(s.c, trz, cfg.p) for s, trz in zip(spec.stages, trzs)]
+    return [readout_value(s.c, trz, cfg.p) for s, trz in zip(spec.stages, trzs)]

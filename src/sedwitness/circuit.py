@@ -10,32 +10,34 @@ bit (1 = active on |1>, 0 = active on |0>).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import sed
-from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, H, SWAP, X, dagger, embed_gate, kron
+from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, H, SWAP, X, apply_controlled, dagger
 
-KINDS = ("H", "X", "CNOT", "SWAP", "CnNOT", "CnH", "OPAQUE")
 
-_BASES = {"H": H, "X": X, "CNOT": X, "CnNOT": X, "CnH": H, "SWAP": SWAP}
+# text labels of the named bases with 0, 1 and >= 2 controls
+_LABELS = ((X, ("X", "CNOT", "CnNOT")), (H, ("H", "CnH", "CnH")), (SWAP, ("SWAP", None, None)))
+_NAMED_BASE = {name: base for base, names in _LABELS for name in names if name}
 
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    kind: str
+    """Controlled unitary: the 2**len(targets) unitary `base` acts on
+    `targets` when every control qubit q of `controls` (pairs (q, pol))
+    holds pol.  The shared tensor constants X, H and SWAP are recognized by
+    identity and give the gate its text label."""
+
+    base: np.ndarray
     targets: tuple[int, ...]
     controls: tuple[tuple[int, int], ...] = ()
-    payload: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
         object.__setattr__(
             self, "controls", tuple((int(q), int(p)) for q, p in self.controls)
         )
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
         ctrl_qubits = [q for q, _ in self.controls]
         if set(ctrl_qubits) & set(self.targets):
             raise ValueError("controls and targets must be disjoint")
@@ -43,47 +45,35 @@ class Gate:
             raise ValueError("repeated qubit in gate")
         if any(p not in (0, 1) for _, p in self.controls):
             raise ValueError("control polarity must be 0 or 1")
-        if self.kind in ("H", "X") and (len(self.targets) != 1 or self.controls):
-            raise ValueError(f"{self.kind} takes one target and no controls")
-        if self.kind == "CNOT" and (len(self.targets) != 1 or len(self.controls) != 1):
-            raise ValueError("CNOT takes one target and one control")
-        if self.kind == "SWAP" and (len(self.targets) != 2 or self.controls):
-            raise ValueError("SWAP takes two targets and no controls")
-        if self.kind in ("CnNOT", "CnH") and (len(self.targets) != 1 or not self.controls):
-            raise ValueError(f"{self.kind} takes one target and at least one control")
-        if self.kind == "OPAQUE":
-            if self.payload is None:
-                raise ValueError("OPAQUE gate needs a payload")
-            m = np.asarray(self.payload, dtype=complex)
-            d = 2 ** len(self.targets)
-            if m.shape != (d, d):
-                raise ValueError("payload dimension does not match targets")
-            if np.max(np.abs(m @ m.conj().T - np.eye(d))) > ATOL_ALGEBRA:
-                raise ValueError("payload is not unitary")
-            object.__setattr__(self, "payload", m)
-        elif self.payload is not None:
-            raise ValueError(f"{self.kind} does not take a payload")
+        base = np.asarray(self.base, dtype=complex)  # the shared constants stay themselves
+        object.__setattr__(self, "base", base)
+        d = 2 ** len(self.targets)
+        if base.shape != (d, d):
+            raise ValueError("base dimension does not match targets")
+        if self.label == "OPAQUE" and abs(base @ base.conj().T - np.eye(d)).max() > ATOL_ALGEBRA:
+            raise ValueError("base is not unitary")
 
-    def base_matrix(self) -> np.ndarray:
-        return self.payload if self.kind == "OPAQUE" else _BASES[self.kind]
-
-    @cached_property
-    def block(self) -> np.ndarray:
-        """The 2**k unitary on `qubits()` (controls first, then targets), built once."""
-        base = self.base_matrix()
-        proj = np.array([1.0], dtype=complex)
-        for _, pol in self.controls:
-            proj = np.kron(proj, np.array([1.0 - pol, float(pol)], dtype=complex))
-        proj = np.diag(proj)
-        return kron(proj, base) + kron(np.eye(proj.shape[0]) - proj, np.eye(base.shape[0]))
+    @property
+    def label(self) -> str:
+        """Name in the text format: X/CNOT/CnNOT, H/CnH, SWAP, else OPAQUE."""
+        for base, names in _LABELS:
+            if self.base is base:
+                return names[min(len(self.controls), 2)] or "OPAQUE"
+        return "OPAQUE"
 
     def qubits(self) -> list[int]:
         return [q for q, _ in self.controls] + list(self.targets)
 
     def daggered(self) -> "Gate":
-        if self.kind == "OPAQUE":
-            return Gate(self.kind, self.targets, self.controls, dagger(self.payload))
-        return self  # the named kinds are all self-inverse
+        if self.label != "OPAQUE":
+            return self  # the named bases are Hermitian
+        return Gate(dagger(self.base), self.targets, self.controls)
+
+
+def _check_register(g: Gate, n: int) -> None:
+    for q in g.qubits():
+        if not 1 <= q <= n:
+            raise ValueError(f"gate qubit {q} outside register 1..{n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +84,7 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            for q in g.qubits():
-                if not 1 <= q <= self.n:
-                    raise ValueError(f"gate qubit {q} outside register 1..{self.n}")
+            _check_register(g, self.n)
 
     def then(self, other: "Circuit") -> "Circuit":
         if other.n != self.n:
@@ -104,16 +92,12 @@ class Circuit:
         return Circuit(self.n, self.gates + other.gates)
 
 
-def gate_matrix(g: Gate, n: int) -> np.ndarray:
-    """Full 2**n unitary of a (possibly controlled) gate."""
-    return embed_gate(g.block, g.qubits(), n)
-
-
 def circuit_unitary(c: Circuit) -> np.ndarray:
-    u = np.eye(2**c.n, dtype=complex)
+    """Product of the gates, each applied on the rows of the running unitary."""
+    u = np.eye(2**c.n, dtype=complex).reshape((2,) * (2 * c.n))
     for g in c.gates:
-        u = gate_matrix(g, c.n) @ u
-    return u
+        u = apply_controlled(u, g.base, g.controls, g.targets)
+    return u.reshape(2**c.n, 2**c.n)
 
 
 def dagger_circuit(c: Circuit) -> Circuit:
@@ -124,8 +108,8 @@ def ghz_entangler(n: int) -> Circuit:
     """One Hadamard and n-1 CNOTs mapping |0...0> to the n-qubit GHZ state."""
     if n < 2:
         raise ValueError("entangler needs n >= 2")
-    gates = [Gate("H", (1,))]
-    gates += [Gate("CNOT", (k,), ((1, 1),)) for k in range(2, n + 1)]
+    gates = [Gate(H, (1,))]
+    gates += [Gate(X, (k,), ((1, 1),)) for k in range(2, n + 1)]
     return Circuit(n, tuple(gates))
 
 
@@ -138,11 +122,11 @@ def w_entangler(n: int) -> Circuit:
     """Cascade of controlled rotations and CNOTs mapping |0...0> to the W state."""
     if n < 2:
         raise ValueError("entangler needs n >= 2")
-    gates = [Gate("X", (1,))]
+    gates = [Gate(X, (1,))]
     for i in range(1, n):
         theta = 2 * np.arccos(np.sqrt(1.0 / (n - i + 1)))
-        gates.append(Gate("OPAQUE", (i + 1,), ((i, 1),), _ry(theta)))
-        gates.append(Gate("CNOT", (i,), ((i + 1, 1),)))
+        gates.append(Gate(_ry(theta), (i + 1,), ((i, 1),)))
+        gates.append(Gate(X, (i,), ((i + 1, 1),)))
     return Circuit(n, tuple(gates))
 
 
@@ -168,11 +152,11 @@ def vprime_dagger_circuit(n: int) -> Circuit:
     gates = []
     for k in range(n, 2, -1):
         first = n - k + 1
-        gates.append(Gate("CnH", (n,), tuple((q, 0) for q in range(first, n))))
-        gates.append(Gate("H", (n,)))
-        gates.append(Gate("SWAP", (first, n)))
+        gates.append(Gate(H, (n,), tuple((q, 0) for q in range(first, n))))
+        gates.append(Gate(H, (n,)))
+        gates.append(Gate(SWAP, (first, n)))
     v2, _, _ = sed.vprime2()
-    gates.append(Gate("OPAQUE", (n - 1, n), (), dagger(v2)))
+    gates.append(Gate(dagger(v2), (n - 1, n)))
     return Circuit(n, tuple(gates))
 
 
@@ -195,40 +179,33 @@ def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
 
 
 def _is(u: np.ndarray, ref: np.ndarray) -> bool:
-    return u.shape == ref.shape and np.max(np.abs(u - ref)) <= ATOL_ALGEBRA
+    return u.shape == ref.shape and abs(u - ref).max() <= ATOL_ALGEBRA
 
 
-def _emit_plain(u: np.ndarray, target: int) -> Gate:
-    if _is(u, X):
-        return Gate("X", (target,))
-    if _is(u, H):
-        return Gate("H", (target,))
-    return Gate("OPAQUE", (target,), (), u)
-
-
-def _emit_controlled(u: np.ndarray, control: int, target: int) -> Gate:
-    if _is(u, X):
-        return Gate("CNOT", (target,), ((control, 1),))
-    return Gate("OPAQUE", (target,), ((control, 1),), u)
+def _emit(u: np.ndarray, target: int, controls=()) -> Gate:
+    """u on target, controlled (polarity 1) by `controls`; a u equal to X or
+    H becomes the shared constant, so the gate keeps its name."""
+    for named in (X, H):
+        if u is named or _is(u, named):
+            u = named
+            break
+    return Gate(u, (target,), tuple((q, 1) for q in controls))
 
 
 def _lambda(u: np.ndarray, controls: list[int], target: int, n: int, out: list[Gate]):
     """Emit 1/2-qubit gates for u on `target` controlled (all polarity 1) by `controls`."""
     m = len(controls)
-    if m == 0:
-        out.append(_emit_plain(u, target))
-        return
-    if m == 1:
-        out.append(_emit_controlled(u, controls[0], target))
+    if m <= 1:
+        out.append(_emit(u, target, controls))
         return
     if m == 2:
         v = _unitary_sqrt(u)
         c1, c2 = controls
-        out.append(_emit_controlled(v, c2, target))
-        out.append(Gate("CNOT", (c2,), ((c1, 1),)))
-        out.append(_emit_controlled(dagger(v), c2, target))
-        out.append(Gate("CNOT", (c2,), ((c1, 1),)))
-        out.append(_emit_controlled(v, c1, target))
+        out.append(_emit(v, target, [c2]))
+        out.append(Gate(X, (c2,), ((c1, 1),)))
+        out.append(_emit(dagger(v), target, [c2]))
+        out.append(Gate(X, (c2,), ((c1, 1),)))
+        out.append(_emit(v, target, [c1]))
         return
     used = set(controls) | {target}
     free = [q for q in range(1, n + 1) if q not in used]
@@ -257,24 +234,24 @@ def _lambda(u: np.ndarray, controls: list[int], target: int, n: int, out: list[G
     # no spare qubit (or base not self-inverse): peel the last control
     v = _unitary_sqrt(u)
     head, last = controls[:-1], controls[-1]
-    out.append(_emit_controlled(v, last, target))
+    out.append(_emit(v, target, [last]))
     _lambda(X, head, last, n, out)
-    out.append(_emit_controlled(dagger(v), last, target))
+    out.append(_emit(dagger(v), target, [last]))
     _lambda(X, head, last, n, out)
     _lambda(v, head, target, n, out)
 
 
 def expand_multicontrolled(c: Circuit) -> Circuit:
-    """Replace every CnNOT/CnH by a network of CNOT, single-qubit and
-    two-qubit opaque gates; the unitary is preserved exactly."""
+    """Replace every single-target gate with two or more controls by a
+    network of one- and two-qubit gates; the unitary is preserved exactly."""
     out: list[Gate] = []
     for g in c.gates:
-        if g.kind not in ("CnNOT", "CnH"):
+        if len(g.targets) != 1 or len(g.controls) < 2:
             out.append(g)
             continue
-        sandwiches = [Gate("X", (q,)) for q, pol in g.controls if pol == 0]
+        sandwiches = [Gate(X, (q,)) for q, pol in g.controls if pol == 0]
         out.extend(sandwiches)
-        _lambda(g.base_matrix(), [q for q, _ in g.controls], g.targets[0], c.n, out)
+        _lambda(g.base, [q for q, _ in g.controls], g.targets[0], c.n, out)
         out.extend(sandwiches)
     return Circuit(c.n, tuple(out))
 
@@ -301,27 +278,32 @@ def phase_insensitive_equal(m1: np.ndarray, m2: np.ndarray, atol: float = ATOL_P
 
 # ---------------------------------------------------------------------------
 # line-based serialization: one gate per line,
-#   KIND targets... [| controls as q(pol)...] [@ payload entries row-major]
+#   LABEL targets... [| controls as q(pol)...] [@ base entries row-major]
 # preceded by a "qubits N" header; complex entries round-trip via repr().
+# Only OPAQUE gates carry their base; every other label names its base.
 # ---------------------------------------------------------------------------
 
 
 def circuit_to_text(c: Circuit) -> str:
     lines = [f"qubits {c.n}"]
     for g in c.gates:
-        parts = [g.kind] + [str(t) for t in g.targets]
+        label = g.label
+        parts = [label] + [str(t) for t in g.targets]
         if g.controls:
             parts.append("|")
             parts += [f"{q}({p})" for q, p in g.controls]
-        if g.payload is not None:
+        if label == "OPAQUE":
             parts.append("@")
-            parts += [repr(complex(z)) for z in g.payload.ravel()]
+            parts += [repr(complex(z)) for z in g.base.ravel()]
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
 
 def circuit_from_text(text: str) -> Circuit:
-    """Parse the text format; a malformed line raises ValueError naming its number."""
+    """Parse the text format; a malformed line raises ValueError naming its number.
+
+    A line's label must be the one its gate serializes to, so `CNOT 1` (no
+    control), `H 1 | 2(1)` (a CnH) or `X 1 @ ...` (an OPAQUE) are errors."""
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1].split()[0] != "qubits":
         raise ValueError("missing 'qubits N' header")
@@ -329,29 +311,37 @@ def circuit_from_text(text: str) -> Circuit:
     fields = header.split()
     if len(fields) != 2 or not fields[1].isdecimal():
         raise ValueError(f"line {lineno}: {header!r}: expected 'qubits N'")
+    n = int(fields[1])
     gates = []
     for lineno, ln in body:
         try:
-            kind, *rest = ln.split()
-            targets, controls, payload_tokens = [], [], []
+            name, *rest = ln.split()
+            targets, controls, entries = [], [], []
             section = "targets"
             for tok in rest:
                 if tok == "|":
                     section = "controls"
                 elif tok == "@":
-                    section = "payload"
+                    section = "entries"
                 elif section == "targets":
                     targets.append(int(tok))
                 elif section == "controls":
                     q, p = tok[:-1].split("(")
                     controls.append((int(q), int(p)))
                 else:
-                    payload_tokens.append(tok)
-            payload = None
-            if payload_tokens:
+                    entries.append(tok)
+            if entries:
                 d = 2 ** len(targets)
-                payload = np.array([complex(t) for t in payload_tokens]).reshape(d, d)
-            gates.append(Gate(kind, tuple(targets), tuple(controls), payload))
+                base = np.array([complex(t) for t in entries]).reshape(d, d)
+            elif name in _NAMED_BASE:
+                base = _NAMED_BASE[name]
+            else:
+                raise ValueError(f"label {name!r} names no base")
+            g = Gate(base, tuple(targets), tuple(controls))
+            if g.label != name:
+                raise ValueError(f"gate is labelled {g.label}, not {name}")
+            _check_register(g, n)
+            gates.append(g)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {ln!r}: {exc}") from exc
-    return Circuit(int(fields[1]), tuple(gates))
+    return Circuit(n, tuple(gates))

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .ancilla import AncillaConfig, ancilla_readout, intermediate_identities
+from .ancilla import AncillaConfig, intermediate_identities, readout_value
 from .circuit import circuit_unitary, gate_count_G, gate_count_exponent, select_entangler
 from .noise import grid_values, sweep, sweep_csv, zero_crossing_h
 from .sed import build_vprime, conjugated_observable, verify_equality
@@ -86,10 +86,10 @@ def cmd_ancilla(args, parser) -> int:
     v = circuit_unitary(select_entangler(args.kind, args.n))
     psi_in = PureState(args.n, v[:, 0])
     rho_in = pseudopure_matrix(PseudopureState(args.n, args.epsilon, psi_in))
-    recovered = ancilla_readout(rho_in, v, w.c, cfg)
+    ident = intermediate_identities(rho_in, v, cfg)
+    recovered = readout_value(w.c, ident["tr_ancilla_z"], cfg.p)
     proj = np.outer(v[:, 0], v[:, 0].conj())
     oracle = float(np.trace((w.c * np.eye(2**args.n) - proj) @ rho_in).real)
-    ident = intermediate_identities(rho_in, v, cfg)
     report = {
         "kind": args.kind,
         "n": args.n,

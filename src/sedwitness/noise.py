@@ -24,8 +24,6 @@ against the diagonal thermal input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -40,7 +38,7 @@ from .circuit import (
 )
 from .sed import build_vprime, weighted_z_sum
 from .states import ThermalProductState, thermal_matrix
-from .tensor import ATOL_ALGEBRA, n_qubits
+from .tensor import ATOL_ALGEBRA, apply_controlled, n_qubits
 from .witness import select_witness
 
 
@@ -64,83 +62,29 @@ class SweepRecord:
     value_sed: float
 
 
-@lru_cache(maxsize=4096)
-def _local_axes(n: int, qubits: tuple[int, ...]):
-    """Axes of `qubits` in the (2,)*2n view of a 2**n x 2**n matrix.
-
-    Returns einsum labels for the view's axes (qubit i's row and column
-    axes share label i, every other axis has a label >= k) and, per local
-    basis index a (first qubit most significant), the index of row block a
-    and of column block a.
-    """
-    k = len(qubits)
-    labels = list(range(k, k + 2 * n))
-    for i, q in enumerate(qubits):
-        labels[q - 1] = labels[n + q - 1] = i
-
-    def select(first_axis, a):
-        idx = [slice(None)] * (2 * n)
-        for i, q in enumerate(qubits):
-            idx[first_axis + q - 1] = (a >> (k - 1 - i)) & 1
-        return tuple(idx)
-
-    rows = tuple(select(0, a) for a in range(2**k))
-    cols = tuple(select(n, a) for a in range(2**k))
-    return tuple(labels), rows, cols
-
-
-def _terms(u: np.ndarray) -> tuple:
-    """Nonzero entries of each block row that is not an identity row."""
-    out = []
-    for a, row in enumerate(u):
-        nz = np.flatnonzero(row)
-        if not (len(nz) == 1 and nz[0] == a and row[a] == 1):
-            out.append((a, tuple((int(b), complex(row[b])) for b in nz)))
-    return tuple(out)
-
-
-_BLOCK_TERMS: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _block_terms(g: Gate) -> tuple[tuple, tuple]:
-    """Terms of the gate block on the row axes and of its conjugate on the
-    column axes, kept for as long as the gate lives."""
-    if g not in _BLOCK_TERMS:
-        _BLOCK_TERMS[g] = (_terms(g.block), _terms(g.block.conj()))
-    return _BLOCK_TERMS[g]
-
-
-def _apply_block(t: np.ndarray, terms: tuple, blocks: tuple, scale: float) -> np.ndarray:
-    """scale times the block applied on the axes that `blocks` selects of t."""
-    out = np.multiply(t, scale)
-    for a, row in terms:
-        dst = out[blocks[a]]
-        (b, coef), *rest = row
-        np.multiply(t[blocks[b]], scale * coef, out=dst)
-        for b, coef in rest:
-            dst += (scale * coef) * t[blocks[b]]
-    return out
-
-
 def apply_noisy_gate(rho: np.ndarray, g: Gate, model: NoiseModel) -> np.ndarray:
     """E(rho) for one noisy gate, computed on the gate's own axes of rho.
 
-    The block acts on the touched row axes and its conjugate on the touched
+    The gate acts on the touched row axes and its conjugate on the touched
     column axes; the failure term adds Tr_t(rho) / 2**k to the diagonal
     blocks of the touched qubits.
     """
     rho = np.asarray(rho, dtype=complex)
     n = n_qubits(rho.shape[0])
-    qubits = tuple(g.qubits())
+    qubits = g.qubits()
     if max(qubits) > n:
         raise ValueError("gate does not fit the state dimension")
-    labels, rows, cols = _local_axes(n, qubits)
-    row_terms, col_terms = _block_terms(g)
     ps = model.p_success(g)
     t = rho.reshape((2,) * (2 * n))
-    out = _apply_block(_apply_block(t, row_terms, rows, 1.0), col_terms, cols, ps)
+    rows = apply_controlled(t, g.base, g.controls, g.targets)
+    out = apply_controlled(rows, g.base.conj(), g.controls, g.targets, n, ps)
     if ps != 1.0:
+        # einsum labels: qubit i of the gate has label i on its row and its
+        # column axis, every other axis a label >= k
         k = len(qubits)
+        labels = list(range(k, k + 2 * n))
+        for i, q in enumerate(qubits):
+            labels[q - 1] = labels[n + q - 1] = i
         rest = [lab for lab in labels if lab >= k]
         traced = np.einsum(t, labels, rest)  # Tr_t(rho)
         diagonal = np.einsum(out, labels, list(range(k)) + rest)  # writable view

@@ -1,4 +1,5 @@
-"""Dense complex linear algebra for multi-qubit states and operators.
+"""Dense complex linear algebra for multi-qubit states and operators, and
+the local kernel that applies a controlled unitary to their tensor view.
 
 Qubit ordering convention used everywhere in this package: qubit 1 is the
 LEFTMOST tensor factor, i.e. the most significant bit of a computational
@@ -8,6 +9,8 @@ qubit 1 first.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,6 +89,59 @@ def embed_gate(g: np.ndarray, targets, n: int) -> np.ndarray:
     rest = [q for q in range(1, n + 1) if q not in targets]
     full = np.kron(g, np.eye(2 ** (n - k), dtype=complex))
     return reorder_qubits(full, list(targets) + rest)
+
+
+@lru_cache(maxsize=4096)
+def _target_slices(ndim: int, first_axis: int, controls: tuple, targets: tuple) -> tuple:
+    """Per target basis index a (first target most significant), the index
+    of a (2,)*ndim view that fixes every control axis to its polarity and
+    the target axes to the bits of a."""
+    idx = [slice(None)] * ndim
+    for q, pol in controls:
+        idx[first_axis + q - 1] = pol
+    k = len(targets)
+    out = []
+    for a in range(2**k):
+        for i, q in enumerate(targets):
+            idx[first_axis + q - 1] = (a >> (k - 1 - i)) & 1
+        out.append(tuple(idx))
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _row_terms(raw: bytes, dim: int) -> tuple:
+    """Nonzero entries of each row that is not an identity row, for the
+    complex dim x dim matrix whose bytes are `raw`."""
+    u = np.frombuffer(raw, dtype=complex).reshape(dim, dim)
+    out = []
+    for a, row in enumerate(u):
+        nz = np.flatnonzero(row)
+        if not (len(nz) == 1 and nz[0] == a and row[a] == 1):
+            out.append((a, tuple((int(b), complex(row[b])) for b in nz)))
+    return tuple(out)
+
+
+def apply_controlled(
+    t: np.ndarray, base, controls, targets, first_axis: int = 0, scale: float = 1.0
+) -> np.ndarray:
+    """scale times the controlled unitary applied to the (2,)*m view t; t is not modified.
+
+    Qubit q sits on axis first_axis + q - 1: first_axis is 0 for a state or
+    the rows of an operator view and n for its columns.  In the slice where
+    every (q, pol) of `controls` has qubit q fixed to pol, the nonzero
+    entries of `base` off its identity rows act on the `targets` axes; no
+    2**n x 2**n matrix is formed.
+    """
+    base = np.asarray(base, dtype=complex)
+    slices = _target_slices(t.ndim, first_axis, tuple(controls), tuple(targets))
+    out = np.multiply(t, scale)
+    for a, row in _row_terms(base.tobytes(), base.shape[0]):
+        dst = out[slices[a]]
+        (b, coef), *rest = row
+        np.multiply(t[slices[b]], scale * coef, out=dst)
+        for b, coef in rest:
+            dst += (scale * coef) * t[slices[b]]
+    return out
 
 
 def z_signs(n: int) -> np.ndarray:

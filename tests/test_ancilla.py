@@ -208,3 +208,9 @@ def test_stage_validation():
         ConcatSpec((Stage(np.eye(8) * 2.0, 0.5, "bad"),))
     with pytest.raises(ValueError):
         ConcatSpec(())
+    with pytest.raises(ValueError):
+        Stage(np.ones((2, 4)), 0.5, "wide")
+    with pytest.raises(ValueError):
+        Stage(np.ones(4), 0.5, "flat")
+    spec = ConcatSpec((Stage([[1, 0], [0, 1]], 0.5),))
+    assert spec.stages[0].v.dtype == complex and spec.stages[0].v.shape == (2, 2)

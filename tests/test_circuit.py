@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sedwitness.circuit import (
     Circuit,
@@ -11,7 +15,6 @@ from sedwitness.circuit import (
     expand_multicontrolled,
     gate_count_G,
     gate_count_exponent,
-    gate_matrix,
     ghz_entangler,
     phase_insensitive_equal,
     select_entangler,
@@ -20,7 +23,9 @@ from sedwitness.circuit import (
 )
 from sedwitness.sed import build_vprime
 from sedwitness.states import make_ghz, make_w
-from sedwitness.tensor import dagger, haar_unitary
+from sedwitness.tensor import SWAP, H, X, dagger, haar_unitary
+
+DATA = Path(__file__).with_name("data")
 
 
 def test_empty_circuit_is_identity():
@@ -28,15 +33,15 @@ def test_empty_circuit_is_identity():
 
 
 def test_bell_circuit():
-    c = Circuit(2, (Gate("H", (1,)), Gate("CNOT", (2,), ((1, 1),))))
+    c = Circuit(2, (Gate(H, (1,)), Gate(X, (2,), ((1, 1),))))
     psi = circuit_unitary(c)[:, 0]
     assert np.max(np.abs(psi - make_ghz(2).amplitudes)) <= 1e-14
 
 
 def test_unitary_is_compositional():
     rng = np.random.default_rng(4)
-    c1 = Circuit(3, (Gate("H", (2,)), Gate("CNOT", (3,), ((2, 1),))))
-    c2 = Circuit(3, (Gate("SWAP", (1, 3)), Gate("OPAQUE", (2,), (), haar_unitary(2, rng))))
+    c1 = Circuit(3, (Gate(H, (2,)), Gate(X, (3,), ((2, 1),))))
+    c2 = Circuit(3, (Gate(SWAP, (1, 3)), Gate(haar_unitary(2, rng), (2,))))
     seq = c1.then(c2)
     u = circuit_unitary(c2) @ circuit_unitary(c1)
     assert np.max(np.abs(circuit_unitary(seq) - u)) <= 1e-12
@@ -45,8 +50,8 @@ def test_unitary_is_compositional():
 def test_ghz_entangler_inventory_and_action():
     c = ghz_entangler(3)
     assert len(c.gates) == 3
-    assert sum(g.kind == "H" for g in c.gates) == 1
-    assert sum(g.kind == "CNOT" for g in c.gates) == 2
+    assert sum(g.label == "H" for g in c.gates) == 1
+    assert sum(g.label == "CNOT" for g in c.gates) == 2
     psi = circuit_unitary(c)[:, 0]
     assert np.max(np.abs(psi - make_ghz(3).amplitudes)) <= 1e-12
     psi2 = circuit_unitary(ghz_entangler(2))[:, 0]
@@ -80,10 +85,10 @@ def test_vprime_dagger_circuit_matches_matrices():
 
 
 def test_vprime_dagger_circuit_inventory_n3():
-    kinds = sorted(g.kind for g in vprime_dagger_circuit(3).gates)
-    assert kinds == ["CnH", "H", "OPAQUE", "SWAP"]
+    labels = sorted(g.label for g in vprime_dagger_circuit(3).gates)
+    assert labels == ["CnH", "H", "OPAQUE", "SWAP"]
     c2 = vprime_dagger_circuit(2)
-    assert len(c2.gates) == 1 and c2.gates[0].kind == "OPAQUE"
+    assert len(c2.gates) == 1 and c2.gates[0].label == "OPAQUE"
 
 
 def test_expand_leaves_plain_gates_alone():
@@ -93,22 +98,22 @@ def test_expand_leaves_plain_gates_alone():
 
 def test_expand_toffoli():
     for pol in ((1, 1), (0, 1), (0, 0)):
-        g = Gate("CnNOT", (3,), ((1, pol[0]), (2, pol[1])))
+        g = Gate(X, (3,), ((1, pol[0]), (2, pol[1])))
         c = Circuit(3, (g,))
         ex = expand_multicontrolled(c)
         assert len(ex.gates) <= 15
         assert all(len(gate.qubits()) <= 2 for gate in ex.gates)
-        assert np.max(np.abs(circuit_unitary(ex) - gate_matrix(g, 3))) <= 1e-10
+        assert np.max(np.abs(circuit_unitary(ex) - circuit_unitary(c))) <= 1e-10
 
 
 def test_expand_wide_gates_match_unitary():
     for n in range(3, 7):
-        for kind in ("CnNOT", "CnH"):
-            g = Gate(kind, (n,), tuple((q, 0) for q in range(1, n)))
+        for base in (X, H):
+            g = Gate(base, (n,), tuple((q, 0) for q in range(1, n)))
             c = Circuit(n, (g,))
             ex = expand_multicontrolled(c)
             assert all(len(gate.qubits()) <= 2 for gate in ex.gates)
-            assert phase_insensitive_equal(circuit_unitary(ex), gate_matrix(g, n), 1e-10)
+            assert phase_insensitive_equal(circuit_unitary(ex), circuit_unitary(c), 1e-10)
 
 
 def test_expand_preserves_vprime_circuit():
@@ -122,7 +127,7 @@ def test_expanded_count_quadratic_per_gate():
     # a single full-width controlled gate expands to at most K n^2 pieces
     counts = []
     for n in range(3, 13):
-        g = Gate("CnH", (n,), tuple((q, 0) for q in range(1, n)))
+        g = Gate(H, (n,), tuple((q, 0) for q in range(1, n)))
         ex = expand_multicontrolled(Circuit(n, (g,)))
         counts.append(len(ex.gates))
     assert all(c <= 40 * (n**2) for n, c in zip(range(3, 13), counts))
@@ -145,9 +150,9 @@ def test_dagger_circuit():
     c = Circuit(
         3,
         (
-            Gate("H", (1,)),
-            Gate("OPAQUE", (2, 3), (), haar_unitary(4, rng)),
-            Gate("CnNOT", (1,), ((2, 0), (3, 1))),
+            Gate(H, (1,)),
+            Gate(haar_unitary(4, rng), (2, 3)),
+            Gate(X, (1,), ((2, 0), (3, 1))),
         ),
     )
     u = circuit_unitary(c)
@@ -157,17 +162,15 @@ def test_dagger_circuit():
 
 def test_gate_validation():
     with pytest.raises(ValueError):
-        Gate("H", (1, 2))
+        Gate(H, (1, 2))  # base dimension does not match the targets
     with pytest.raises(ValueError):
-        Gate("CNOT", (1,), ((1, 1),))  # control equals target
+        Gate(X, (1,), ((1, 1),))  # control equals target
     with pytest.raises(ValueError):
-        Gate("CnNOT", (1,), ())
+        Gate(X, (1,), ((2, 2),))  # polarity is a bit
     with pytest.raises(ValueError):
-        Gate("OPAQUE", (1,), (), np.array([[1, 1], [0, 1]], dtype=complex))
+        Gate(np.array([[1, 1], [0, 1]], dtype=complex), (1,))
     with pytest.raises(ValueError):
-        Gate("NOPE", (1,))
-    with pytest.raises(ValueError):
-        Circuit(2, (Gate("H", (3,)),))
+        Circuit(2, (Gate(H, (3,)),))
 
 
 def test_serialization_roundtrip():
@@ -175,14 +178,14 @@ def test_serialization_roundtrip():
     circ = Circuit(
         4,
         (
-            Gate("H", (2,)),
-            Gate("X", (4,)),
-            Gate("SWAP", (1, 4)),
-            Gate("CNOT", (2,), ((3, 1),)),
-            Gate("CnH", (4,), ((1, 0), (2, 0), (3, 0))),
-            Gate("CnNOT", (1,), ((2, 1), (3, 0))),
-            Gate("OPAQUE", (2, 3), (), haar_unitary(4, rng)),
-            Gate("OPAQUE", (4,), ((1, 1),), haar_unitary(2, rng)),
+            Gate(H, (2,)),
+            Gate(X, (4,)),
+            Gate(SWAP, (1, 4)),
+            Gate(X, (2,), ((3, 1),)),
+            Gate(H, (4,), ((1, 0), (2, 0), (3, 0))),
+            Gate(X, (1,), ((2, 1), (3, 0))),
+            Gate(haar_unitary(4, rng), (2, 3)),
+            Gate(haar_unitary(2, rng), (4,), ((1, 1),)),
         ),
     )
     text = circuit_to_text(circ)
@@ -190,13 +193,10 @@ def test_serialization_roundtrip():
     assert back.n == circ.n
     assert len(back.gates) == len(circ.gates)
     for g1, g2 in zip(circ.gates, back.gates):
-        assert g1.kind == g2.kind
+        assert g1.label == g2.label
         assert g1.targets == g2.targets
         assert g1.controls == g2.controls
-        if g1.payload is None:
-            assert g2.payload is None
-        else:
-            assert np.array_equal(g1.payload, g2.payload)  # bit-exact
+        assert np.array_equal(g1.base, g2.base)  # bit-exact
     # and the text itself is stable
     assert circuit_to_text(back) == text
 
@@ -215,9 +215,108 @@ def test_serialization_errors():
         ("qubits 3\nH x", 2, "H x"),
         ("qubits 3\n\nOPAQUE 1 @ 1 0 0", 3, "OPAQUE 1 @ 1 0 0"),
         ("qubits 3\nH 1\n  NOPE 2", 3, "NOPE 2"),
+        ("qubits 2\nH 3", 2, "H 3"),
+        ("qubits 3\nCnNOT 1", 2, "CnNOT 1"),
+        ("qubits 3\nCNOT 1", 2, "CNOT 1"),
+        ("qubits 3\nH 1 | 2(1)", 2, "H 1 | 2(1)"),
+        ("qubits 3\nSWAP 1 2 | 3(1)", 2, "SWAP 1 2 | 3(1)"),
+        ("qubits 3\nX 1 @ 0 1 1 0", 2, "X 1 @ 0 1 1 0"),
+        ("qubits 3\nOPAQUE 1", 2, "OPAQUE 1"),
     ],
 )
 def test_parse_errors_name_the_line(text, lineno, line):
     with pytest.raises(ValueError) as err:
         circuit_from_text(text)
     assert str(err.value).startswith(f"line {lineno}: {line!r}")
+
+
+@pytest.mark.parametrize(
+    "name, circ",
+    [
+        ("circuit_vprime_dagger_expanded_n5.txt", expand_multicontrolled(vprime_dagger_circuit(5))),
+        ("circuit_w_entangler_n4.txt", w_entangler(4)),
+        ("circuit_ghz_entangler_n4.txt", ghz_entangler(4)),
+    ],
+)
+def test_circuit_text_matches_golden(name, circ):
+    assert circuit_to_text(circ) == (DATA / name).read_text()
+
+
+LABELS = ("X", "CNOT", "CnNOT", "H", "CnH", "SWAP", "OPAQUE")
+
+
+@st.composite
+def labelled_gates(draw, n):
+    """A gate that serializes to the drawn label, on distinct qubits of n >= 3."""
+    label = draw(st.sampled_from(LABELS))
+    n_targets = {"SWAP": 2, "OPAQUE": draw(st.integers(1, 2))}.get(label, 1)
+    n_controls = {
+        "CNOT": 1,
+        "CnNOT": draw(st.integers(2, n - 1)),
+        "CnH": draw(st.integers(1, n - 1)),
+        "OPAQUE": draw(st.integers(0, n - n_targets)),
+    }.get(label, 0)
+    qubits = draw(st.permutations(range(1, n + 1)))[: n_targets + n_controls]
+    controls = tuple((q, draw(st.integers(0, 1))) for q in qubits[n_targets:])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = {"X": X, "CNOT": X, "CnNOT": X, "H": H, "CnH": H, "SWAP": SWAP}.get(label)
+    if base is None:
+        base = haar_unitary(2**n_targets, rng)
+    g = Gate(base, tuple(qubits[:n_targets]), controls)
+    assert g.label == label
+    return g
+
+
+@given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(labelled_gates(n), min_size=1, max_size=8))))
+def test_text_round_trip_of_random_gates(case):
+    n, gates = case
+    text = circuit_to_text(Circuit(n, tuple(gates)))
+    back = circuit_from_text(text)
+    assert circuit_to_text(back) == text
+    assert len(back.gates) == len(gates)
+    for g1, g2 in zip(gates, back.gates):
+        assert (g2.label, g2.targets, g2.controls) == (g1.label, g1.targets, g1.controls)
+        assert np.array_equal(g1.base, g2.base)  # bit-exact
+        assert (g2.base is g1.base) == (g1.label != "OPAQUE")  # names give the shared constants
+
+
+def act(gates, psi, n):
+    """Gates applied to a state vector: each base acts on its target axes of
+    the slice where the controls hold their polarities."""
+    t = psi.reshape((2,) * n).copy()
+    for g in gates:
+        idx = [slice(None)] * n
+        for q, pol in g.controls:
+            idx[q - 1] = pol
+        sub = t[tuple(idx)]  # a view: writes land in t
+        free = [q for q in range(1, n + 1) if q not in dict(g.controls)]
+        axes = [free.index(q) for q in g.targets]
+        moved = np.moveaxis(sub, axes, range(len(axes)))
+        new = (g.base @ moved.reshape(g.base.shape[0], -1)).reshape(moved.shape)
+        sub[...] = np.moveaxis(new, range(len(axes)), axes)
+    return t.ravel()
+
+
+@st.composite
+def controlled_gates(draw):
+    """A single-target X, H or Haar-random gate with 1..n-1 controls, n <= 8."""
+    n = draw(st.integers(3, 8))
+    qubits = draw(st.permutations(range(1, n + 1)))
+    m = draw(st.integers(1, n - 1))
+    controls = tuple((q, draw(st.integers(0, 1))) for q in qubits[1 : m + 1])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.sampled_from([X, H, None]))
+    return n, Gate(haar_unitary(2, rng) if base is None else base, (qubits[0],), controls), rng
+
+
+@given(controlled_gates())
+def test_expansion_acts_like_the_gate(case):
+    n, g, rng = case
+    ex = expand_multicontrolled(Circuit(n, (g,)))
+    assert all(len(gate.qubits()) <= 2 for gate in ex.gates)
+    for _ in range(2):
+        psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        psi /= np.linalg.norm(psi)
+        got, want = act(ex.gates, psi, n), act([g], psi, n)
+        phase = np.vdot(want, got) / abs(np.vdot(want, got))
+        assert np.max(np.abs(got - phase * want)) <= 1e-10

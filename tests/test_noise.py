@@ -16,17 +16,17 @@ from sedwitness.noise import (
     zero_crossing_h,
 )
 from sedwitness.states import make_ghz
-from sedwitness.tensor import dagger, kron, random_density_matrix
+from sedwitness.tensor import SWAP, H, X, dagger, kron, random_density_matrix
 
 DATA = Path(__file__).with_name("data")
 
 
 def test_success_probability_policy():
     m = NoiseModel(0.9)
-    assert m.p_success(Gate("H", (1,))) == pytest.approx(0.9)
-    assert m.p_success(Gate("CNOT", (2,), ((1, 1),))) == pytest.approx(0.81)
-    assert m.p_success(Gate("SWAP", (1, 2))) == pytest.approx(0.81)
-    assert m.p_success(Gate("CnNOT", (4,), ((1, 0), (2, 0), (3, 0)))) == pytest.approx(0.9**4)
+    assert m.p_success(Gate(H, (1,))) == pytest.approx(0.9)
+    assert m.p_success(Gate(X, (2,), ((1, 1),))) == pytest.approx(0.81)
+    assert m.p_success(Gate(SWAP, (1, 2))) == pytest.approx(0.81)
+    assert m.p_success(Gate(X, (4,), ((1, 0), (2, 0), (3, 0)))) == pytest.approx(0.9**4)
     with pytest.raises(ValueError):
         NoiseModel(1.5)
 
@@ -34,7 +34,7 @@ def test_success_probability_policy():
 def test_perfect_gate_is_unitary_conjugation():
     rng = np.random.default_rng(2)
     rho = random_density_matrix(8, rng)
-    g = Gate("CNOT", (3,), ((1, 1),))
+    g = Gate(X, (3,), ((1, 1),))
     u = circuit_unitary(Circuit(3, (g,)))
     out = apply_noisy_gate(rho, g, NoiseModel(1.0))
     assert np.max(np.abs(out - u @ rho @ dagger(u))) <= 1e-12
@@ -45,14 +45,14 @@ def test_full_failure_mixes_target_block():
     rho_a = random_density_matrix(2, rng)
     rho_b = random_density_matrix(4, rng)
     joint = kron(rho_a, rho_b)
-    out = apply_noisy_gate(joint, Gate("H", (1,)), NoiseModel(0.0))
+    out = apply_noisy_gate(joint, Gate(H, (1,)), NoiseModel(0.0))
     assert np.max(np.abs(out - kron(np.eye(2) / 2, rho_b))) <= 1e-12
 
 
 def test_noisy_gate_preserves_trace():
     rng = np.random.default_rng(12)
     rho = random_density_matrix(8, rng)
-    out = apply_noisy_gate(rho, Gate("CNOT", (2,), ((1, 1),)), NoiseModel(0.7))
+    out = apply_noisy_gate(rho, Gate(X, (2,), ((1, 1),)), NoiseModel(0.7))
     assert abs(np.trace(out) - 1) <= 1e-12
 
 
@@ -76,11 +76,11 @@ def test_noisy_ghz_fidelity_strictly_between_zero_and_one():
 def test_noisy_outputs_stay_physical():
     rng = np.random.default_rng(23)
     kinds = [
-        lambda q: Gate("H", (q[0],)),
-        lambda q: Gate("X", (q[0],)),
-        lambda q: Gate("CNOT", (q[1],), ((q[0], 1),)),
-        lambda q: Gate("SWAP", (q[0], q[1])),
-        lambda q: Gate("CnNOT", (q[2],), ((q[0], 0), (q[1], 1))),
+        lambda q: Gate(H, (q[0],)),
+        lambda q: Gate(X, (q[0],)),
+        lambda q: Gate(X, (q[1],), ((q[0], 1),)),
+        lambda q: Gate(SWAP, (q[0], q[1])),
+        lambda q: Gate(X, (q[2],), ((q[0], 0), (q[1], 1))),
     ]
     for h in (0.0, 0.5, 0.9, 1.0):
         rho = random_density_matrix(8, rng)

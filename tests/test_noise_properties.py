@@ -1,8 +1,8 @@
-"""Property tests of the local noisy-gate kernel and the Heisenberg sweep.
+"""Property tests of the local gate kernel and the Heisenberg sweep.
 
-The dense formula and the forward per-(p, h) sweep below are the
-implementations the kernel and the sweep replaced; they are kept here as
-oracles.
+The dense gate matrix, the dense noisy-gate formula and the forward
+per-(p, h) sweep below are the implementations the kernel and the sweep
+replaced; they are kept here as oracles.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from sedwitness.circuit import (
     circuit_unitary,
     dagger_circuit,
     expand_multicontrolled,
-    gate_matrix,
     select_entangler,
     vprime_dagger_circuit,
 )
@@ -24,6 +23,9 @@ from sedwitness.noise import NoiseModel, apply_noisy_gate, simulate_noisy, sweep
 from sedwitness.sed import build_vprime
 from sedwitness.states import ThermalProductState, thermal_matrix
 from sedwitness.tensor import (
+    SWAP,
+    H,
+    X,
     Z,
     dagger,
     embed_gate,
@@ -37,11 +39,22 @@ from sedwitness.tensor import (
 from sedwitness.witness import select_witness
 
 
+def dense_gate(g, n):
+    """Full 2**n unitary of g: the controlled block on g.qubits() (controls
+    first, then targets), embedded in the register."""
+    proj = np.array([1.0], dtype=complex)
+    for _, pol in g.controls:
+        proj = np.kron(proj, np.array([1.0 - pol, float(pol)], dtype=complex))
+    proj = np.diag(proj)
+    block = kron(proj, g.base) + kron(np.eye(proj.shape[0]) - proj, np.eye(g.base.shape[0]))
+    return embed_gate(block, g.qubits(), n)
+
+
 def dense_noisy_gate(rho, g, model):
     """p_s U rho U^dag + (1 - p_s) Tr_t(rho) (x) 1/2**k with full 2**n matrices."""
     n = n_qubits(rho.shape[0])
     touched = sorted(g.qubits())
-    u = gate_matrix(g, n)
+    u = dense_gate(g, n)
     ps = model.p_success(g)
     ideal = u @ rho @ dagger(u)
     if ps == 1.0:
@@ -83,11 +96,11 @@ def gates(draw, n, max_k=3):
     controls = tuple((q, draw(st.integers(0, 1))) for q in qubits[n_targets:])
     targets = tuple(qubits[:n_targets])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    named = {(1, False): ["H", "X"], (2, False): ["SWAP"], (1, True): ["CnNOT", "CnH"]}
-    kind = draw(st.sampled_from(named.get((n_targets, bool(controls)), []) + ["OPAQUE"]))
-    if kind == "OPAQUE":
-        return Gate(kind, targets, controls, haar_unitary(2**n_targets, rng))
-    return Gate(kind, targets, controls)
+    named = {(1, False): [H, X], (2, False): [SWAP], (1, True): [X, H]}
+    base = draw(st.sampled_from(named.get((n_targets, bool(controls)), []) + [None]))
+    if base is None:
+        base = haar_unitary(2**n_targets, rng)
+    return Gate(base, targets, controls)
 
 
 @st.composite
@@ -114,12 +127,12 @@ def test_local_kernel_matches_dense_formula(case):
 @pytest.mark.parametrize(
     "g",
     [
-        Gate("SWAP", (6, 1)),
-        Gate("CnNOT", (2,), ((5, 0), (3, 0))),
-        Gate("CnH", (1,), ((6, 0), (4, 1))),
-        Gate("CNOT", (3,), ((6, 0),)),
+        Gate(SWAP, (6, 1)),
+        Gate(X, (2,), ((5, 0), (3, 0))),
+        Gate(H, (1,), ((6, 0), (4, 1))),
+        Gate(X, (3,), ((6, 0),)),
     ],
-    ids=lambda g: g.kind,
+    ids=lambda g: g.label,
 )
 @pytest.mark.parametrize("h", [0.0, 0.37, 1.0])
 def test_local_kernel_unsorted_and_zero_controls(g, h):
@@ -127,6 +140,15 @@ def test_local_kernel_unsorted_and_zero_controls(g, h):
     m = random_matrix(64, rng)
     model = NoiseModel(h)
     assert np.max(np.abs(apply_noisy_gate(m, g, model) - dense_noisy_gate(m, g, model))) <= 1e-12
+
+
+@given(noisy_cases())
+def test_circuit_unitary_matches_dense_product(case):
+    n, circ, _, _ = case
+    want = np.eye(2**n, dtype=complex)
+    for g in circ:
+        want = dense_gate(g, n) @ want
+    assert np.max(np.abs(circuit_unitary(Circuit(n, tuple(circ))) - want)) <= 1e-12
 
 
 @given(noisy_cases(max_n=5))
