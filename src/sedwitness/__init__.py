@@ -13,6 +13,7 @@ from .circuit import (
     expand_multicontrolled,
     gate_count_G,
     ghz_entangler,
+    vprime2,
     vprime_dagger_circuit,
     w_entangler,
 )
@@ -20,13 +21,10 @@ from .noise import NoiseModel, SweepRecord, apply_noisy_gate, simulate_noisy, sw
 from .sed import (
     SedDecomposition,
     SedMeasurementResult,
-    blockdiag_ubd,
     build_vprime,
-    permutation_up,
     sed_decomposition,
     sed_measure,
     verify_equality,
-    vprime2,
 )
 from .states import (
     PseudopureState,
@@ -39,7 +37,6 @@ from .states import (
     thermal_matrix,
 )
 from .tensor import (
-    embed_gate,
     kron,
     max_schmidt_sq,
     min_eigenvalue_hermitian,

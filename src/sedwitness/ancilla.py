@@ -85,6 +85,7 @@ def _ancilla_z(rho_in: np.ndarray, entanglers, cfg: AncillaConfig) -> list[float
     state: disentangle with V^dag, flip, read; before each later stage,
     un-compute the previous one (flip back, then apply its V)."""
     rho_in = np.asarray(rho_in, dtype=complex)
+    entanglers = [np.asarray(v, dtype=complex) for v in entanglers]
     dim = 2**cfg.n
     if rho_in.shape != (dim, dim) or any(v.shape != (dim, dim) for v in entanglers):
         raise ValueError("dimension mismatch with ancilla configuration")
@@ -113,6 +114,7 @@ def ancilla_readout(rho_in: np.ndarray, v: np.ndarray, c: float, cfg: AncillaCon
 
 def intermediate_identities(rho_in: np.ndarray, v: np.ndarray, cfg: AncillaConfig) -> dict:
     """Return P(0...0) and Tr(rho_a_out Z) and check the two readout identities."""
+    v = np.asarray(v, dtype=complex)
     (trz,) = _ancilla_z(rho_in, [v], cfg)
     p_tilde = float(np.vdot(v[:, 0], np.asarray(rho_in) @ v[:, 0]).real)
     residual_trz = abs(trz - (1 - 2 * cfg.p) * (2 * p_tilde - 1))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sed
 from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, H, SWAP, X, apply_controlled, dagger
 
 
@@ -39,6 +38,8 @@ class Gate:
             self, "controls", tuple((int(q), int(p)) for q, p in self.controls)
         )
         ctrl_qubits = [q for q, _ in self.controls]
+        if any(q < 1 for q in ctrl_qubits + list(self.targets)):
+            raise ValueError("qubits are numbered from 1")
         if set(ctrl_qubits) & set(self.targets):
             raise ValueError("controls and targets must be disjoint")
         if len(set(ctrl_qubits)) != len(ctrl_qubits) or len(set(self.targets)) != len(self.targets):
@@ -138,8 +139,24 @@ def select_entangler(kind: str, n: int) -> Circuit:
     return ghz_entangler(n) if kind == "ghz" else w_entangler(n)
 
 
+def vprime2() -> tuple[np.ndarray, float, np.ndarray]:
+    """The explicit two-qubit solution (V'_2, b, (a_1, a_2))."""
+    w = np.exp(2j * np.pi / 3)
+    s = 1 / np.sqrt(3.0)
+    v = np.array(
+        [
+            [0, 0, 0, 1],
+            [s, s, s, 0],
+            [s * w, s * w.conjugate(), s, 0],
+            [s * w.conjugate(), s * w, s, 0],
+        ],
+        dtype=complex,
+    )
+    return v, -0.25, np.array([3 / 8, 3 / 8])
+
+
 def vprime_dagger_circuit(n: int) -> Circuit:
-    """Recursive circuit for V'_n^dag.
+    """Recursive circuit for V'_n^dag, the one definition of V'_n.
 
     Temporal order per level k = n..3: the zero-controlled C(k-1)H, the
     plain H on the last qubit (together these make the block-diagonal
@@ -155,7 +172,7 @@ def vprime_dagger_circuit(n: int) -> Circuit:
         gates.append(Gate(H, (n,), tuple((q, 0) for q in range(first, n))))
         gates.append(Gate(H, (n,)))
         gates.append(Gate(SWAP, (first, n)))
-    v2, _, _ = sed.vprime2()
+    v2, _, _ = vprime2()
     gates.append(Gate(dagger(v2), (n - 1, n)))
     return Circuit(n, tuple(gates))
 

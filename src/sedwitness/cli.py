@@ -98,6 +98,8 @@ def cmd_ancilla(args, parser) -> int:
         "c": w.c,
         "p_tilde": ident["p_tilde"],
         "tr_ancilla_z": ident["tr_ancilla_z"],
+        "residual_trz": ident["residual_trz"],
+        "residual_ptilde": ident["residual_ptilde"],
         "recovered": recovered,
         "oracle": oracle,
         "difference": abs(recovered - oracle),

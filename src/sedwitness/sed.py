@@ -9,9 +9,10 @@ explicit 4x4 solution:
     V'_{n+1} = U_bd * U_p * (I (x) V'_n)
 
 where U_p swaps the first and last qubits and U_bd = diag(I, H, ..., H).
-Coefficients halve at each induction step and the new leading coefficient
-is -1/2, giving the closed forms b = -2**-n, a_1 = a_2 = 3 * 2**-(n+1) and
-a_k = -2**(k-n-1) for k >= 3.
+The induction is realized gate by gate by circuit.vprime_dagger_circuit,
+whose unitary gives the dense V'.  Coefficients halve at each induction
+step and the new leading coefficient is -1/2, giving the closed forms
+b = -2**-n, a_1 = a_2 = 3 * 2**-(n+1) and a_k = -2**(k-n-1) for k >= 3.
 
 Coefficient/slot pairing: a_k multiplies Z on tensor slot n-k+1 counted
 from the left, so a_1 sits on the last qubit and a_n on the first.
@@ -20,46 +21,13 @@ from the left, so a_1 sits on the last qubit and a_n on the first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .tensor import ATOL_PHYSICS, H, I2, SWAP, dagger, embed_gate, haar_unitary, z_signs
+from .circuit import circuit_unitary, vprime2, vprime_dagger_circuit  # vprime2 is re-exported
+from .tensor import ATOL_PHYSICS, dagger, haar_unitary, z_signs
 from .witness import Witness
-
-
-def vprime2() -> tuple[np.ndarray, float, np.ndarray]:
-    """The explicit two-qubit solution (V'_2, b, (a_1, a_2))."""
-    w = np.exp(2j * np.pi / 3)
-    s = 1 / np.sqrt(3.0)
-    v = np.array(
-        [
-            [0, 0, 0, 1],
-            [s, s, s, 0],
-            [s * w, s * w.conjugate(), s, 0],
-            [s * w.conjugate(), s * w, s, 0],
-        ],
-        dtype=complex,
-    )
-    return v, -0.25, np.array([3 / 8, 3 / 8])
-
-
-def permutation_up(n_plus_1: int) -> np.ndarray:
-    """SWAP between the first and last qubit of an (n+1)-qubit register."""
-    if n_plus_1 < 2:
-        raise ValueError("permutation needs at least 2 qubits")
-    return embed_gate(SWAP, [1, n_plus_1], n_plus_1)
-
-
-def blockdiag_ubd(n_plus_1: int) -> np.ndarray:
-    """Block-diagonal unitary diag(I, H, ..., H); self-inverse."""
-    if n_plus_1 < 2:
-        raise ValueError("block-diagonal unitary needs at least 2 qubits")
-    dim = 2**n_plus_1
-    out = np.zeros((dim, dim), dtype=complex)
-    out[0:2, 0:2] = I2
-    for blk in range(1, dim // 2):
-        out[2 * blk : 2 * blk + 2, 2 * blk : 2 * blk + 2] = H
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,10 +35,14 @@ class SedDecomposition:
     """V'_n with its coefficients; c is attached from the associated witness."""
 
     n: int
-    vprime: np.ndarray
     b: float
     a: np.ndarray  # a[k-1] = a_k
     c: float | None = None
+
+    @cached_property
+    def vprime(self) -> np.ndarray:
+        """Dense V'_n, the dagger of the unitary of its gate circuit."""
+        return dagger(circuit_unitary(vprime_dagger_circuit(self.n)))
 
     @property
     def a0(self) -> float:
@@ -83,20 +55,16 @@ class SedDecomposition:
 class SedMeasurementResult:
     z: np.ndarray  # z[k-1] = Tr(U rho U^dag Z on slot n-k+1)
     value: float
-    diagonal_ok: bool
+    offdiag_max: float  # largest off-diagonal |entry| of V^dag rho_in V
+    diagonal_ok: bool  # offdiag_max <= ATOL_PHYSICS
 
 
 def build_vprime(n: int, c: float | None = None) -> SedDecomposition:
-    """Inductive construction of V'_n and its coefficients, with witness constant c."""
+    """V'_n's coefficients from their closed forms, with witness constant c."""
     if n < 2:
         raise ValueError("SED decomposition needs n >= 2")
-    v, b, a = vprime2()
-    a = list(a)
-    for m in range(3, n + 1):
-        v = blockdiag_ubd(m) @ permutation_up(m) @ np.kron(I2, v)
-        b = b / 2
-        a = [x / 2 for x in a] + [-0.5]
-    return SedDecomposition(n, v, b, np.array(a), c)
+    a = [3 * 2.0 ** -(n + 1)] * 2 + [-(2.0 ** (k - n - 1)) for k in range(3, n + 1)]
+    return SedDecomposition(n, -(2.0**-n), np.array(a), c)
 
 
 def sed_decomposition(w: Witness) -> SedDecomposition:
@@ -116,23 +84,24 @@ def conjugated_observable(dec: SedDecomposition) -> np.ndarray:
 def sed_measure(rho_in: np.ndarray, v_entangler: np.ndarray, dec: SedDecomposition) -> SedMeasurementResult:
     """Simulate the single-run readout: apply U = V'^dag V^dag, read all z_k.
 
-    diagonal_ok audits the precondition that V^dag rho_in V is diagonal;
-    the value is reported either way but equals the conventional witness
-    expectation only when the audit passes.
+    diagonal_ok audits the precondition that V^dag rho_in V is diagonal,
+    with offdiag_max as the residual behind it; the value is reported
+    either way but equals the conventional witness expectation only when
+    the audit passes.
     """
     rho_in = np.asarray(rho_in, dtype=complex)
+    v_entangler = np.asarray(v_entangler, dtype=complex)
     n = dec.n
     dim = 2**n
     if rho_in.shape != (dim, dim) or v_entangler.shape != (dim, dim):
         raise ValueError("dimension mismatch between state, entangler and decomposition")
     rho_out = dagger(v_entangler) @ rho_in @ v_entangler
-    off = rho_out - np.diag(np.diag(rho_out))
-    diagonal_ok = bool(np.max(np.abs(off)) <= ATOL_PHYSICS)
+    offdiag_max = float(np.max(np.abs(rho_out - np.diag(np.diag(rho_out)))))
     # diagonal of sigma = V'^dag rho_out V'
     sigma_diag = np.einsum("ij,ij->j", dec.vprime.conj(), rho_out @ dec.vprime).real
     z = z_signs(n) @ sigma_diag
     value = dec.a0 + float(np.dot(dec.a, z))
-    return SedMeasurementResult(z, value, diagonal_ok)
+    return SedMeasurementResult(z, value, offdiag_max, offdiag_max <= ATOL_PHYSICS)
 
 
 def verify_equality(n: int, trials: int = 100, seed: int = 0) -> dict:

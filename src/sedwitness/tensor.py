@@ -53,7 +53,7 @@ def is_hermitian(m: np.ndarray, atol: float | None = None) -> bool:
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= atol
 
 
-def _check_qubits(qubits, n, what="target"):
+def _check_qubits(qubits, n, what):
     qubits = [int(q) for q in qubits]
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate {what} qubits: {qubits}")
@@ -61,34 +61,6 @@ def _check_qubits(qubits, n, what="target"):
         if not 1 <= q <= n:
             raise ValueError(f"{what} qubit {q} out of range 1..{n}")
     return qubits
-
-
-def reorder_qubits(m: np.ndarray, order: list[int]) -> np.ndarray:
-    """Reorder a 2**n matrix whose i-th slot currently holds qubit order[i].
-
-    Returns the matrix with qubits in natural order 1..n.
-    """
-    n = len(order)
-    t = np.asarray(m, dtype=complex).reshape((2,) * (2 * n))
-    axes = [order.index(q) for q in range(1, n + 1)]
-    axes = axes + [a + n for a in axes]
-    return t.transpose(axes).reshape(2**n, 2**n)
-
-
-def embed_gate(g: np.ndarray, targets, n: int) -> np.ndarray:
-    """Embed a gate acting on `targets` (ordered, 1-based) into an n-qubit operator.
-
-    The gate's own qubit ordering maps onto `targets` left to right; all
-    other qubits get the identity.
-    """
-    g = np.asarray(g, dtype=complex)
-    targets = _check_qubits(targets, n)
-    k = len(targets)
-    if g.shape != (2**k, 2**k):
-        raise ValueError(f"gate dim {g.shape} does not match {k} target qubits")
-    rest = [q for q in range(1, n + 1) if q not in targets]
-    full = np.kron(g, np.eye(2 ** (n - k), dtype=complex))
-    return reorder_qubits(full, list(targets) + rest)
 
 
 @lru_cache(maxsize=4096)

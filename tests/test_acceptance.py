@@ -8,6 +8,7 @@ as stated rather than loosened.
 
 import numpy as np
 
+from dense_oracle import vprime_recursion
 from sedwitness.ancilla import AncillaConfig, ancilla_readout, intermediate_identities
 from sedwitness.circuit import (
     circuit_unitary,
@@ -115,7 +116,7 @@ def test_criterion_6_circuit_matrix_cross_validation():
     worst_circ = 0.0
     for n in range(2, 7):
         circ = vprime_dagger_circuit(n)
-        dev = np.max(np.abs(circuit_unitary(circ) - dagger(build_vprime(n).vprime)))
+        dev = np.max(np.abs(circuit_unitary(circ) - dagger(vprime_recursion(n))))
         assert dev <= 1e-12
         worst_circ = max(worst_circ, dev)
         ex = expand_multicontrolled(circ)

@@ -130,6 +130,18 @@ def test_readout_matches_direct_trace_no_diagonality():
             assert ident["residual_ptilde"] <= 1e-12
 
 
+def test_readouts_accept_nested_lists():
+    rng = np.random.default_rng(31)
+    cfg = AncillaConfig(p=0.8, n=3)
+    rho, v = random_density_matrix(8, rng), haar_unitary(8, rng)
+    assert ancilla_readout(rho, v.tolist(), 0.5, cfg) == ancilla_readout(rho, v, 0.5, cfg)
+    assert intermediate_identities(rho, v.tolist(), cfg) == intermediate_identities(rho, v, cfg)
+    with pytest.raises(ValueError):
+        ancilla_readout(rho, np.eye(4).tolist(), 0.5, cfg)
+    with pytest.raises(ValueError):
+        intermediate_identities(rho, np.eye(4).tolist(), cfg)
+
+
 def test_identity_p_one():
     # p = 1 and P(0..0) = 1 force Tr(rho_a Z) = -1
     cfg = AncillaConfig(p=1.0, n=3)

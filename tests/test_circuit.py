@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dense_oracle import vprime_recursion
 from sedwitness.circuit import (
     Circuit,
     Gate,
@@ -21,7 +22,6 @@ from sedwitness.circuit import (
     vprime_dagger_circuit,
     w_entangler,
 )
-from sedwitness.sed import build_vprime
 from sedwitness.states import make_ghz, make_w
 from sedwitness.tensor import SWAP, H, X, dagger, haar_unitary
 
@@ -78,9 +78,9 @@ def test_entangler_errors():
 
 
 def test_vprime_dagger_circuit_matches_matrices():
-    for n in range(2, 7):
+    for n in range(2, 9):
         got = circuit_unitary(vprime_dagger_circuit(n))
-        want = dagger(build_vprime(n).vprime)
+        want = dagger(vprime_recursion(n))
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -171,6 +171,10 @@ def test_gate_validation():
         Gate(np.array([[1, 1], [0, 1]], dtype=complex), (1,))
     with pytest.raises(ValueError):
         Circuit(2, (Gate(H, (3,)),))
+    with pytest.raises(ValueError):
+        Gate(X, (0,))  # qubits are numbered from 1
+    with pytest.raises(ValueError):
+        Gate(X, (1,), ((-1, 1),))
 
 
 def test_serialization_roundtrip():

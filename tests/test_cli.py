@@ -65,6 +65,8 @@ def test_ancilla_command(capsys):
     rep = parse_report(out)
     assert float(rep["recovered"]) == pytest.approx(-0.25, abs=1e-10)
     assert float(rep["difference"]) <= 1e-10
+    assert float(rep["residual_trz"]) <= 1e-12
+    assert float(rep["residual_ptilde"]) <= 1e-12
 
 
 def test_ancilla_mixed_input(capsys):

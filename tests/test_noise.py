@@ -49,6 +49,15 @@ def test_full_failure_mixes_target_block():
     assert np.max(np.abs(out - kron(np.eye(2) / 2, rho_b))) <= 1e-12
 
 
+def test_noisy_gate_rejects_qubit_zero():
+    # qubit 0 would land on the last axis of rho; such a gate cannot be built
+    rho = np.diag([1.0, 0, 0, 0]).astype(complex)
+    with pytest.raises(ValueError):
+        apply_noisy_gate(rho, Gate(X, (0,)), NoiseModel(1.0))
+    with pytest.raises(ValueError):
+        apply_noisy_gate(rho, Gate(X, (1,), ((0, 1),)), NoiseModel(1.0))
+
+
 def test_noisy_gate_preserves_trace():
     rng = np.random.default_rng(12)
     rho = random_density_matrix(8, rng)

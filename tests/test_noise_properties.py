@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dense_oracle import embed_gate, reorder_qubits
 from sedwitness.circuit import (
     Circuit,
     Gate,
@@ -28,13 +29,11 @@ from sedwitness.tensor import (
     X,
     Z,
     dagger,
-    embed_gate,
     haar_unitary,
     kron,
     n_qubits,
     partial_trace,
     random_density_matrix,
-    reorder_qubits,
 )
 from sedwitness.witness import select_witness
 

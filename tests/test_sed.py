@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+from dense_oracle import blockdiag_ubd, embed_gate, permutation_up
 from sedwitness.sed import (
-    blockdiag_ubd,
     build_vprime,
     conjugated_observable,
-    permutation_up,
     sed_decomposition,
     sed_measure,
     verify_equality,
@@ -13,7 +12,7 @@ from sedwitness.sed import (
     weighted_z_sum,
 )
 from sedwitness.states import PseudopureState, make_ghz, pseudopure_matrix
-from sedwitness.tensor import H, I2, X, Z, dagger, embed_gate, haar_unitary, kron
+from sedwitness.tensor import H, I2, X, Z, dagger, haar_unitary, kron, random_density_matrix
 from sedwitness.witness import class_witness
 
 W3 = np.exp(2j * np.pi / 3)
@@ -86,7 +85,7 @@ def test_closed_form_coefficients_exact():
 
 
 def test_unitarity_and_diagonal_for_all_n():
-    for n in range(2, 8):
+    for n in range(2, 11):
         dec = build_vprime(n)
         dim = 2**n
         assert np.max(np.abs(dec.vprime @ dagger(dec.vprime) - np.eye(dim))) <= 1e-12
@@ -188,6 +187,28 @@ def test_sed_measure_reports_nondiagonal():
     res = sed_measure(rho, v, dec)
     assert not res.diagonal_ok
     assert np.isfinite(res.value)
+
+
+def test_sed_measure_offdiag_residual():
+    rng = np.random.default_rng(23)
+    dec = build_vprime(3, c=0.5)
+    v = haar_unitary(8, rng)
+    rho_in = v @ np.diag(rng.dirichlet(np.ones(8))).astype(complex) @ dagger(v)
+    res = sed_measure(rho_in, v, dec)
+    assert res.offdiag_max <= 1e-12 and res.diagonal_ok
+    res = sed_measure(random_density_matrix(8, rng), v, dec)
+    assert res.offdiag_max > 1e-10 and not res.diagonal_ok
+
+
+def test_sed_measure_accepts_nested_lists():
+    dec = sed_decomposition(class_witness("ghz"))
+    v = ghz_entangler_matrix(3)
+    rho = make_ghz(3).density()
+    want = sed_measure(rho, v, dec)
+    got = sed_measure(rho.tolist(), v.tolist(), dec)
+    assert got.value == want.value and got.diagonal_ok
+    with pytest.raises(ValueError):
+        sed_measure(rho, np.eye(4).tolist(), dec)
 
 
 def test_sed_measure_zero_state_trial():

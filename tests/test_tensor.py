@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_oracle import embed_gate
 from sedwitness.states import make_ghz, make_w
 from sedwitness.tensor import (
     H,
@@ -8,7 +9,6 @@ from sedwitness.tensor import (
     SWAP,
     X,
     Z,
-    embed_gate,
     haar_unitary,
     kron,
     max_schmidt_sq,
