@@ -20,9 +20,9 @@ from .ancilla import AncillaConfig, intermediate_identities, readout_value
 from .circuit import circuit_unitary, gate_count_G, gate_count_exponent, select_entangler
 from .noise import grid_values, sweep, sweep_csv, zero_crossing_h
 from .sed import build_vprime, conjugated_observable, verify_equality
-from .states import PseudopureState, PureState, pseudopure_matrix
+from .states import PseudopureState, pseudopure_matrix
 from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS
-from .witness import epsilon_limit, expectation, select_witness
+from .witness import epsilon_limit, expectation, pseudopure_expectation, select_witness
 
 
 def _fmt(x) -> str:
@@ -55,9 +55,8 @@ def cmd_witness(args, parser) -> int:
     if args.epsilon is not None:
         if not 0 <= args.epsilon <= 1:
             parser.error("--epsilon must lie in [0, 1]")
-        rho = pseudopure_matrix(PseudopureState(w.n, args.epsilon, w.target))
         report["epsilon"] = args.epsilon
-        report["expectation"] = expectation(w, rho)
+        report["expectation"] = pseudopure_expectation(w, args.epsilon)
     _emit(report, args.json)
     return 0
 
@@ -65,7 +64,10 @@ def cmd_witness(args, parser) -> int:
 def cmd_sed_verify(args, parser) -> int:
     if not 2 <= args.n <= 7:
         parser.error("--n must lie in 2..7")
-    report = verify_equality(args.n, trials=args.trials, seed=args.seed)
+    try:
+        report = verify_equality(args.n, trials=args.trials, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     dec = build_vprime(args.n)
     diag = np.diag(conjugated_observable(dec)).real
     target = np.zeros(2**args.n)
@@ -82,14 +84,14 @@ def cmd_ancilla(args, parser) -> int:
         cfg = AncillaConfig(p=args.p, n=args.n)
     except ValueError as exc:
         parser.error(str(exc))
+    if not 0 <= args.epsilon <= 1:
+        parser.error("--epsilon must lie in [0, 1]")
     w = select_witness(args.kind, args.n)
+    rho_in = pseudopure_matrix(PseudopureState(args.n, args.epsilon, w.target))
     v = circuit_unitary(select_entangler(args.kind, args.n))
-    psi_in = PureState(args.n, v[:, 0])
-    rho_in = pseudopure_matrix(PseudopureState(args.n, args.epsilon, psi_in))
     ident = intermediate_identities(rho_in, v, cfg)
     recovered = readout_value(w.c, ident["tr_ancilla_z"], cfg.p)
-    proj = np.outer(v[:, 0], v[:, 0].conj())
-    oracle = float(np.trace((w.c * np.eye(2**args.n) - proj) @ rho_in).real)
+    oracle = expectation(w, rho_in)
     report = {
         "kind": args.kind,
         "n": args.n,

@@ -30,15 +30,14 @@ import numpy as np
 from .circuit import (
     Circuit,
     Gate,
-    circuit_unitary,
     dagger_circuit,
     expand_multicontrolled,
     select_entangler,
     vprime_dagger_circuit,
 )
-from .sed import build_vprime, weighted_z_sum
+from .sed import sed_decomposition, weighted_z_sum
 from .states import ThermalProductState, thermal_matrix
-from .tensor import ATOL_ALGEBRA, apply_controlled, n_qubits
+from .tensor import ATOL_ALGEBRA, ATOL_GRID, apply_controlled, n_qubits
 from .witness import select_witness
 
 
@@ -121,10 +120,9 @@ def sweep(
     if entangler_mode not in ("witness", "identity"):
         raise ValueError(f"unknown entangler mode {entangler_mode!r}")
     entangler = select_entangler(witness_kind, n)
-    c = select_witness(witness_kind, n).c
-    dec = build_vprime(n, c)
-    psi_in = circuit_unitary(entangler)[:, 0]
-    w_conv = c * np.eye(2**n, dtype=complex) - np.outer(psi_in, psi_in.conj())
+    w = select_witness(witness_kind, n)
+    dec = sed_decomposition(w)
+    w_conv = w.matrix
     readout = weighted_z_sum(n, 0.0, dec.a)
     prep = entangler if entangler_mode == "witness" else Circuit(n, ())
     measurement = dagger_circuit(entangler).then(expand_multicontrolled(vprime_dagger_circuit(n)))
@@ -153,10 +151,13 @@ def sweep_csv(records: list[SweepRecord]) -> str:
 
 
 def grid_values(lo: float, hi: float, step: float) -> list[float]:
-    """Inclusive grid with exact endpoints."""
+    """Inclusive grid with exact endpoints; step must divide hi - lo."""
     if step <= 0 or hi < lo:
         raise ValueError("need step > 0 and hi >= lo")
-    count = int(round((hi - lo) / step)) + 1
+    intervals = (hi - lo) / step
+    count = round(intervals) + 1
+    if abs(intervals - (count - 1)) > ATOL_GRID or (count == 1 and hi > lo):
+        raise ValueError(f"step {step:g} does not divide the range [{lo:g}, {hi:g}]")
     return [float(v) for v in np.linspace(lo, hi, count)]
 
 

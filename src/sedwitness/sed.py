@@ -26,8 +26,9 @@ from functools import cached_property
 import numpy as np
 
 from .circuit import circuit_unitary, vprime2, vprime_dagger_circuit  # vprime2 is re-exported
+from .states import PureState
 from .tensor import ATOL_PHYSICS, dagger, haar_unitary, z_signs
-from .witness import Witness
+from .witness import Witness, expectation, generic_witness
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,23 +110,23 @@ def verify_equality(n: int, trials: int = 100, seed: int = 0) -> dict:
 
     Each trial draws a random diagonal rho_out (symmetric Dirichlet) and a
     Haar-random entangler V, sets rho_in = V rho_out V^dag, and compares the
-    SED readout with Tr(W_conv rho_in).  The witness constant cancels in the
-    comparison; a fixed c = 1/2 is used.
+    SED readout with Tr(W rho_in) for the witness of the target V|0>.  The
+    witness constant cancels in the comparison; a fixed c = 1/2 is used.
     """
     if n < 2:
         raise ValueError("verify_equality needs n >= 2")
+    if trials < 1:
+        raise ValueError(f"verify_equality needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     c = 0.5
     dec = build_vprime(n, c)
     dim = 2**n
-    zero_proj = np.zeros((dim, dim), dtype=complex)
-    zero_proj[0, 0] = 1.0
     max_dev = 0.0
     for _ in range(trials):
         diag = rng.dirichlet(np.ones(dim))
         v = haar_unitary(dim, rng)
         rho_in = v @ np.diag(diag).astype(complex) @ dagger(v)
-        conv = c - np.trace((v @ zero_proj @ dagger(v)) @ rho_in).real
+        conv = expectation(generic_witness(PureState(n, v[:, 0]), c), rho_in)
         res = sed_measure(rho_in, v, dec)
         max_dev = max(max_dev, abs(res.value - conv))
         if not res.diagonal_ok:

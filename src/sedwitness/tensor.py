@@ -14,9 +14,11 @@ from functools import lru_cache
 
 import numpy as np
 
-# default tolerances: algebraic identities vs physics-level assertions
+# default tolerances: algebraic identities vs physics-level assertions, and
+# how far a grid's (hi - lo) / step may sit from a whole number of steps
 ATOL_ALGEBRA = 1e-12
 ATOL_PHYSICS = 1e-10
+ATOL_GRID = 1e-9
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)

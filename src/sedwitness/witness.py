@@ -14,14 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .states import PseudopureState, PureState, make_ghz, make_w, pseudopure_matrix
-from .tensor import (
-    ATOL_ALGEBRA,
-    ATOL_PHYSICS,
-    is_hermitian,
-    max_schmidt_sq,
-    min_eigenvalue_hermitian,
-    partial_transpose,
-)
+from .tensor import ATOL_PHYSICS, max_schmidt_sq, min_eigenvalue_hermitian, partial_transpose
 
 # class-boundary constants for the two inequivalent tripartite classes
 GHZ_CLASS_C = 3.0 / 4.0
@@ -30,34 +23,27 @@ W_CLASS_C = 1.0 / 4.0
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    n: int
     c: float
     target: PureState
-    matrix: np.ndarray
     label: str
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if not is_hermitian(m):
-            raise ValueError("witness matrix is not Hermitian")
-        trace_expected = self.c * 2**self.n - 1.0
-        if abs(np.trace(m).real - trace_expected) > ATOL_ALGEBRA * 2**self.n:
-            raise ValueError("witness trace does not match c * 2**n - 1")
-        object.__setattr__(self, "matrix", m)
+    @property
+    def n(self) -> int:
+        return self.target.n
 
-
-def _witness_from(target: PureState, c: float, label: str) -> Witness:
-    matrix = c * np.eye(2**target.n, dtype=complex) - target.density()
-    return Witness(target.n, c, target, matrix, label)
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense observable c*1 - |psi><psi|, formed on every read."""
+        return self.c * np.eye(2**self.n, dtype=complex) - self.target.density()
 
 
 def class_witness(kind: str) -> Witness:
     """Tripartite class witness: c = 3/4 for the GHZ class, 1/4 for the W class."""
     kind = kind.lower()
     if kind == "ghz":
-        return _witness_from(make_ghz(3), GHZ_CLASS_C, "GHZ-class")
+        return Witness(GHZ_CLASS_C, make_ghz(3), "GHZ-class")
     if kind == "w":
-        return _witness_from(make_w(3), W_CLASS_C, "W-class")
+        return Witness(W_CLASS_C, make_w(3), "W-class")
     raise ValueError(f"unknown witness class {kind!r}")
 
 
@@ -78,7 +64,7 @@ def generic_witness(target: PureState, c: float | None = None, label: str | None
     if c is None:
         c = biseparable_c(target)
         label = label or "biseparable"
-    return _witness_from(target, c, label or "generic")
+    return Witness(c, target, label or "generic")
 
 
 def select_witness(kind: str, n: int) -> Witness:
@@ -93,10 +79,13 @@ def select_witness(kind: str, n: int) -> Witness:
 
 
 def expectation(w: Witness, rho: np.ndarray) -> float:
+    """Tr(W rho) = c Tr(rho) - <psi|rho|psi>, without forming W."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != w.matrix.shape:
-        raise ValueError(f"dimension mismatch: witness {w.matrix.shape}, state {rho.shape}")
-    val = np.trace(w.matrix @ rho)
+    dim = 2**w.n
+    if rho.shape != (dim, dim):
+        raise ValueError(f"dimension mismatch: witness {(dim, dim)}, state {rho.shape}")
+    psi = w.target.amplitudes
+    val = w.c * np.trace(rho) - np.vdot(psi, rho @ psi)
     if abs(val.imag) > ATOL_PHYSICS:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return float(val.real)

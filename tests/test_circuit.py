@@ -24,6 +24,7 @@ from sedwitness.circuit import (
 )
 from sedwitness.states import make_ghz, make_w
 from sedwitness.tensor import SWAP, H, X, dagger, haar_unitary
+from sedwitness.witness import select_witness
 
 DATA = Path(__file__).with_name("data")
 
@@ -64,6 +65,15 @@ def test_w_entangler_action():
         assert np.max(np.abs(u @ dagger(u) - np.eye(2**n))) <= 1e-12
         overlap = abs(np.vdot(u[:, 0], make_w(n).amplitudes)) ** 2
         assert overlap == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["ghz", "w"])
+def test_entangler_prepares_the_witness_target(kind):
+    # sweep and ancilla prepare the state with the circuit and read it with
+    # the closed-form witness target, at every n the CLI accepts
+    for n in range(2, 11):
+        psi = circuit_unitary(select_entangler(kind, n))[:, 0]
+        assert np.max(np.abs(psi - select_witness(kind, n).target.amplitudes)) <= 1e-12
 
 
 def test_entangler_errors():

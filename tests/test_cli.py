@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from sedwitness.cli import main
+
+DATA = Path(__file__).with_name("data")
 
 
 def run_cli(capsys, argv):
@@ -155,8 +158,32 @@ def test_usage_errors_exit_2():
         ["witness", "--kind", "ghz", "--n", "1"],
         ["witness", "--kind", "ghz", "--n", "3", "--epsilon", "2"],
         ["sweep", "--n", "3", "--p-min", "0.9", "--p-max", "0.5", "--out", "x.csv"],
+        ["sweep", "--n", "3", "--p-step", "0.3", "--h-min", "1", "--out", "x.csv"],
+        ["ancilla", "--epsilon", "1.5"],
+        ["ancilla", "--epsilon", "-0.1"],
+        ["sed-verify", "--n", "3", "--trials", "0"],
+        ["sed-verify", "--n", "3", "--trials", "-4"],
         ["nosuchcommand"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def _witness_golden():
+    """tests/data/cli_witness.txt: '# argv: ...' lines, each followed by its stdout."""
+    blocks = {}
+    for block in (DATA / "cli_witness.txt").read_text().split("# argv: ")[1:]:
+        argv, out = block.split("\n", 1)
+        blocks[argv] = out
+    return blocks
+
+
+WITNESS_GOLDEN = _witness_golden()
+
+
+@pytest.mark.parametrize("argv", sorted(WITNESS_GOLDEN))
+def test_witness_stdout_matches_golden(argv, capsys):
+    code, out = run_cli(capsys, argv.split())
+    assert code == 0
+    assert out == WITNESS_GOLDEN[argv]

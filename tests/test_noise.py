@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,13 @@ def test_sweep_validation():
         sweep(3, [1.0], [1.0], "nope")
     with pytest.raises(ValueError):
         grid_values(1.0, 0.5, 0.1)
+    for step in (0.3, 1e10):
+        with pytest.raises(ValueError, match=re.escape(f"step {step:g} does not divide the range [0.5, 1]")):
+            grid_values(0.5, 1.0, step)
+    assert grid_values(0.7, 0.7, 1e10) == [0.7]
+    # a step that divides the range only up to rounding is accepted
+    grid = grid_values(0.8, 1.0, (1.0 - 0.8) / 3)
+    assert len(grid) == 4 and grid[0] == 0.8 and grid[-1] == 1.0
 
 
 def test_w_kind_sweep_smoke():

@@ -232,6 +232,12 @@ def test_verify_equality_small():
         assert report["trials"] == 100
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_verify_equality_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="trials >= 1"):
+        verify_equality(3, trials=trials)
+
+
 def test_weighted_z_sum_slots():
     # a_k multiplies Z on slot n-k+1: a_n acts on qubit 1
     n = 3

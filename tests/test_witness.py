@@ -1,8 +1,21 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from sedwitness.states import PseudopureState, basis_state, make_ghz, make_w, pseudopure_matrix
+from sedwitness.states import (
+    PseudopureState,
+    PureState,
+    basis_state,
+    make_ghz,
+    make_w,
+    pseudopure_matrix,
+)
+from sedwitness.tensor import is_hermitian, random_density_matrix
 from sedwitness.witness import (
+    Witness,
     biseparable_c,
     class_witness,
     epsilon_limit,
@@ -40,8 +53,6 @@ def test_expectation_values():
 def test_expectation_linear_in_rho():
     rng = np.random.default_rng(21)
     w = class_witness("w")
-    from sedwitness.tensor import random_density_matrix
-
     r1, r2 = random_density_matrix(8, rng), random_density_matrix(8, rng)
     for a in (0.0, 0.25, 0.9):
         mix = a * r1 + (1 - a) * r2
@@ -104,8 +115,31 @@ def test_nonnegative_on_sampled_separable_states():
 
 
 def test_trace_identity_validation():
-    from sedwitness.witness import Witness
+    # W is derived from (c, target), so no inconsistent matrix can be passed in
+    for n in (3, 5):
+        w = Witness(0.75, make_ghz(n), "GHZ-class")
+        assert w.n == n
+        assert np.trace(w.matrix).real == pytest.approx(0.75 * 2**n - 1, abs=1e-12)
+        assert is_hermitian(w.matrix)
 
-    ghz = make_ghz(3)
-    with pytest.raises(ValueError):
-        Witness(3, 0.75, ghz, np.eye(8, dtype=complex), "broken")
+
+def test_witness_keeps_only_c_target_and_label():
+    assert [f.name for f in fields(Witness)] == ["c", "target", "label"]
+
+
+@given(
+    n=st.integers(1, 6),
+    c=st.floats(0.0, 0.99),
+    scale=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_expectation_matches_dense_trace(n, c, scale, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    w = generic_witness(PureState(n, amps / np.linalg.norm(amps)), c)
+    rho = scale * random_density_matrix(2**n, rng)  # Tr rho != 1 checks the c Tr(rho) term
+    dense = np.trace(w.matrix @ rho)  # the O(8^n) oracle
+    assert abs(expectation(w, rho) - dense.real) <= 1e-12
+    # the non-Hermitian part gives Tr(W rho) an imaginary residue of 1e-3 (1 - c)
+    with pytest.raises(ValueError, match="imaginary residue"):
+        expectation(w, rho - 1e-3j * w.target.density())
