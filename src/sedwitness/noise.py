@@ -6,38 +6,51 @@ is replaced by the maximally mixed state:
 
     E(rho) = p_s U rho U^dag + (1 - p_s) Tr_t(rho) (x) 1/2**len(t)
 
-with the mixed factor re-embedded at the gate's qubit positions.  A noisy
-gate only touches the row and column axes of its own qubits, so it costs
-O(4**n * 4**k) instead of the O(8**n) of a dense 2**n x 2**n product.
+with the mixed factor re-embedded at the gate's qubit positions.
+`apply_noisy_gate` and `simulate_noisy` run this channel on density
+matrices (the Schroedinger picture), touching only the row and column axes
+of the gate's own qubits, O(4**n * 4**k) per gate.
 
 The sweep prepares a thermal product state, runs the noisy entangler, then
 compares the conventional witness (noiseless direct trace) with the
 single-run readout whose measurement circuit (disentangler followed by the
 expanded V'^dag circuit) is itself noisy.  It works in the Heisenberg
-picture: p_s is the same for g and g^dag and the failure term is
-self-adjoint, so E_g^dag = E_{g^dag} and the adjoint of a noisy circuit is
-the noisy run of its dagger circuit.  Each h takes one backward pass of
-the readout observable and of the witness; every p then reads them
-against the diagonal thermal input.
+picture on real Pauli coefficients: in the Pauli-string basis the adjoint
+of a noisy gate is E_g^dag = R_g D_g, where D_g multiplies by p_s every
+string that is not the identity on the gate's qubits (Tr_t of a traceless
+factor is 0) and R_g is the real 4**k x 4**k Pauli transfer matrix of
+O -> U^dag O U.  R_g does not depend on h, so one backward walk over the
+gate list pulls an observable back for a whole chunk of h values at once,
+each gate one matmul on its own axes.  The thermal input is diagonal, so every p reads
+only the I/Z strings: Tr(rho_0(p) P_z) = (2p - 1)**|z|.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .circuit import (
     Circuit,
     Gate,
+    circuit_unitary,
     dagger_circuit,
     expand_multicontrolled,
     select_entangler,
     vprime_dagger_circuit,
 )
-from .sed import sed_decomposition, weighted_z_sum
-from .states import ThermalProductState, thermal_matrix
-from .tensor import ATOL_ALGEBRA, ATOL_GRID, apply_controlled, n_qubits
+from .sed import sed_decomposition
+from .tensor import (
+    ATOL_ALGEBRA,
+    ATOL_GRID,
+    apply_controlled,
+    n_qubits,
+    pauli_coefficients,
+    pauli_strings,
+)
 from .witness import select_witness
 
 
@@ -100,6 +113,94 @@ def simulate_noisy(c: Circuit, rho0: np.ndarray, model: NoiseModel) -> np.ndarra
     return rho
 
 
+@lru_cache(maxsize=4096)
+def _adjoint_transfer(raw: bytes, dim: int, polarities: tuple) -> np.ndarray:
+    """Read-only Pauli transfer matrix R[a, b] = Tr(P_a U^dag P_b U) / 2**k
+    of O -> U^dag O U, for the gate whose base has bytes `raw` and whose
+    controls have these polarities, placed on its own k qubits with the
+    controls first and the targets after them in order."""
+    m = len(polarities)
+    k = m + n_qubits(dim)
+    local = Gate(
+        np.frombuffer(raw, dtype=complex).reshape(dim, dim),
+        tuple(range(m + 1, k + 1)),
+        tuple((i + 1, pol) for i, pol in enumerate(polarities)),
+    )
+    u = circuit_unitary(Circuit(k, (local,)))
+    strings = pauli_strings(k)
+    pulled = np.einsum("ji,bjk,kl->bil", u.conj(), strings, u)  # U^dag P_b U
+    r = np.einsum("aij,bji->ab", strings, pulled).real / 2**k
+    r.flags.writeable = False
+    return r
+
+
+# coefficients in one walk over the gates: past about 2**20 (8 MB) the
+# arrays leave the cache and each h costs more than in a walk of its own
+# (measured at n = 9 and 10), so larger h grids are walked in chunks
+_WALK_COEFFS = 2**20
+
+
+def pull_back(c: Circuit, coeffs: np.ndarray, models) -> np.ndarray:
+    """Pauli coefficients of E^dag(O) for the noisy run E of c under each model.
+
+    coeffs holds the real Pauli coefficients of O, shape (4,)*c.n; the
+    result has one more, leading axis over the sequence `models`.  The
+    gates are walked last to first, once for as many models as fit
+    _WALK_COEFFS: gate g applies M_g = R_g diag(1, p_s, ..., p_s), one
+    4**k x 4**k matrix per model, to the axes of its own k qubits.
+    """
+    n = c.n
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (4,) * n:
+        raise ValueError(f"coefficients of shape {coeffs.shape} do not fit {n} qubits")
+    out = np.empty((len(models),) + coeffs.shape)
+    per_walk = max(1, _WALK_COEFFS // 4**n)
+    for i in range(0, len(models), per_walk):
+        out[i : i + per_walk] = _walk(c, coeffs, models[i : i + per_walk])
+    return out
+
+
+def _walk(c: Circuit, coeffs: np.ndarray, models) -> np.ndarray:
+    """One walk of pull_back, for all of `models` at once."""
+    n = c.n
+    out = np.repeat(coeffs[None], len(models), axis=0)
+    order = list(range(1, n + 1))  # order[i] is the qubit on axis i + 1 of out
+    for g in reversed(c.gates):
+        qubits = g.qubits()
+        k = len(qubits)
+        r = _adjoint_transfer(g.base.tobytes(), len(g.base), tuple(pol for _, pol in g.controls))
+        damp = np.ones((len(models), 1, 4**k))
+        damp[:, :, 1:] = np.array([model.p_success(g) for model in models])[:, None, None]
+        # the gate's axes go first, the others keep their order, so the
+        # transpose copies long contiguous runs; the result keeps that order
+        new = qubits + [q for q in order if q not in qubits]
+        if new != order:
+            out = out.transpose([0] + [order.index(q) + 1 for q in new])
+            order = new
+        out = (r * damp) @ out.reshape(len(models), 4**k, 4 ** (n - k))  # M_g per model
+        out = out.reshape((len(models),) + (4,) * n)
+    return out.transpose([0] + [order.index(q) + 1 for q in range(1, n + 1)])
+
+
+def thermal_readout(coeffs: np.ndarray, grid_p) -> np.ndarray:
+    """Tr(rho_0(p) O) for every row O of coeffs and every p of grid_p.
+
+    coeffs has shape (m,) + (4,)*n, the Pauli coefficients of one observable
+    per row; rho_0(p) is the thermal product state.  It is diagonal, so only
+    the I/Z strings count, with Tr(rho_0(p) P_z) = (2p - 1)**|z| for |z| Z
+    factors: each qubit's axis of the I/Z sub-array is contracted with
+    (1, 2p - 1), a pairwise sum that rounds less than one long dot product.
+    Returns the (m, len(grid_p)) array.
+    """
+    n = coeffs.ndim - 1
+    x = 2 * np.asarray(grid_p, dtype=float) - 1
+    zi = coeffs[(slice(None),) + (slice(None, None, 3),) * n]
+    out = zi[:, None] * np.ones((len(x),) + (1,) * n)  # (m, len(grid_p), 2, ..., 2)
+    for left in range(n - 1, -1, -1):
+        out = out[..., 0] + x.reshape((-1,) + (1,) * left) * out[..., 1]
+    return out
+
+
 def sweep(
     n: int,
     grid_p,
@@ -119,28 +220,25 @@ def sweep(
         raise ValueError("grid values must lie in [0, 1]")
     if entangler_mode not in ("witness", "identity"):
         raise ValueError(f"unknown entangler mode {entangler_mode!r}")
+    models = [NoiseModel(h) for h in grid_h]
     entangler = select_entangler(witness_kind, n)
     w = select_witness(witness_kind, n)
     dec = sed_decomposition(w)
-    w_conv = w.matrix
-    readout = weighted_z_sum(n, 0.0, dec.a)
+    readout = np.zeros((4,) * n)  # sum_k a_k Z on tensor slot n-k+1
+    for k, a_k in enumerate(dec.a, 1):
+        readout[(0,) * (n - k) + (3,) + (0,) * (k - 1)] = a_k
     prep = entangler if entangler_mode == "witness" else Circuit(n, ())
     measurement = dagger_circuit(entangler).then(expand_multicontrolled(vprime_dagger_circuit(n)))
-    back_sed = dagger_circuit(prep.then(measurement))
-    back_conv = dagger_circuit(prep)
-    # per h, the diagonals of the observables pulled back to the thermal input
-    pulled = []
-    for h in grid_h:
-        model = NoiseModel(h)
-        o_conv = np.diag(simulate_noisy(back_conv, w_conv, model)).real
-        o_sed = np.diag(simulate_noisy(back_sed, readout, model)).real
-        pulled.append((h, o_conv, o_sed))
-    records = []
-    for p in grid_p:
-        rho0 = np.diag(thermal_matrix(ThermalProductState(n, p))).real
-        for h, o_conv, o_sed in pulled:
-            records.append(SweepRecord(p, h, float(rho0 @ o_conv), dec.a0 + float(rho0 @ o_sed)))
-    return records
+    # per h and p: the observables pulled back to the thermal input, read there.
+    # W = c 1 - |psi><psi| and every noisy gate adjoint leaves 1 alone, so c stays exact
+    projector = pauli_coefficients(w.target.density())
+    conv = w.c - thermal_readout(pull_back(prep, projector, models), grid_p)
+    sed = thermal_readout(pull_back(prep.then(measurement), readout, models), grid_p)
+    return [
+        SweepRecord(p, h, float(conv[j, i]), dec.a0 + float(sed[j, i]))
+        for i, p in enumerate(grid_p)
+        for j, h in enumerate(grid_h)
+    ]
 
 
 def sweep_csv(records: list[SweepRecord]) -> str:
@@ -152,9 +250,13 @@ def sweep_csv(records: list[SweepRecord]) -> str:
 
 def grid_values(lo: float, hi: float, step: float) -> list[float]:
     """Inclusive grid with exact endpoints; step must divide hi - lo."""
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"step {step:g} and range [{lo:g}, {hi:g}] must be finite")
     if step <= 0 or hi < lo:
         raise ValueError("need step > 0 and hi >= lo")
     intervals = (hi - lo) / step
+    if not math.isfinite(intervals):
+        raise ValueError(f"step {step:g} is too small for the range [{lo:g}, {hi:g}]")
     count = round(intervals) + 1
     if abs(intervals - (count - 1)) > ATOL_GRID or (count == 1 and hi > lo):
         raise ValueError(f"step {step:g} does not divide the range [{lo:g}, {hi:g}]")

@@ -1,5 +1,6 @@
-"""Dense complex linear algebra for multi-qubit states and operators, and
-the local kernel that applies a controlled unitary to their tensor view.
+"""Dense complex linear algebra for multi-qubit states and operators, the
+local kernel that applies a controlled unitary to their tensor view, and
+the change of an operator to its Pauli-string coefficients.
 
 Qubit ordering convention used everywhere in this package: qubit 1 is the
 LEFTMOST tensor factor, i.e. the most significant bit of a computational
@@ -22,11 +23,14 @@ ATOL_GRID = 1e-9
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+
+PAULI = np.stack([I2, X, Y, Z])  # Pauli index 0..3 = I, X, Y, Z
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -123,6 +127,38 @@ def z_signs(n: int) -> np.ndarray:
     the +-1 of Z on tensor slot n-k+1 (bit k-1 counted from the right)."""
     bits = (np.arange(2**n)[None, :] >> np.arange(n)[:, None]) & 1
     return (1 - 2 * bits).astype(float)
+
+
+def pauli_strings(k: int) -> np.ndarray:
+    """The 4**k Pauli strings on k qubits, shape (4**k, 2**k, 2**k); string s
+    has the base-4 digits (Pauli indices) of qubits 1..k, qubit 1 most
+    significant."""
+    out = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(k):
+        d = 2 * out.shape[1]
+        out = np.einsum("aij,bkl->abikjl", out, PAULI).reshape(4 * len(out), d, d)
+    return out
+
+
+def pauli_coefficients(m: np.ndarray) -> np.ndarray:
+    """Real coefficients c_s = Tr(P_s m) / 2**n of a Hermitian m, so that
+    m = sum_s c_s P_s; shape (4,)*n, axis q-1 holding the Pauli index of
+    qubit q.  Each qubit maps its 2x2 blocks to their I/X/Y/Z coefficients
+    in turn, O(n 4**n) in all."""
+    m = np.asarray(m, dtype=complex)
+    n = n_qubits(m.shape[0])
+    if not is_hermitian(m):
+        raise ValueError("matrix is not Hermitian")
+    # axes (row 1, column 1, row 2, column 2, ...): each qubit's block on one base-4 axis
+    pairs = [a for q in range(n) for a in (q, n + q)]
+    t = m.reshape((2,) * (2 * n)).transpose(pairs).reshape((4,) * n)
+    for _ in range(n):
+        # Tr(P B) / 2 of the blocks B = [[b00, b01], [b10, b11]] on the last
+        # axis, for P = I, X, Y, Z; that axis comes back first
+        b00, b01, b10, b11 = (t[..., i] for i in range(4))
+        t = np.stack([b00 + b11, b01 + b10, 1j * (b01 - b10), b00 - b11])
+        t /= 2
+    return t.real.copy()
 
 
 def partial_trace(m: np.ndarray, keep) -> np.ndarray:

@@ -159,6 +159,8 @@ def test_usage_errors_exit_2():
         ["witness", "--kind", "ghz", "--n", "3", "--epsilon", "2"],
         ["sweep", "--n", "3", "--p-min", "0.9", "--p-max", "0.5", "--out", "x.csv"],
         ["sweep", "--n", "3", "--p-step", "0.3", "--h-min", "1", "--out", "x.csv"],
+        ["sweep", "--n", "3", "--p-step", "1e-320", "--out", "x.csv"],
+        ["sweep", "--n", "3", "--p-step", "nan", "--out", "x.csv"],
         ["ancilla", "--epsilon", "1.5"],
         ["ancilla", "--epsilon", "-0.1"],
         ["sed-verify", "--n", "3", "--trials", "0"],

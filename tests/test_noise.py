@@ -165,6 +165,13 @@ def test_sweep_validation():
         with pytest.raises(ValueError, match=re.escape(f"step {step:g} does not divide the range [0.5, 1]")):
             grid_values(0.5, 1.0, step)
     assert grid_values(0.7, 0.7, 1e10) == [0.7]
+    # a step too small for the range, or any value that is not finite, is named
+    tiny = 1e-320  # (hi - lo) / tiny overflows to inf
+    with pytest.raises(ValueError, match=re.escape(f"step {tiny:g} is too small for the range [0.5, 1]")):
+        grid_values(0.5, 1.0, tiny)
+    for lo, hi, step in ((0.5, 1.0, float("nan")), (0.5, float("inf"), 0.1), (float("-inf"), 1.0, 0.1)):
+        with pytest.raises(ValueError, match=re.escape(f"step {step:g} and range [{lo:g}, {hi:g}] must be finite")):
+            grid_values(lo, hi, step)
     # a step that divides the range only up to rounding is accepted
     grid = grid_values(0.8, 1.0, (1.0 - 0.8) / 3)
     assert len(grid) == 4 and grid[0] == 0.8 and grid[-1] == 1.0

@@ -1,8 +1,10 @@
-"""Property tests of the local gate kernel and the Heisenberg sweep.
+"""Property tests of the local gate kernel, the Pauli-transfer pull-back
+and the Heisenberg sweep.
 
 The dense gate matrix, the dense noisy-gate formula and the forward
 per-(p, h) sweep below are the implementations the kernel and the sweep
-replaced; they are kept here as oracles.
+replaced; they are kept here as oracles.  The Pauli pull-back of a noisy
+gate is checked against the density-matrix channel `apply_noisy_gate`.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from sedwitness.circuit import (
     select_entangler,
     vprime_dagger_circuit,
 )
-from sedwitness.noise import NoiseModel, apply_noisy_gate, simulate_noisy, sweep
+from sedwitness.noise import NoiseModel, apply_noisy_gate, pull_back, simulate_noisy, sweep, thermal_readout
 from sedwitness.sed import build_vprime
 from sedwitness.states import ThermalProductState, thermal_matrix
 from sedwitness.tensor import (
@@ -33,6 +35,7 @@ from sedwitness.tensor import (
     kron,
     n_qubits,
     partial_trace,
+    pauli_coefficients,
     random_density_matrix,
 )
 from sedwitness.witness import select_witness
@@ -115,6 +118,11 @@ def random_matrix(dim, rng):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
+def random_hermitian(dim, rng):
+    m = random_matrix(dim, rng)
+    return m + m.conj().T
+
+
 @given(noisy_cases())
 def test_local_kernel_matches_dense_formula(case):
     n, circ, model, rng = case
@@ -173,7 +181,45 @@ def test_adjoint_channel_is_dagger_circuit(case):
     assert abs(schroedinger - heisenberg) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@given(noisy_cases(max_n=5))
+def test_pauli_pull_back_matches_noisy_gate(case):
+    n, circ, model, rng = case
+    obs = random_hermitian(2**n, rng)
+    for g in circ:
+        # E_g^dag = E_{g^dag}: pulling O back through g is the noisy run of g^dag on O
+        want = pauli_coefficients(apply_noisy_gate(obs, g.daggered(), model))
+        got = pull_back(Circuit(n, (g,)), pauli_coefficients(obs), [model])
+        assert got.shape == (1,) + (4,) * n
+        assert np.max(np.abs(got[0] - want)) <= 1e-12
+
+
+def test_pull_back_walks_a_large_h_grid_in_chunks():
+    # one walk at n = 8 takes 16 models, so 17 models take two walks
+    n = 8
+    rng = np.random.default_rng(7)
+    c = Circuit(n, (Gate(H, (3,)), Gate(X, (8,), ((1, 0),)), Gate(haar_unitary(4, rng), (5, 2), ((7, 1),))))
+    coeffs = rng.standard_normal((4,) * n)
+    models = [NoiseModel(h) for h in np.linspace(0.0, 1.0, 17)]
+    got = pull_back(c, coeffs, models)
+    assert got.shape == (17,) + (4,) * n
+    for row, model in zip(got, models):
+        assert np.max(np.abs(row - pull_back(c, coeffs, [model])[0])) <= 1e-12
+    assert pull_back(c, coeffs, []).shape == (0,) + (4,) * n
+
+
+@given(st.integers(1, 5), st.lists(st.floats(0.0, 1.0), max_size=3), st.integers(0, 2**32 - 1))
+def test_thermal_readout_matches_trace(n, extra_p, seed):
+    rng = np.random.default_rng(seed)
+    grid_p = [0.5, 1.0] + extra_p
+    obs = [random_hermitian(2**n, rng) for _ in range(2)]
+    got = thermal_readout(np.array([pauli_coefficients(o) for o in obs]), grid_p)
+    assert got.shape == (2, len(grid_p))
+    for row, o in zip(got, obs):
+        for value, p in zip(row, grid_p):
+            assert abs(value - np.trace(thermal_matrix(ThermalProductState(n, p)) @ o).real) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("kind", ["ghz", "w"])
 @pytest.mark.parametrize("mode", ["witness", "identity"])
 def test_heisenberg_sweep_matches_forward_oracle(n, kind, mode):

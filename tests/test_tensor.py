@@ -1,5 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dense_oracle import embed_gate
 from sedwitness.states import make_ghz, make_w
@@ -15,6 +19,8 @@ from sedwitness.tensor import (
     min_eigenvalue_hermitian,
     partial_trace,
     partial_transpose,
+    pauli_coefficients,
+    pauli_strings,
     random_density_matrix,
     z_signs,
 )
@@ -167,3 +173,39 @@ def test_z_signs_is_diagonal_of_embedded_z():
         assert signs.shape == (n, 2**n)
         for k in range(1, n + 1):
             assert np.array_equal(signs[k - 1], np.diag(embed_gate(Z, [n - k + 1], n)).real)
+
+
+def literal_pauli_strings(n):
+    """Every n-qubit Pauli string by kron of the written-out I, X, Y, Z,
+    qubit 1 the leftmost factor, in base-4 order of the indices."""
+    single = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+    out = []
+    for idx in product(range(4), repeat=n):
+        m = np.eye(1)
+        for a in idx:
+            m = np.kron(m, single[a])
+        out.append(m)
+    return np.array(out, dtype=complex)
+
+
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_pauli_coefficients_round_trip(n, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    m = g + g.conj().T
+    strings = literal_pauli_strings(n)
+    assert np.array_equal(pauli_strings(n), strings)
+    coeffs = pauli_coefficients(m)
+    assert coeffs.shape == (4,) * n and coeffs.dtype == float
+    # the definition c_s = Tr(P_s m) / 2**n is real for Hermitian m
+    want = np.einsum("sij,ji->s", strings, m) / 2**n
+    assert np.max(np.abs(want.imag)) <= 1e-12
+    assert np.max(np.abs(coeffs.ravel() - want.real)) <= 1e-12
+    assert np.max(np.abs(np.einsum("s,sij->ij", coeffs.ravel(), strings) - m)) <= 1e-12
+
+
+def test_pauli_coefficients_errors():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        pauli_coefficients(np.array([[0, 1], [0, 0]]))
+    with pytest.raises(ValueError, match="power of two"):
+        pauli_coefficients(np.eye(3))
