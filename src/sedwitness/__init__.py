@@ -21,15 +21,12 @@ from .noise import NoiseModel, SweepRecord, apply_noisy_gate, simulate_noisy, sw
 from .sed import (
     SedDecomposition,
     SedMeasurementResult,
-    build_vprime,
     sed_decomposition,
     sed_measure,
     verify_equality,
 )
 from .states import (
-    PseudopureState,
     PureState,
-    ThermalProductState,
     basis_state,
     make_ghz,
     make_w,

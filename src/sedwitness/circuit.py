@@ -215,40 +215,31 @@ def _lambda(u: np.ndarray, controls: list[int], target: int, n: int, out: list[G
     if m <= 1:
         out.append(_emit(u, target, controls))
         return
-    if m == 2:
-        v = _unitary_sqrt(u)
-        c1, c2 = controls
-        out.append(_emit(v, target, [c2]))
-        out.append(Gate(X, (c2,), ((c1, 1),)))
-        out.append(_emit(dagger(v), target, [c2]))
-        out.append(Gate(X, (c2,), ((c1, 1),)))
-        out.append(_emit(v, target, [c1]))
-        return
-    used = set(controls) | {target}
-    free = [q for q in range(1, n + 1) if q not in used]
-    self_inverse = np.max(np.abs(u @ u - np.eye(2))) <= ATOL_ALGEBRA
-    if self_inverse and len(free) >= m - 2:
-        # borrowed-qubit chain: 4(m-2) two-controlled gates, dirty borrows
-        # are restored and the double pass cancels their unknown values
-        dirty = free[: m - 2]
-        chain = [(u, [controls[-1], dirty[-1]], target)]
-        for i in range(m - 3, 0, -1):
-            chain.append((X, [controls[i + 1], dirty[i - 1]], dirty[i]))
-        chain.append((X, [controls[0], controls[1]], dirty[0]))
-        ladder = chain[1:-1][::-1]
-        for base, ctrls, tgt in chain + ladder + [chain[0]] + chain[1:] + ladder:
-            _lambda(base, ctrls, tgt, n, out)
-        return
-    if self_inverse and len(free) >= 1:
-        # one borrowed qubit: two half-sized gates, each applied twice
-        borrow = free[0]
-        m1 = (m + 1) // 2
-        grp_a, grp_b = controls[:m1], controls[m1:]
-        for _ in range(2):
-            _lambda(u, grp_b + [borrow], target, n, out)
-            _lambda(X, grp_a, borrow, n, out)
-        return
-    # no spare qubit (or base not self-inverse): peel the last control
+    if m > 2 and np.max(np.abs(u @ u - np.eye(2))) <= ATOL_ALGEBRA:
+        used = set(controls) | {target}
+        free = [q for q in range(1, n + 1) if q not in used]
+        if len(free) >= m - 2:
+            # borrowed-qubit chain: 4(m-2) two-controlled gates, dirty borrows
+            # are restored and the double pass cancels their unknown values
+            dirty = free[: m - 2]
+            chain = [(u, [controls[-1], dirty[-1]], target)]
+            for i in range(m - 3, 0, -1):
+                chain.append((X, [controls[i + 1], dirty[i - 1]], dirty[i]))
+            chain.append((X, [controls[0], controls[1]], dirty[0]))
+            ladder = chain[1:-1][::-1]
+            for base, ctrls, tgt in chain + ladder + [chain[0]] + chain[1:] + ladder:
+                _lambda(base, ctrls, tgt, n, out)
+            return
+        if free:
+            # one borrowed qubit: two half-sized gates, each applied twice
+            borrow = free[0]
+            m1 = (m + 1) // 2
+            grp_a, grp_b = controls[:m1], controls[m1:]
+            for _ in range(2):
+                _lambda(u, grp_b + [borrow], target, n, out)
+                _lambda(X, grp_a, borrow, n, out)
+            return
+    # two controls, no spare qubit, or a base that is not self-inverse: peel the last control
     v = _unitary_sqrt(u)
     head, last = controls[:-1], controls[-1]
     out.append(_emit(v, target, [last]))

@@ -266,12 +266,14 @@ def grid_values(lo: float, hi: float, step: float) -> list[float]:
 def zero_crossing_h(records: list[SweepRecord], p: float, field: str = "value_sed") -> float | None:
     """Smallest h of the contiguous negative run ending at the largest h.
 
-    Returns None when the value at the largest grid h is non-negative.
+    A value counts as negative only below -ATOL_ALGEBRA, so rounding around
+    an analytic 0 decides nothing.  Returns None when the value at the
+    largest grid h is not negative.
     """
     row = sorted((r for r in records if abs(r.p - p) < ATOL_ALGEBRA), key=lambda r: -r.h)
     crossing = None
     for r in row:
-        if getattr(r, field) < 0:
+        if getattr(r, field) < -ATOL_ALGEBRA:
             crossing = r.h
         else:
             break

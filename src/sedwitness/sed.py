@@ -33,12 +33,25 @@ from .witness import Witness, expectation, generic_witness
 
 @dataclass(frozen=True, eq=False)
 class SedDecomposition:
-    """V'_n with its coefficients; c is attached from the associated witness."""
+    """V'_n and its coefficients, all derived from n on read; c is attached
+    from the associated witness."""
 
     n: int
-    b: float
-    a: np.ndarray  # a[k-1] = a_k
     c: float | None = None
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("SED decomposition needs n >= 2")
+
+    @property
+    def b(self) -> float:
+        return -(2.0**-self.n)
+
+    @property
+    def a(self) -> np.ndarray:
+        """a[k-1] = a_k: a_1 = a_2 = 3 * 2**-(n+1), a_k = -2**(k-n-1) for k >= 3."""
+        n = self.n
+        return np.array([3 * 2.0 ** -(n + 1)] * 2 + [-(2.0 ** (k - n - 1)) for k in range(3, n + 1)])
 
     @cached_property
     def vprime(self) -> np.ndarray:
@@ -57,19 +70,14 @@ class SedMeasurementResult:
     z: np.ndarray  # z[k-1] = Tr(U rho U^dag Z on slot n-k+1)
     value: float
     offdiag_max: float  # largest off-diagonal |entry| of V^dag rho_in V
-    diagonal_ok: bool  # offdiag_max <= ATOL_PHYSICS
 
-
-def build_vprime(n: int, c: float | None = None) -> SedDecomposition:
-    """V'_n's coefficients from their closed forms, with witness constant c."""
-    if n < 2:
-        raise ValueError("SED decomposition needs n >= 2")
-    a = [3 * 2.0 ** -(n + 1)] * 2 + [-(2.0 ** (k - n - 1)) for k in range(3, n + 1)]
-    return SedDecomposition(n, -(2.0**-n), np.array(a), c)
+    @property
+    def diagonal_ok(self) -> bool:
+        return self.offdiag_max <= ATOL_PHYSICS
 
 
 def sed_decomposition(w: Witness) -> SedDecomposition:
-    return build_vprime(w.n, w.c)
+    return SedDecomposition(w.n, w.c)
 
 
 def weighted_z_sum(n: int, b: float, a: np.ndarray) -> np.ndarray:
@@ -102,40 +110,45 @@ def sed_measure(rho_in: np.ndarray, v_entangler: np.ndarray, dec: SedDecompositi
     sigma_diag = np.einsum("ij,ij->j", dec.vprime.conj(), rho_out @ dec.vprime).real
     z = z_signs(n) @ sigma_diag
     value = dec.a0 + float(np.dot(dec.a, z))
-    return SedMeasurementResult(z, value, offdiag_max, offdiag_max <= ATOL_PHYSICS)
+    return SedMeasurementResult(z, value, offdiag_max)
 
 
 def verify_equality(n: int, trials: int = 100, seed: int = 0) -> dict:
-    """Check the readout against the direct witness trace on random states.
+    """Check the readout against the direct witness trace on random states,
+    and the diagonal of V' (b + sum_k a_k Z_k) V'^dag against (-1, 0, ..., 0).
 
     Each trial draws a random diagonal rho_out (symmetric Dirichlet) and a
     Haar-random entangler V, sets rho_in = V rho_out V^dag, and compares the
     SED readout with Tr(W rho_in) for the witness of the target V|0>.  The
     witness constant cancels in the comparison; a fixed c = 1/2 is used.
+    `passed` requires both deviations within ATOL_PHYSICS.
     """
-    if n < 2:
-        raise ValueError("verify_equality needs n >= 2")
     if trials < 1:
         raise ValueError(f"verify_equality needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     c = 0.5
-    dec = build_vprime(n, c)
+    dec = SedDecomposition(n, c)
     dim = 2**n
     max_dev = 0.0
     for _ in range(trials):
         diag = rng.dirichlet(np.ones(dim))
         v = haar_unitary(dim, rng)
         rho_in = v @ np.diag(diag).astype(complex) @ dagger(v)
-        conv = expectation(generic_witness(PureState(n, v[:, 0]), c), rho_in)
+        conv = expectation(generic_witness(PureState(v[:, 0]), c), rho_in)
         res = sed_measure(rho_in, v, dec)
         max_dev = max(max_dev, abs(res.value - conv))
         if not res.diagonal_ok:
             raise AssertionError("rho_out unexpectedly non-diagonal in verify_equality")
+    target = np.zeros(dim)
+    target[0] = -1.0
+    diag_dev = float(np.max(np.abs(np.diag(conjugated_observable(dec)).real - target)))
     return {
         "n": n,
         "trials": trials,
         "seed": seed,
         "max_deviation": max_dev,
         "tolerance": ATOL_PHYSICS,
-        "passed": bool(max_dev <= ATOL_PHYSICS),
+        "passed": bool(max_dev <= ATOL_PHYSICS and diag_dev <= ATOL_PHYSICS),
+        "diag_deviation": diag_dev,
+        "diag_tolerance": ATOL_PHYSICS,
     }

@@ -6,59 +6,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA
+from .tensor import ATOL_ALGEBRA, n_qubits
 
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized n-qubit state vector."""
+    """Normalized n-qubit state vector; n is read off its 2**n amplitudes."""
 
-    n: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if amps.size != 2**self.n:
-            raise ValueError(f"expected {2**self.n} amplitudes, got {amps.size}")
+        n_qubits(amps.size)
         if abs(np.linalg.norm(amps) - 1.0) > ATOL_ALGEBRA:
             raise ValueError("amplitudes are not normalized")
         object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def n(self) -> int:
+        return n_qubits(self.amplitudes.size)
 
     def density(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-@dataclass(frozen=True, eq=False)
-class PseudopureState:
-    """Mixture (1-eps) * identity/2**n + eps * |core><core|."""
-
-    n: int
-    epsilon: float
-    core: PureState
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon {self.epsilon} out of [0, 1]")
-        if self.core.n != self.n:
-            raise ValueError("core state qubit count mismatch")
-
-
-@dataclass(frozen=True)
-class ThermalProductState:
-    """[p|0><0| + (1-p)|1><1|]^(tensor n), a diagonal product state."""
-
-    n: int
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p {self.p} out of [0, 1]")
-
-
 def basis_state(n: int, index: int = 0) -> PureState:
     amps = np.zeros(2**n, dtype=complex)
     amps[index] = 1.0
-    return PureState(n, amps)
+    return PureState(amps)
 
 
 def make_ghz(n: int) -> PureState:
@@ -67,7 +42,7 @@ def make_ghz(n: int) -> PureState:
         raise ValueError("GHZ state needs n >= 2")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1 / np.sqrt(2.0)
-    return PureState(n, amps)
+    return PureState(amps)
 
 
 def make_w(n: int) -> PureState:
@@ -77,16 +52,22 @@ def make_w(n: int) -> PureState:
     amps = np.zeros(2**n, dtype=complex)
     for k in range(n):
         amps[2**k] = 1 / np.sqrt(n)
-    return PureState(n, amps)
+    return PureState(amps)
 
 
-def pseudopure_matrix(s: PseudopureState) -> np.ndarray:
-    dim = 2**s.n
-    return (1 - s.epsilon) * np.eye(dim, dtype=complex) / dim + s.epsilon * s.core.density()
+def pseudopure_matrix(core: PureState, epsilon: float) -> np.ndarray:
+    """Mixture (1-eps) * identity/2**n + eps * |core><core|."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon {epsilon} out of [0, 1]")
+    dim = 2**core.n
+    return (1 - epsilon) * np.eye(dim, dtype=complex) / dim + epsilon * core.density()
 
 
-def thermal_matrix(t: ThermalProductState) -> np.ndarray:
+def thermal_matrix(n: int, p: float) -> np.ndarray:
+    """[p|0><0| + (1-p)|1><1|]^(tensor n), a diagonal product state."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p {p} out of [0, 1]")
     diag = np.array([1.0])
-    for _ in range(t.n):
-        diag = np.kron(diag, np.array([t.p, 1 - t.p]))
+    for _ in range(n):
+        diag = np.kron(diag, np.array([p, 1 - p]))
     return np.diag(diag).astype(complex)

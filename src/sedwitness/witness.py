@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import PseudopureState, PureState, make_ghz, make_w, pseudopure_matrix
+from .states import PureState, make_ghz, make_w, pseudopure_matrix
 from .tensor import ATOL_PHYSICS, max_schmidt_sq, min_eigenvalue_hermitian, partial_transpose
 
 # class-boundary constants for the two inequivalent tripartite classes
@@ -59,12 +59,12 @@ def biseparable_c(psi: PureState) -> float:
     return best
 
 
-def generic_witness(target: PureState, c: float | None = None, label: str | None = None) -> Witness:
-    """Witness for an arbitrary pure target; c defaults to the biseparability bound."""
+def generic_witness(target: PureState, c: float | None = None) -> Witness:
+    """Witness for an arbitrary pure target; c defaults to the biseparability
+    bound, labelled "biseparable", and a given c is labelled "generic"."""
     if c is None:
-        c = biseparable_c(target)
-        label = label or "biseparable"
-    return Witness(c, target, label or "generic")
+        return Witness(biseparable_c(target), target, "biseparable")
+    return Witness(c, target, "generic")
 
 
 def select_witness(kind: str, n: int) -> Witness:
@@ -102,8 +102,7 @@ def epsilon_limit(w: Witness) -> float:
 
 def pseudopure_expectation(w: Witness, epsilon: float) -> float:
     """Witness value on the pseudopure mixture of its own target."""
-    rho = pseudopure_matrix(PseudopureState(w.n, epsilon, w.target))
-    return expectation(w, rho)
+    return expectation(w, pseudopure_matrix(w.target, epsilon))
 
 
 def ppt_min_eig(rho: np.ndarray, cut) -> float:
@@ -122,9 +121,9 @@ def random_product_state(n: int, rng: np.random.Generator) -> np.ndarray:
     return amps
 
 
-def random_separable_density(n: int, rng: np.random.Generator, max_terms: int = 8) -> np.ndarray:
-    """Random convex combination of at most `max_terms` product states."""
-    terms = int(rng.integers(1, max_terms + 1))
+def random_separable_density(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random convex combination of at most 8 product states."""
+    terms = int(rng.integers(1, 9))
     weights = rng.dirichlet(np.ones(terms))
     rho = np.zeros((2**n, 2**n), dtype=complex)
     for wgt in weights:

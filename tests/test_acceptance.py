@@ -19,7 +19,7 @@ from sedwitness.circuit import (
     vprime_dagger_circuit,
 )
 from sedwitness.noise import grid_values, sweep, zero_crossing_h
-from sedwitness.sed import build_vprime, conjugated_observable, verify_equality, vprime2
+from sedwitness.sed import SedDecomposition, conjugated_observable, verify_equality, vprime2
 from sedwitness.states import make_ghz
 from sedwitness.tensor import I2, Z, dagger, haar_unitary, kron, random_density_matrix
 from sedwitness.witness import (
@@ -60,7 +60,7 @@ def test_criterion_2_vprime2_conjugation():
 def test_criterion_3_recursive_construction():
     worst_unit = worst_diag = 0.0
     for n in range(2, 8):
-        dec = build_vprime(n)
+        dec = SedDecomposition(n)
         dim = 2**n
         unit = np.max(np.abs(dec.vprime @ dagger(dec.vprime) - np.eye(dim)))
         assert unit <= 1e-12
@@ -182,7 +182,7 @@ def test_criterion_9_witness_nonnegativity_sampling():
         worst = min(worst, val)
         assert val >= -1e-10
     for _ in range(5000):
-        rho = random_separable_density(3, rng, max_terms=8)
+        rho = random_separable_density(3, rng)
         val = expectation(w, rho)
         worst = min(worst, val)
         assert val >= -1e-10

@@ -9,6 +9,7 @@ from sedwitness.circuit import Circuit, Gate, circuit_unitary, ghz_entangler
 from sedwitness.cli import main
 from sedwitness.noise import (
     NoiseModel,
+    SweepRecord,
     apply_noisy_gate,
     grid_values,
     simulate_noisy,
@@ -146,6 +147,17 @@ def test_zero_crossing_walk():
     sed_cross = zero_crossing_h(records, 1.0, "value_sed")
     assert conv_cross is not None and sed_cross is not None
     assert sed_cross >= conv_cross - 1e-12
+
+
+def test_zero_crossing_ignores_rounding_around_zero():
+    # only a value below -ATOL_ALGEBRA is negative; rounding noise around an
+    # analytic 0 at the top h neither starts nor extends a crossing
+    def row(top):
+        return [SweepRecord(1.0, 0.9, 0.0, -0.5), SweepRecord(1.0, 1.0, 0.0, top)]
+
+    assert zero_crossing_h(row(-1e-17), 1.0) is None
+    assert zero_crossing_h(row(-1e-6), 1.0) == 0.9
+    assert zero_crossing_h([SweepRecord(1.0, 1.0, -1e-6, 0.0)], 1.0, "value_conv") == 1.0
 
 
 def test_identity_entangler_stays_nonnegative_sample():

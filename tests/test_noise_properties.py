@@ -23,8 +23,8 @@ from sedwitness.circuit import (
     vprime_dagger_circuit,
 )
 from sedwitness.noise import NoiseModel, apply_noisy_gate, pull_back, simulate_noisy, sweep, thermal_readout
-from sedwitness.sed import build_vprime
-from sedwitness.states import ThermalProductState, thermal_matrix
+from sedwitness.sed import SedDecomposition
+from sedwitness.states import thermal_matrix
 from sedwitness.tensor import (
     SWAP,
     H,
@@ -70,14 +70,14 @@ def dense_noisy_gate(rho, g, model):
 def forward_sweep(n, grid_p, grid_h, witness_kind, entangler_mode):
     """Schroedinger picture: one noisy forward run per (p, h), Z readouts by trace."""
     entangler, c = select_entangler(witness_kind, n), select_witness(witness_kind, n).c
-    dec = build_vprime(n, c)
+    dec = SedDecomposition(n, c)
     psi_in = circuit_unitary(entangler)[:, 0]
     w_conv = c * np.eye(2**n) - np.outer(psi_in, psi_in.conj())
     prep = entangler if entangler_mode == "witness" else Circuit(n, ())
     measurement = dagger_circuit(entangler).then(expand_multicontrolled(vprime_dagger_circuit(n)))
     out = []
     for p in grid_p:
-        rho0 = thermal_matrix(ThermalProductState(n, p))
+        rho0 = thermal_matrix(n, p)
         for h in grid_h:
             model = NoiseModel(h)
             rho_prep = simulate_noisy(prep, rho0, model)
@@ -216,7 +216,7 @@ def test_thermal_readout_matches_trace(n, extra_p, seed):
     assert got.shape == (2, len(grid_p))
     for row, o in zip(got, obs):
         for value, p in zip(row, grid_p):
-            assert abs(value - np.trace(thermal_matrix(ThermalProductState(n, p)) @ o).real) <= 1e-12
+            assert abs(value - np.trace(thermal_matrix(n, p) @ o).real) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from dense_oracle import blockdiag_ubd, embed_gate, permutation_up
 from sedwitness.sed import (
-    build_vprime,
+    SedDecomposition,
+    SedMeasurementResult,
     conjugated_observable,
     sed_decomposition,
     sed_measure,
@@ -11,7 +14,7 @@ from sedwitness.sed import (
     vprime2,
     weighted_z_sum,
 )
-from sedwitness.states import PseudopureState, make_ghz, pseudopure_matrix
+from sedwitness.states import make_ghz, pseudopure_matrix
 from sedwitness.tensor import H, I2, X, Z, dagger, haar_unitary, kron, random_density_matrix
 from sedwitness.witness import class_witness
 
@@ -63,21 +66,21 @@ def test_vprime2_conjugation_reproduces_fixture():
     assert np.max(np.abs(conj - CONJUGATED2_EXPECTED)) <= 1e-12
 
 
-def test_build_vprime_matches_fixture_at_n2():
-    dec = build_vprime(2)
+def test_sed_decomposition_matches_fixture_at_n2():
+    dec = SedDecomposition(2)
     assert np.max(np.abs(dec.vprime - VPRIME2_EXPECTED)) == 0.0
     assert dec.b == -0.25
 
 
 def test_coefficients_n3():
-    dec = build_vprime(3)
+    dec = SedDecomposition(3)
     assert dec.b == -1 / 8
     assert np.array_equal(dec.a, [3 / 16, 3 / 16, -0.5])
 
 
 def test_closed_form_coefficients_exact():
     for n in range(2, 8):
-        dec = build_vprime(n)
+        dec = SedDecomposition(n)
         assert dec.b == -(2.0 ** (-n))
         assert dec.a[0] == dec.a[1] == 3 * 2.0 ** (-(n + 1))
         for k in range(3, n + 1):
@@ -86,7 +89,7 @@ def test_closed_form_coefficients_exact():
 
 def test_unitarity_and_diagonal_for_all_n():
     for n in range(2, 11):
-        dec = build_vprime(n)
+        dec = SedDecomposition(n)
         dim = 2**n
         assert np.max(np.abs(dec.vprime @ dagger(dec.vprime) - np.eye(dim))) <= 1e-12
         diag = np.diag(conjugated_observable(dec))
@@ -97,8 +100,8 @@ def test_unitarity_and_diagonal_for_all_n():
 
 def test_recursion_consistency():
     for n in range(2, 7):
-        lhs = build_vprime(n + 1).vprime
-        rhs = blockdiag_ubd(n + 1) @ permutation_up(n + 1) @ kron(I2, build_vprime(n).vprime)
+        lhs = SedDecomposition(n + 1).vprime
+        rhs = blockdiag_ubd(n + 1) @ permutation_up(n + 1) @ kron(I2, SedDecomposition(n).vprime)
         assert np.max(np.abs(lhs - rhs)) <= 1e-13
 
 
@@ -145,7 +148,7 @@ def test_block_offdiagonals_vanish_after_permutation():
     # the 2x2 diagonal blocks of the permuted matrix lose their off-diagonal
     # entries, which is what lets the Hadamard blocks finish the job
     for n in range(2, 7):
-        a_n = conjugated_observable(build_vprime(n))
+        a_n = conjugated_observable(SedDecomposition(n))
         b_next = 0.5 * kron(I2, a_n) - 0.5 * kron(Z, np.eye(2**n, dtype=complex))
         up = permutation_up(n + 1)
         b_perm = up @ b_next @ dagger(up)
@@ -161,7 +164,7 @@ def test_sed_measure_ghz_pseudopure():
     dec = sed_decomposition(w)
     v = ghz_entangler_matrix(3)
     for eps in (0.0, 0.4, 5 / 7, 1.0):
-        rho = pseudopure_matrix(PseudopureState(3, eps, make_ghz(3)))
+        rho = pseudopure_matrix(make_ghz(3), eps)
         res = sed_measure(rho, v, dec)
         assert res.diagonal_ok
         conv = np.trace(w.matrix @ rho).real
@@ -191,7 +194,7 @@ def test_sed_measure_reports_nondiagonal():
 
 def test_sed_measure_offdiag_residual():
     rng = np.random.default_rng(23)
-    dec = build_vprime(3, c=0.5)
+    dec = SedDecomposition(3, c=0.5)
     v = haar_unitary(8, rng)
     rho_in = v @ np.diag(rng.dirichlet(np.ones(8))).astype(complex) @ dagger(v)
     res = sed_measure(rho_in, v, dec)
@@ -214,7 +217,7 @@ def test_sed_measure_accepts_nested_lists():
 def test_sed_measure_zero_state_trial():
     # rho_out = |0...0><0...0| makes both sides equal c - 1
     rng = np.random.default_rng(17)
-    dec = build_vprime(3, c=0.5)
+    dec = SedDecomposition(3, c=0.5)
     v = haar_unitary(8, rng)
     rho_out = np.zeros((8, 8), dtype=complex)
     rho_out[0, 0] = 1.0
@@ -230,6 +233,10 @@ def test_verify_equality_small():
         assert report["passed"]
         assert report["max_deviation"] <= 1e-10
         assert report["trials"] == 100
+        assert report["diag_deviation"] <= 1e-10
+    assert list(report) == [
+        "n", "trials", "seed", "max_deviation", "tolerance", "passed", "diag_deviation", "diag_tolerance",
+    ]
 
 
 @pytest.mark.parametrize("trials", [0, -2])
@@ -246,14 +253,22 @@ def test_weighted_z_sum_slots():
     assert np.max(np.abs(m - embed_gate(Z, [1], n))) == 0.0
 
 
-def test_build_vprime_attaches_witness_constant():
-    dec = build_vprime(4, c=0.5)
+def test_sed_decomposition_attaches_witness_constant():
+    dec = SedDecomposition(4, c=0.5)
     assert dec.c == 0.5 and dec.a0 == 0.5 + dec.b
-    assert sed_decomposition(class_witness("w")).a0 == 0.25 + build_vprime(3).b
+    assert sed_decomposition(class_witness("w")).a0 == 0.25 + SedDecomposition(3).b
 
 
-def test_build_vprime_errors():
+def test_sed_decomposition_errors():
     with pytest.raises(ValueError):
-        build_vprime(1)
+        SedDecomposition(1)
     with pytest.raises(ValueError):
-        build_vprime(2).a0  # no witness constant attached
+        SedDecomposition(2).a0  # no witness constant attached
+
+
+def test_records_keep_only_their_inputs():
+    assert [f.name for f in fields(SedDecomposition)] == ["n", "c"]
+    assert [f.name for f in fields(SedMeasurementResult)] == ["z", "value", "offdiag_max"]
+    z = np.zeros(3)
+    assert SedMeasurementResult(z, 0.0, 1e-10).diagonal_ok
+    assert not SedMeasurementResult(z, 0.0, 1.0).diagonal_ok

@@ -1,10 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from sedwitness.states import (
-    PseudopureState,
     PureState,
-    ThermalProductState,
     basis_state,
     make_ghz,
     make_w,
@@ -39,40 +39,47 @@ def test_state_errors():
             make_ghz(bad)
         with pytest.raises(ValueError):
             make_w(bad)
-    with pytest.raises(ValueError):
-        PureState(2, np.array([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="not normalized"):
+        PureState(np.array([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="not a power of two"):
+        PureState(np.ones(3) / np.sqrt(3))
+
+
+def test_pure_state_reads_n_off_its_amplitudes():
+    assert [f.name for f in fields(PureState)] == ["amplitudes"]
+    assert make_w(5).n == 5 and basis_state(1).n == 1
 
 
 def test_pseudopure_limits():
     ghz = make_ghz(2)
-    assert np.allclose(pseudopure_matrix(PseudopureState(2, 0.0, ghz)), np.eye(4) / 4)
-    assert np.allclose(pseudopure_matrix(PseudopureState(2, 1.0, ghz)), ghz.density())
-    rho = pseudopure_matrix(PseudopureState(2, 0.5, ghz))
+    assert np.allclose(pseudopure_matrix(ghz, 0.0), np.eye(4) / 4)
+    assert np.allclose(pseudopure_matrix(ghz, 1.0), ghz.density())
+    rho = pseudopure_matrix(ghz, 0.5)
     assert abs(np.trace(rho) - 1) <= 1e-12
     with pytest.raises(ValueError):
-        PseudopureState(2, 1.5, ghz)
+        pseudopure_matrix(ghz, 1.5)
 
 
 def test_pseudopure_affine_in_epsilon():
     ghz = make_ghz(3)
-    lo = pseudopure_matrix(PseudopureState(3, 0.0, ghz))
-    hi = pseudopure_matrix(PseudopureState(3, 1.0, ghz))
+    lo = pseudopure_matrix(ghz, 0.0)
+    hi = pseudopure_matrix(ghz, 1.0)
     for eps in (0.2, 0.5, 0.77):
-        mid = pseudopure_matrix(PseudopureState(3, eps, ghz))
+        mid = pseudopure_matrix(ghz, eps)
         assert np.max(np.abs(mid - ((1 - eps) * lo + eps * hi))) <= 1e-13
 
 
 def test_thermal_matrix_values():
-    assert np.allclose(thermal_matrix(ThermalProductState(3, 1.0)), np.diag([1, 0, 0, 0, 0, 0, 0, 0]))
-    assert np.allclose(thermal_matrix(ThermalProductState(2, 0.5)), np.eye(4) / 4)
-    assert np.allclose(thermal_matrix(ThermalProductState(1, 0.8)), np.diag([0.8, 0.2]))
+    assert np.allclose(thermal_matrix(3, 1.0), np.diag([1, 0, 0, 0, 0, 0, 0, 0]))
+    assert np.allclose(thermal_matrix(2, 0.5), np.eye(4) / 4)
+    assert np.allclose(thermal_matrix(1, 0.8), np.diag([0.8, 0.2]))
     with pytest.raises(ValueError):
-        ThermalProductState(2, -0.1)
+        thermal_matrix(2, -0.1)
 
 
 def test_thermal_weight_pattern():
     p = 0.7
-    rho = thermal_matrix(ThermalProductState(3, p))
+    rho = thermal_matrix(3, p)
     for idx in range(8):
         w = bin(idx).count("1")
         assert rho[idx, idx].real == pytest.approx(p ** (3 - w) * (1 - p) ** w, abs=1e-15)
@@ -81,8 +88,8 @@ def test_thermal_weight_pattern():
 def test_emitted_density_matrices_are_physical():
     ghz = make_ghz(3)
     samples = [
-        pseudopure_matrix(PseudopureState(3, eps, ghz)) for eps in (0.0, 0.3, 1.0)
-    ] + [thermal_matrix(ThermalProductState(3, p)) for p in (0.0, 0.4, 1.0)]
+        pseudopure_matrix(ghz, eps) for eps in (0.0, 0.3, 1.0)
+    ] + [thermal_matrix(3, p) for p in (0.0, 0.4, 1.0)]
     samples.append(basis_state(3, 5).density())
     for rho in samples:
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sedwitness.states import (
-    PseudopureState,
     PureState,
     basis_state,
     make_ghz,
@@ -44,7 +43,7 @@ def test_expectation_values():
     w = class_witness("ghz")
     assert expectation(w, make_ghz(3).density()) == pytest.approx(-0.25, abs=1e-12)
     assert expectation(w, np.eye(8) / 8) == pytest.approx(0.75 - 1 / 8, abs=1e-12)
-    unit = generic_witness(make_ghz(3), c=1.0, label="generic")
+    unit = generic_witness(make_ghz(3), c=1.0)
     assert expectation(unit, make_ghz(3).density()) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         expectation(w, np.eye(4) / 4)
@@ -95,9 +94,9 @@ def test_ppt_oracle():
     # pseudopure GHZ: min eigenvalue of the partial transpose is
     # (1-eps)/8 - eps/2, crossing zero at eps = 1/5
     ghz = make_ghz(3)
-    rho = pseudopure_matrix(PseudopureState(3, 0.25, ghz))
+    rho = pseudopure_matrix(ghz, 0.25)
     assert ppt_min_eig(rho, [1]) == pytest.approx(-1 / 32, abs=1e-12)
-    rho_below = pseudopure_matrix(PseudopureState(3, 0.15, ghz))
+    rho_below = pseudopure_matrix(ghz, 0.15)
     assert ppt_min_eig(rho_below, [1]) > 0
 
 
@@ -136,7 +135,7 @@ def test_witness_keeps_only_c_target_and_label():
 def test_expectation_matches_dense_trace(n, c, scale, seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    w = generic_witness(PureState(n, amps / np.linalg.norm(amps)), c)
+    w = generic_witness(PureState(amps / np.linalg.norm(amps)), c)
     rho = scale * random_density_matrix(2**n, rng)  # Tr rho != 1 checks the c Tr(rho) term
     dense = np.trace(w.matrix @ rho)  # the O(8^n) oracle
     assert abs(expectation(w, rho) - dense.real) <= 1e-12
