@@ -124,8 +124,6 @@ def intermediate_identities(rho_in: np.ndarray, v: np.ndarray, cfg: AncillaConfi
             f"readout identities violated: {residual_trz:.3e}, {residual_ptilde:.3e}"
         )
     return {
-        "p": cfg.p,
-        "n": cfg.n,
         "p_tilde": p_tilde,
         "tr_ancilla_z": trz,
         "residual_trz": residual_trz,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, H, SWAP, X, apply_controlled, dagger
+from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, H, SWAP, X, _check_qubits, apply_controlled, dagger
 
 
 # text labels of the named bases with 0, 1 and >= 2 controls
@@ -71,12 +71,6 @@ class Gate:
         return Gate(dagger(self.base), self.targets, self.controls)
 
 
-def _check_register(g: Gate, n: int) -> None:
-    for q in g.qubits():
-        if not 1 <= q <= n:
-            raise ValueError(f"gate qubit {q} outside register 1..{n}")
-
-
 @dataclass(frozen=True, eq=False)
 class Circuit:
     n: int
@@ -85,7 +79,7 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            _check_register(g, self.n)
+            _check_qubits(g.qubits(), self.n, "gate")
 
     def then(self, other: "Circuit") -> "Circuit":
         if other.n != self.n:
@@ -195,26 +189,14 @@ def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
     return v @ np.diag(np.sqrt(w.astype(complex))) @ np.linalg.inv(v)
 
 
-def _is(u: np.ndarray, ref: np.ndarray) -> bool:
-    return u.shape == ref.shape and abs(u - ref).max() <= ATOL_ALGEBRA
+def _lambda(u: np.ndarray, controls: list[int], target: int, n: int) -> list[Gate]:
+    """1/2-qubit gates for u on `target` controlled (all polarity 1) by `controls`.
 
-
-def _emit(u: np.ndarray, target: int, controls=()) -> Gate:
-    """u on target, controlled (polarity 1) by `controls`; a u equal to X or
-    H becomes the shared constant, so the gate keeps its name."""
-    for named in (X, H):
-        if u is named or _is(u, named):
-            u = named
-            break
-    return Gate(u, (target,), tuple((q, 1) for q in controls))
-
-
-def _lambda(u: np.ndarray, controls: list[int], target: int, n: int, out: list[Gate]):
-    """Emit 1/2-qubit gates for u on `target` controlled (all polarity 1) by `controls`."""
+    A sub-network that recurs is built once and its list reused; Gate is
+    frozen, so the output may hold one Gate object several times."""
     m = len(controls)
     if m <= 1:
-        out.append(_emit(u, target, controls))
-        return
+        return [Gate(u, (target,), tuple((q, 1) for q in controls))]
     if m > 2 and np.max(np.abs(u @ u - np.eye(2))) <= ATOL_ALGEBRA:
         used = set(controls) | {target}
         free = [q for q in range(1, n + 1) if q not in used]
@@ -222,31 +204,30 @@ def _lambda(u: np.ndarray, controls: list[int], target: int, n: int, out: list[G
             # borrowed-qubit chain: 4(m-2) two-controlled gates, dirty borrows
             # are restored and the double pass cancels their unknown values
             dirty = free[: m - 2]
-            chain = [(u, [controls[-1], dirty[-1]], target)]
+            chain = [_lambda(u, [controls[-1], dirty[-1]], target, n)]
             for i in range(m - 3, 0, -1):
-                chain.append((X, [controls[i + 1], dirty[i - 1]], dirty[i]))
-            chain.append((X, [controls[0], controls[1]], dirty[0]))
+                chain.append(_lambda(X, [controls[i + 1], dirty[i - 1]], dirty[i], n))
+            chain.append(_lambda(X, [controls[0], controls[1]], dirty[0], n))
             ladder = chain[1:-1][::-1]
-            for base, ctrls, tgt in chain + ladder + [chain[0]] + chain[1:] + ladder:
-                _lambda(base, ctrls, tgt, n, out)
-            return
+            return [g for rung in chain + ladder + [chain[0]] + chain[1:] + ladder for g in rung]
         if free:
             # one borrowed qubit: two half-sized gates, each applied twice
             borrow = free[0]
             m1 = (m + 1) // 2
             grp_a, grp_b = controls[:m1], controls[m1:]
-            for _ in range(2):
-                _lambda(u, grp_b + [borrow], target, n, out)
-                _lambda(X, grp_a, borrow, n, out)
-            return
+            half = _lambda(u, grp_b + [borrow], target, n) + _lambda(X, grp_a, borrow, n)
+            return half + half
     # two controls, no spare qubit, or a base that is not self-inverse: peel the last control
     v = _unitary_sqrt(u)
     head, last = controls[:-1], controls[-1]
-    out.append(_emit(v, target, [last]))
-    _lambda(X, head, last, n, out)
-    out.append(_emit(dagger(v), target, [last]))
-    _lambda(X, head, last, n, out)
-    _lambda(v, head, target, n, out)
+    flip = _lambda(X, head, last, n)
+    return (
+        [Gate(v, (target,), ((last, 1),))]
+        + flip
+        + [Gate(dagger(v), (target,), ((last, 1),))]
+        + flip
+        + _lambda(v, head, target, n)
+    )
 
 
 def expand_multicontrolled(c: Circuit) -> Circuit:
@@ -259,7 +240,7 @@ def expand_multicontrolled(c: Circuit) -> Circuit:
             continue
         sandwiches = [Gate(X, (q,)) for q, pol in g.controls if pol == 0]
         out.extend(sandwiches)
-        _lambda(g.base, [q for q, _ in g.controls], g.targets[0], c.n, out)
+        out.extend(_lambda(g.base, [q for q, _ in g.controls], g.targets[0], c.n))
         out.extend(sandwiches)
     return Circuit(c.n, tuple(out))
 
@@ -325,19 +306,26 @@ def circuit_from_text(text: str) -> Circuit:
         try:
             name, *rest = ln.split()
             targets, controls, entries = [], [], []
-            section = "targets"
+            section, marks = "targets", ""
             for tok in rest:
                 if tok == "|":
-                    section = "controls"
+                    section, marks = "controls", marks + tok
                 elif tok == "@":
-                    section = "entries"
+                    section, marks = "entries", marks + tok
                 elif section == "targets":
                     targets.append(int(tok))
                 elif section == "controls":
-                    q, p = tok[:-1].split("(")
+                    q, p = tok.removesuffix(")").split("(")
                     controls.append((int(q), int(p)))
                 else:
                     entries.append(tok)
+            # at most one "|" and one "@", in that order, each opening a non-empty section
+            if (
+                marks not in ("", "|", "@", "|@")
+                or ("|" in marks and not controls)
+                or ("@" in marks and not entries)
+            ):
+                raise ValueError("expected 'LABEL targets... [| q(pol)...] [@ entries...]'")
             if entries:
                 d = 2 ** len(targets)
                 base = np.array([complex(t) for t in entries]).reshape(d, d)
@@ -348,7 +336,7 @@ def circuit_from_text(text: str) -> Circuit:
             g = Gate(base, tuple(targets), tuple(controls))
             if g.label != name:
                 raise ValueError(f"gate is labelled {g.label}, not {name}")
-            _check_register(g, n)
+            _check_qubits(g.qubits(), n, "gate")
             gates.append(g)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {ln!r}: {exc}") from exc

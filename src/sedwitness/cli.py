@@ -27,17 +27,27 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _write_json(report: dict, json_path: str | None):
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def _write(path: str, payload: str) -> int:
+    """Write payload to path: 0, or 1 after an error line on stderr."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
-def _emit(report: dict, json_path: str | None):
+def _write_json(report: dict, json_path: str | None) -> int:
+    if not json_path:
+        return 0
+    return _write(json_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
+def _emit(report: dict, json_path: str | None) -> int:
     for key, val in report.items():
         print(f"{key} = {_fmt(val) if isinstance(val, float) else val}")
-    _write_json(report, json_path)
+    return _write_json(report, json_path)
 
 
 def cmd_witness(args, parser) -> int:
@@ -55,8 +65,7 @@ def cmd_witness(args, parser) -> int:
             parser.error("--epsilon must lie in [0, 1]")
         report["epsilon"] = args.epsilon
         report["expectation"] = pseudopure_expectation(w, args.epsilon)
-    _emit(report, args.json)
-    return 0
+    return _emit(report, args.json)
 
 
 def cmd_sed_verify(args, parser) -> int:
@@ -66,8 +75,7 @@ def cmd_sed_verify(args, parser) -> int:
         report = verify_equality(args.n, trials=args.trials, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
-    _emit(report, args.json)
-    return 0 if report["passed"] else 1
+    return _emit(report, args.json) or int(not report["passed"])
 
 
 def cmd_ancilla(args, parser) -> int:
@@ -97,8 +105,7 @@ def cmd_ancilla(args, parser) -> int:
         "oracle": oracle,
         "difference": abs(recovered - oracle),
     }
-    _emit(report, args.json)
-    return 0 if report["difference"] <= ATOL_PHYSICS else 1
+    return _emit(report, args.json) or int(report["difference"] > ATOL_PHYSICS)
 
 
 def cmd_gatecount(args, parser) -> int:
@@ -115,8 +122,7 @@ def cmd_gatecount(args, parser) -> int:
         exponent = gate_count_exponent(ns, counts)
         report["fit_exponent"] = exponent
         print(f"fit_exponent = {_fmt(exponent)}")
-    _write_json(report, args.json)
-    return 0
+    return _write_json(report, args.json)
 
 
 def cmd_sweep(args, parser) -> int:
@@ -132,21 +138,17 @@ def cmd_sweep(args, parser) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    try:
-        if args.format == "csv":
-            payload = sweep_csv(records)
-        else:
-            payload = json.dumps(
-                [
-                    {"p": r.p, "h": r.h, "value_conv": r.value_conv, "value_sed": r.value_sed}
-                    for r in records
-                ],
-                indent=2,
-            ) + "\n"
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+    if args.format == "csv":
+        payload = sweep_csv(records)
+    else:
+        payload = json.dumps(
+            [
+                {"p": r.p, "h": r.h, "value_conv": r.value_conv, "value_sed": r.value_sed}
+                for r in records
+            ],
+            indent=2,
+        ) + "\n"
+    if _write(args.out, payload):
         return 1
     print(f"rows = {len(records)}")
     print(f"min_value_conv = {_fmt(min(r.value_conv for r in records))}")

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -236,12 +237,21 @@ def test_serialization_errors():
         ("qubits 3\nSWAP 1 2 | 3(1)", 2, "SWAP 1 2 | 3(1)"),
         ("qubits 3\nX 1 @ 0 1 1 0", 2, "X 1 @ 0 1 1 0"),
         ("qubits 3\nOPAQUE 1", 2, "OPAQUE 1"),
+        ("qubits 3\nOPAQUE 1 @ 1 0 0 1 | 2(1)", 2, "OPAQUE 1 @ 1 0 0 1 | 2(1)"),
+        ("qubits 3\nCnNOT 1 | 2(1) | 3(1)", 2, "CnNOT 1 | 2(1) | 3(1)"),
+        ("qubits 3\nCNOT 1 | 2(1) @", 2, "CNOT 1 | 2(1) @"),
+        ("qubits 3\nCNOT 1 | 2(1x", 2, "CNOT 1 | 2(1x"),
     ],
 )
 def test_parse_errors_name_the_line(text, lineno, line):
     with pytest.raises(ValueError) as err:
         circuit_from_text(text)
     assert str(err.value).startswith(f"line {lineno}: {line!r}")
+
+
+def test_parse_controlled_phase_without_target():
+    (g,) = circuit_from_text("qubits 2\nOPAQUE | 1(1) @ 1j\n").gates
+    assert (g.targets, g.controls, g.base.tolist()) == ((), ((1, 1),), [[1j]])
 
 
 @pytest.mark.parametrize(
@@ -254,6 +264,28 @@ def test_parse_errors_name_the_line(text, lineno, line):
 )
 def test_circuit_text_matches_golden(name, circ):
     assert circuit_to_text(circ) == (DATA / name).read_text()
+
+
+# sha256 of circuit_to_text(expand_multicontrolled(vprime_dagger_circuit(n))), n = 2..12
+EXPANDED_VPRIME_SHA256 = {
+    2: "ed98cf25130f720d22b75b07bd15b8089c394333207394def10154aa279de94d",
+    3: "572134384218b27769576282412858b548105acd70e9cacea390f8ce70858b85",
+    4: "c4e7d5b3eb3bce127e52f1ba18f879eddd40c64002313bb404654626064e25d4",
+    5: "7127051fa1ddd60138c5f13b81917c5d26c545637865e6f97868a7430a43d48c",
+    6: "e914470bd66c69332669cc23be1dec229582a6af106b00f1a389d1b32778ab8c",
+    7: "7ae4bcf2ae7ca5dfdbcbf5df01961b4eca407e12db252de1f3fd578b4212f109",
+    8: "34a291b247f7512184ec24ab4ef48b6d7d26ad5cb1a4915b0ea9d08cb509c6fe",
+    9: "6d70dd0fbe28a5d481b6bc8a0fa1ceff40abc9e605dc9ff13a6ea7f54186625a",
+    10: "4dddbc5fd46784f298403d8871c2bd8a1779cd186f1e654a91589fb7d5265ae2",
+    11: "039e0b2b681019e4ad67acfdda35715d2d52bdea6e496da4cd8e57f4096390bf",
+    12: "3c7b790c7e912e9f98bfb765869095630d892b624b0c3cf1e47caf6eceb88c7c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(EXPANDED_VPRIME_SHA256))
+def test_expanded_vprime_text_is_pinned(n):
+    text = circuit_to_text(expand_multicontrolled(vprime_dagger_circuit(n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPANDED_VPRIME_SHA256[n]
 
 
 LABELS = ("X", "CNOT", "CnNOT", "H", "CnH", "SWAP", "OPAQUE")

@@ -153,6 +153,21 @@ def test_sweep_identity_mode(capsys, tmp_path):
     assert all(float(r.split(",")[3]) >= -1e-10 for r in rows)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--n", "3"],
+        ["sed-verify", "--n", "2", "--trials", "3"],
+        ["ancilla", "--n", "3"],
+        ["gatecount", "--n-min", "4", "--n-max", "5"],
+    ],
+)
+def test_unwritable_json_path_exits_1(argv, capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    assert main(argv + ["--json", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+
+
 def test_usage_errors_exit_2():
     for argv in (
         ["witness", "--kind", "ghz", "--n", "1"],
