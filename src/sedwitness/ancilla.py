@@ -10,6 +10,14 @@ P(0...0) and
 
 No diagonality condition on V^dag rho V is required.  Readout is modeled as
 a nondestructive ensemble average: Tr(rho Z_ancilla) with no state update.
+
+The joint state is never formed.  It starts as diag(p, 1-p) (x) rho and
+every CnNOT is undone before the next register unitary, so each register
+unitary meets a state that is block diagonal in the ancilla.  The
+simulation keeps the two register blocks <a|joint|a>, a = 0, 1, and applies
+a register unitary u as u B u^dag to each block: two dense 2^n products per
+block.  The CnNOT only swaps the populations of |0,0...0> and |1,0...0>,
+so the read trades those two diagonal entries.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, dagger, kron, z_signs
+from .tensor import ATOL_ALGEBRA, dagger
 
 ILL_CONDITIONED_P = 1e-6  # guard: 1/(2p-1) amplification stays below 5e5
 
@@ -65,40 +73,33 @@ class ConcatSpec:
                 raise ValueError(f"stage {s.label!r} entangler is not unitary")
 
 
-def _flip_on_all_zero(joint: np.ndarray) -> None:
-    """CnNOT in place: the ancilla (qubit 1) flips iff the register is |0...0>,
-    which swaps joint basis states 0 and 2**n."""
-    dim = joint.shape[0] // 2
-    joint[[0, dim]] = joint[[dim, 0]]
-    joint[:, [0, dim]] = joint[:, [dim, 0]]
-
-
-def _conjugate_register(joint: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(1 (x) u) joint (1 (x) u)^dag, applied on each of the four ancilla blocks."""
-    two_dim, dim = joint.shape[0], u.shape[0]
-    rows = u @ joint.reshape(2, dim, two_dim)
-    return (rows.reshape(2 * two_dim, dim) @ dagger(u)).reshape(two_dim, two_dim)
+def _flipped_populations(blocks: np.ndarray) -> np.ndarray:
+    """Diagonals of the two ancilla blocks after the CnNOT, shape (2, 2^n):
+    the flip swaps the populations of |0,0...0> and |1,0...0>."""
+    pops = np.diagonal(blocks, axis1=1, axis2=2).real.copy()
+    pops[[0, 1], 0] = pops[[1, 0], 0]
+    return pops
 
 
 def _ancilla_z(rho_in: np.ndarray, entanglers, cfg: AncillaConfig) -> list[float]:
-    """Tr(rho_a Z) after each stage of one run on the joint ancilla-register
-    state: disentangle with V^dag, flip, read; before each later stage,
-    un-compute the previous one (flip back, then apply its V)."""
+    """Tr(rho_a Z) after each stage of one run: disentangle with V^dag, flip,
+    read; before each later stage, un-compute the previous one (flip back,
+    then apply its V).  The state is the stack of the two ancilla-diagonal
+    blocks, on which the flip and its undo cancel; the flip shows only in
+    the read."""
     rho_in = np.asarray(rho_in, dtype=complex)
     entanglers = [np.asarray(v, dtype=complex) for v in entanglers]
     dim = 2**cfg.n
     if rho_in.shape != (dim, dim) or any(v.shape != (dim, dim) for v in entanglers):
         raise ValueError("dimension mismatch with ancilla configuration")
-    signs = z_signs(cfg.n + 1)[cfg.n]  # Z on the ancilla, tensor slot 1
-    joint = kron(np.diag([cfg.p, 1 - cfg.p]), rho_in)
+    blocks = np.stack([cfg.p * rho_in, (1 - cfg.p) * rho_in])
     values = []
     for i, v in enumerate(entanglers):
         if i:
-            _flip_on_all_zero(joint)
-            joint = _conjugate_register(joint, entanglers[i - 1])
-        joint = _conjugate_register(joint, dagger(v))
-        _flip_on_all_zero(joint)
-        values.append(float(signs @ np.diag(joint).real))
+            blocks = entanglers[i - 1] @ blocks @ dagger(entanglers[i - 1])
+        blocks = dagger(v) @ blocks @ v
+        pops = _flipped_populations(blocks)
+        values.append(float(pops[0].sum() - pops[1].sum()))
     return values
 
 

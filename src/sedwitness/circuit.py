@@ -9,11 +9,12 @@ bit (1 = active on |1>, 0 = active on |0>).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, H, SWAP, X, _check_qubits, apply_controlled, dagger
+from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, H, SWAP, X, apply_controlled, dagger
 
 
 # text labels of the named bases with 0, 1 and >= 2 controls
@@ -71,6 +72,14 @@ class Gate:
         return Gate(dagger(self.base), self.targets, self.controls)
 
 
+class QubitRangeError(ValueError):
+    """A gate touches a qubit outside the register; `index` is its position."""
+
+    def __init__(self, index: int, qubit: int, n: int):
+        super().__init__(f"gate {index}: qubit {qubit} out of range 1..{n}")
+        self.index = index
+
+
 @dataclass(frozen=True, eq=False)
 class Circuit:
     n: int
@@ -78,8 +87,10 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            _check_qubits(g.qubits(), self.n, "gate")
+        for i, g in enumerate(self.gates):
+            for q in g.qubits():  # Gate holds distinct qubits numbered from 1
+                if q > self.n:
+                    raise QubitRangeError(i, q, self.n)
 
     def then(self, other: "Circuit") -> "Circuit":
         if other.n != self.n:
@@ -270,7 +281,16 @@ def phase_insensitive_equal(m1: np.ndarray, m2: np.ndarray, atol: float = ATOL_P
 #   LABEL targets... [| controls as q(pol)...] [@ base entries row-major]
 # preceded by a "qubits N" header; complex entries round-trip via repr().
 # Only OPAQUE gates carry their base; every other label names its base.
+# Qubit numbers and polarities are ASCII decimal digits, as the writer emits.
 # ---------------------------------------------------------------------------
+
+_CONTROL = re.compile(r"([0-9]+)\(([0-9]+)\)")
+
+
+def _number(tok: str) -> int:
+    if not (tok.isascii() and tok.isdecimal()):
+        raise ValueError(f"{tok!r} is not a qubit number")
+    return int(tok)
 
 
 def circuit_to_text(c: Circuit) -> str:
@@ -298,7 +318,7 @@ def circuit_from_text(text: str) -> Circuit:
         raise ValueError("missing 'qubits N' header")
     (lineno, header), *body = lines
     fields = header.split()
-    if len(fields) != 2 or not fields[1].isdecimal():
+    if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdecimal()):
         raise ValueError(f"line {lineno}: {header!r}: expected 'qubits N'")
     n = int(fields[1])
     gates = []
@@ -313,10 +333,12 @@ def circuit_from_text(text: str) -> Circuit:
                 elif tok == "@":
                     section, marks = "entries", marks + tok
                 elif section == "targets":
-                    targets.append(int(tok))
+                    targets.append(_number(tok))
                 elif section == "controls":
-                    q, p = tok.removesuffix(")").split("(")
-                    controls.append((int(q), int(p)))
+                    match = _CONTROL.fullmatch(tok)
+                    if not match:
+                        raise ValueError(f"{tok!r} is not a control q(pol)")
+                    controls.append((int(match[1]), int(match[2])))
                 else:
                     entries.append(tok)
             # at most one "|" and one "@", in that order, each opening a non-empty section
@@ -336,8 +358,11 @@ def circuit_from_text(text: str) -> Circuit:
             g = Gate(base, tuple(targets), tuple(controls))
             if g.label != name:
                 raise ValueError(f"gate is labelled {g.label}, not {name}")
-            _check_qubits(g.qubits(), n, "gate")
             gates.append(g)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {ln!r}: {exc}") from exc
-    return Circuit(n, tuple(gates))
+    try:
+        return Circuit(n, tuple(gates))
+    except QubitRangeError as exc:
+        lineno, ln = body[exc.index]
+        raise ValueError(f"line {lineno}: {ln!r}: {exc}") from exc

@@ -1,8 +1,9 @@
 """Tests of the one-ancilla readout.
 
 The dense pipeline below (a 2**(n+1) CnNOT matrix, kron(1, V) conjugations
-and the ancilla Z through a partial trace) is the implementation the joint
-state routine replaced; it is kept here as the oracle.
+of the whole joint state and the ancilla Z through a partial trace) is the
+implementation the two-block routine replaced; it is kept here as the
+oracle.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from sedwitness.ancilla import (
     AncillaConfig,
     ConcatSpec,
     Stage,
-    _flip_on_all_zero,
+    _flipped_populations,
     ancilla_readout,
     intermediate_identities,
     run_concatenated,
@@ -36,19 +37,31 @@ def dense_cnnot(n):
     return kron(X, proj0) + kron(np.eye(2), np.eye(dim) - proj0)
 
 
+def off_ancilla_diagonal(joint):
+    """Largest entry of the blocks <0|joint|1> and <1|joint|0>."""
+    dim = joint.shape[0] // 2
+    return max(np.abs(joint[:dim, dim:]).max(), np.abs(joint[dim:, :dim]).max())
+
+
 def dense_run(rho_in, stages, p):
     """Per stage (v, c): conjugate by kron(1, V^dag), flip, read the ancilla Z
-    through a partial trace, un-compute. Returns (trz, value) per stage."""
+    through a partial trace, un-compute. Returns (trz, value) per stage.
+
+    Every register unitary must meet a state with no coherence between the
+    ancilla's two states: the two-block routine rests on that."""
     n = int(np.log2(rho_in.shape[0]))
     cn = dense_cnnot(n)
     joint = kron(np.diag([p, 1 - p]), rho_in)
     out = []
     for v, c in stages:
         vfull = kron(np.eye(2), v)
+        assert off_ancilla_diagonal(joint) <= 1e-14
         joint = cn @ dagger(vfull) @ joint @ vfull @ dagger(cn)
         trz = np.trace(partial_trace(joint, [1]) @ Z).real
         out.append((trz, c - 0.5 + trz / (2 * (2 * p - 1))))
-        joint = vfull @ dagger(cn) @ joint @ cn @ dagger(vfull)
+        joint = dagger(cn) @ joint @ cn
+        assert off_ancilla_diagonal(joint) <= 1e-14
+        joint = vfull @ joint @ dagger(vfull)
     return out
 
 
@@ -60,16 +73,18 @@ def test_config_validation():
     AncillaConfig(p=1.0, n=3)
 
 
-def test_cnnot_flips_only_on_all_zero_register():
-    # the in-place swap of joint basis states 0 and 2**n is the dense CnNOT
+def test_read_populations_are_the_dense_cnnot_diagonal():
+    # on a joint state that is block diagonal in the ancilla, the populations
+    # the read uses are exactly the diagonal after the dense CnNOT
     rng = np.random.default_rng(3)
     for n in range(1, 5):
-        dim = 2 ** (n + 1)
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        dim = 2**n
+        blocks = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+        joint = np.zeros((2 * dim, 2 * dim), dtype=complex)
+        joint[:dim, :dim], joint[dim:, dim:] = blocks
         cn = dense_cnnot(n)
-        want = cn @ m @ cn.T
-        _flip_on_all_zero(m)
-        assert np.array_equal(m, want)
+        want = np.diag(cn @ joint @ cn.T).real
+        assert np.array_equal(_flipped_populations(blocks).ravel(), want)
 
 
 @st.composite
@@ -95,6 +110,20 @@ def test_readouts_match_dense_pipeline(case):
     got = run_concatenated(rho, ConcatSpec(tuple(Stage(v, c) for v, c in stages)), cfg)
     assert len(got) == len(stages)
     assert all(abs(g - w[1]) <= 1e-12 for g, w in zip(got, want))
+
+
+def test_three_stages_match_dense_pipeline_at_n7():
+    # past the n <= 5 the property test draws
+    rng = np.random.default_rng(2024)
+    n = 7
+    rho = random_density_matrix(2**n, rng)
+    stages = [(haar_unitary(2**n, rng), c) for c in (0.25, 0.5, 0.75)]
+    cfg = AncillaConfig(0.8, n)
+    want = dense_run(rho, stages, cfg.p)
+    got = run_concatenated(rho, ConcatSpec(tuple(Stage(v, c) for v, c in stages)), cfg)
+    assert all(abs(g - w[1]) <= 1e-12 for g, w in zip(got, want, strict=True))
+    trz = intermediate_identities(rho, stages[0][0], cfg)["tr_ancilla_z"]
+    assert abs(trz - want[0][0]) <= 1e-12
 
 
 def test_ghz_pure_state_readout():

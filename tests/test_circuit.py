@@ -231,6 +231,7 @@ def test_serialization_errors():
         ("qubits 3\n\nOPAQUE 1 @ 1 0 0", 3, "OPAQUE 1 @ 1 0 0"),
         ("qubits 3\nH 1\n  NOPE 2", 3, "NOPE 2"),
         ("qubits 2\nH 3", 2, "H 3"),
+        ("qubits 2\n\nH 1\nCNOT 1 | 3(1)", 4, "CNOT 1 | 3(1)"),
         ("qubits 3\nCnNOT 1", 2, "CnNOT 1"),
         ("qubits 3\nCNOT 1", 2, "CNOT 1"),
         ("qubits 3\nH 1 | 2(1)", 2, "H 1 | 2(1)"),
@@ -241,6 +242,11 @@ def test_serialization_errors():
         ("qubits 3\nCnNOT 1 | 2(1) | 3(1)", 2, "CnNOT 1 | 2(1) | 3(1)"),
         ("qubits 3\nCNOT 1 | 2(1) @", 2, "CNOT 1 | 2(1) @"),
         ("qubits 3\nCNOT 1 | 2(1x", 2, "CNOT 1 | 2(1x"),
+        ("qubits 12\nX 1_0", 2, "X 1_0"),
+        ("qubits 3\nX +1", 2, "X +1"),
+        ("qubits 3\nCNOT 1 | 2(+1)", 2, "CNOT 1 | 2(+1)"),
+        ("qubits 3\nX \u0661", 2, "X \u0661"),
+        ("qubits \u0661\u0662\nX 1", 1, "qubits \u0661\u0662"),
     ],
 )
 def test_parse_errors_name_the_line(text, lineno, line):
