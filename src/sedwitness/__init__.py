@@ -17,7 +17,7 @@ from .circuit import (
     vprime_dagger_circuit,
     w_entangler,
 )
-from .noise import NoiseModel, SweepRecord, apply_noisy_gate, simulate_noisy, sweep, sweep_csv
+from .noise import SweepRecord, sweep, sweep_csv
 from .sed import (
     SedDecomposition,
     SedMeasurementResult,
@@ -31,15 +31,8 @@ from .states import (
     make_ghz,
     make_w,
     pseudopure_matrix,
-    thermal_matrix,
 )
-from .tensor import (
-    kron,
-    max_schmidt_sq,
-    min_eigenvalue_hermitian,
-    partial_trace,
-    partial_transpose,
-)
+from .tensor import max_schmidt_sq
 from .witness import (
     Witness,
     biseparable_c,
@@ -47,7 +40,6 @@ from .witness import (
     epsilon_limit,
     expectation,
     generic_witness,
-    ppt_min_eig,
 )
 
 __version__ = "0.1.0"

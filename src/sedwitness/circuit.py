@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, H, SWAP, X, apply_controlled, dagger
+from .tensor import ATOL_ALGEBRA, H, SWAP, X, apply_controlled, dagger
 
 
 # text labels of the named bases with 0, 1 and >= 2 controls
@@ -266,14 +266,6 @@ def gate_count_exponent(n_values, counts) -> float:
     xs = np.log(np.asarray(n_values, dtype=float))
     ys = np.log(np.asarray(counts, dtype=float))
     return float(np.polyfit(xs, ys, 1)[0])
-
-
-def phase_insensitive_equal(m1: np.ndarray, m2: np.ndarray, atol: float = ATOL_PHYSICS) -> bool:
-    """Compare unitaries up to a global phase (taken from the largest entry)."""
-    prod = m1 @ dagger(m2)
-    idx = np.unravel_index(np.argmax(np.abs(prod)), prod.shape)
-    phase = prod[idx] / abs(prod[idx])
-    return bool(np.max(np.abs(prod - phase * np.eye(prod.shape[0]))) <= atol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Probabilistic gate-noise superoperator and the (p, h) sweep.
+"""Probabilistic gate noise, pulled back through a circuit, and the (p, h) sweep.
 
 Each gate succeeds with probability p_s = h**k, where k is the number of
 qubits the gate touches (controls included); on failure the touched block
@@ -6,23 +6,24 @@ is replaced by the maximally mixed state:
 
     E(rho) = p_s U rho U^dag + (1 - p_s) Tr_t(rho) (x) 1/2**len(t)
 
-with the mixed factor re-embedded at the gate's qubit positions.
-`apply_noisy_gate` and `simulate_noisy` run this channel on density
-matrices (the Schroedinger picture), touching only the row and column axes
-of the gate's own qubits, O(4**n * 4**k) per gate.
+with the mixed factor re-embedded at the gate's qubit positions.  The
+package runs this channel in one picture only, the Heisenberg picture on
+real Pauli coefficients: `pull_back` maps the coefficients of an
+observable O to those of E^dag(O), so Tr(O E(rho)) = Tr(E^dag(O) rho) for
+every input rho.  In the Pauli-string basis the adjoint of a noisy gate is
+E_g^dag = R_g D_g, where D_g multiplies by p_s every string that is not
+the identity on the gate's qubits (Tr_t of a traceless factor is 0) and
+R_g is the real 4**k x 4**k Pauli transfer matrix of O -> U^dag O U.  R_g
+does not depend on h, so one backward walk over the gate list pulls an
+observable back for a whole chunk of h values at once, each gate one
+matmul on its own axes.
 
 The sweep prepares a thermal product state, runs the noisy entangler, then
 compares the conventional witness (noiseless direct trace) with the
 single-run readout whose measurement circuit (disentangler followed by the
-expanded V'^dag circuit) is itself noisy.  It works in the Heisenberg
-picture on real Pauli coefficients: in the Pauli-string basis the adjoint
-of a noisy gate is E_g^dag = R_g D_g, where D_g multiplies by p_s every
-string that is not the identity on the gate's qubits (Tr_t of a traceless
-factor is 0) and R_g is the real 4**k x 4**k Pauli transfer matrix of
-O -> U^dag O U.  R_g does not depend on h, so one backward walk over the
-gate list pulls an observable back for a whole chunk of h values at once,
-each gate one matmul on its own axes.  The thermal input is diagonal, so every p reads
-only the I/Z strings: Tr(rho_0(p) P_z) = (2p - 1)**|z|.
+expanded V'^dag circuit) is itself noisy.  Both observables are pulled
+back to the thermal input.  It is diagonal, so every p reads only the I/Z
+strings: Tr(rho_0(p) P_z) = (2p - 1)**|z|.
 """
 
 from __future__ import annotations
@@ -43,27 +44,8 @@ from .circuit import (
     vprime_dagger_circuit,
 )
 from .sed import sed_decomposition
-from .tensor import (
-    ATOL_ALGEBRA,
-    ATOL_GRID,
-    apply_controlled,
-    n_qubits,
-    pauli_coefficients,
-    pauli_strings,
-)
+from .tensor import ATOL_ALGEBRA, ATOL_GRID, n_qubits, pauli_coefficients, pauli_strings
 from .witness import select_witness
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    h: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.h <= 1.0:
-            raise ValueError(f"h {self.h} out of [0, 1]")
-
-    def p_success(self, gate: Gate) -> float:
-        return self.h ** len(gate.qubits())
 
 
 @dataclass(frozen=True)
@@ -72,45 +54,6 @@ class SweepRecord:
     h: float
     value_conv: float
     value_sed: float
-
-
-def apply_noisy_gate(rho: np.ndarray, g: Gate, model: NoiseModel) -> np.ndarray:
-    """E(rho) for one noisy gate, computed on the gate's own axes of rho.
-
-    The gate acts on the touched row axes and its conjugate on the touched
-    column axes; the failure term adds Tr_t(rho) / 2**k to the diagonal
-    blocks of the touched qubits.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = n_qubits(rho.shape[0])
-    qubits = g.qubits()
-    if max(qubits) > n:
-        raise ValueError("gate does not fit the state dimension")
-    ps = model.p_success(g)
-    t = rho.reshape((2,) * (2 * n))
-    rows = apply_controlled(t, g.base, g.controls, g.targets)
-    out = apply_controlled(rows, g.base.conj(), g.controls, g.targets, n, ps)
-    if ps != 1.0:
-        # einsum labels: qubit i of the gate has label i on its row and its
-        # column axis, every other axis a label >= k
-        k = len(qubits)
-        labels = list(range(k, k + 2 * n))
-        for i, q in enumerate(qubits):
-            labels[q - 1] = labels[n + q - 1] = i
-        rest = [lab for lab in labels if lab >= k]
-        traced = np.einsum(t, labels, rest)  # Tr_t(rho)
-        diagonal = np.einsum(out, labels, list(range(k)) + rest)  # writable view
-        diagonal += traced * ((1 - ps) / 2**k)
-    return out.reshape(rho.shape)
-
-
-def simulate_noisy(c: Circuit, rho0: np.ndarray, model: NoiseModel) -> np.ndarray:
-    rho = np.asarray(rho0, dtype=complex)
-    if rho.shape[0] != 2**c.n:
-        raise ValueError("state dimension does not match circuit register")
-    for g in c.gates:
-        rho = apply_noisy_gate(rho, g, model)
-    return rho
 
 
 @lru_cache(maxsize=4096)
@@ -140,45 +83,49 @@ def _adjoint_transfer(raw: bytes, dim: int, polarities: tuple) -> np.ndarray:
 _WALK_COEFFS = 2**20
 
 
-def pull_back(c: Circuit, coeffs: np.ndarray, models) -> np.ndarray:
-    """Pauli coefficients of E^dag(O) for the noisy run E of c under each model.
+def pull_back(c: Circuit, coeffs: np.ndarray, grid_h) -> np.ndarray:
+    """Pauli coefficients of E^dag(O) for the noisy run E of c at each h of grid_h.
 
     coeffs holds the real Pauli coefficients of O, shape (4,)*c.n; the
-    result has one more, leading axis over the sequence `models`.  The
-    gates are walked last to first, once for as many models as fit
-    _WALK_COEFFS: gate g applies M_g = R_g diag(1, p_s, ..., p_s), one
-    4**k x 4**k matrix per model, to the axes of its own k qubits.
+    result has one more, leading axis over grid_h.  The gates are walked
+    last to first, once for as many h values as fit _WALK_COEFFS: gate g
+    applies M_g = R_g diag(1, p_s, ..., p_s), one 4**k x 4**k matrix per h,
+    to the axes of its own k qubits.
     """
     n = c.n
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (4,) * n:
         raise ValueError(f"coefficients of shape {coeffs.shape} do not fit {n} qubits")
-    out = np.empty((len(models),) + coeffs.shape)
+    grid_h = [float(h) for h in grid_h]
+    for h in grid_h:
+        if not 0.0 <= h <= 1.0:
+            raise ValueError(f"h {h} out of [0, 1]")
+    out = np.empty((len(grid_h),) + coeffs.shape)
     per_walk = max(1, _WALK_COEFFS // 4**n)
-    for i in range(0, len(models), per_walk):
-        out[i : i + per_walk] = _walk(c, coeffs, models[i : i + per_walk])
+    for i in range(0, len(grid_h), per_walk):
+        out[i : i + per_walk] = _walk(c, coeffs, grid_h[i : i + per_walk])
     return out
 
 
-def _walk(c: Circuit, coeffs: np.ndarray, models) -> np.ndarray:
-    """One walk of pull_back, for all of `models` at once."""
+def _walk(c: Circuit, coeffs: np.ndarray, grid_h: list[float]) -> np.ndarray:
+    """One walk of pull_back, for all of grid_h at once."""
     n = c.n
-    out = np.repeat(coeffs[None], len(models), axis=0)
+    out = np.repeat(coeffs[None], len(grid_h), axis=0)
     order = list(range(1, n + 1))  # order[i] is the qubit on axis i + 1 of out
     for g in reversed(c.gates):
         qubits = g.qubits()
         k = len(qubits)
         r = _adjoint_transfer(g.base.tobytes(), len(g.base), tuple(pol for _, pol in g.controls))
-        damp = np.ones((len(models), 1, 4**k))
-        damp[:, :, 1:] = np.array([model.p_success(g) for model in models])[:, None, None]
+        damp = np.ones((len(grid_h), 1, 4**k))
+        damp[:, :, 1:] = np.array([h**k for h in grid_h])[:, None, None]  # p_s per h
         # the gate's axes go first, the others keep their order, so the
         # transpose copies long contiguous runs; the result keeps that order
         new = qubits + [q for q in order if q not in qubits]
         if new != order:
             out = out.transpose([0] + [order.index(q) + 1 for q in new])
             order = new
-        out = (r * damp) @ out.reshape(len(models), 4**k, 4 ** (n - k))  # M_g per model
-        out = out.reshape((len(models),) + (4,) * n)
+        out = (r * damp) @ out.reshape(len(grid_h), 4**k, 4 ** (n - k))  # M_g per h
+        out = out.reshape((len(grid_h),) + (4,) * n)
     return out.transpose([0] + [order.index(q) + 1 for q in range(1, n + 1)])
 
 
@@ -220,7 +167,6 @@ def sweep(
         raise ValueError("grid values must lie in [0, 1]")
     if entangler_mode not in ("witness", "identity"):
         raise ValueError(f"unknown entangler mode {entangler_mode!r}")
-    models = [NoiseModel(h) for h in grid_h]
     entangler = select_entangler(witness_kind, n)
     w = select_witness(witness_kind, n)
     dec = sed_decomposition(w)
@@ -232,8 +178,8 @@ def sweep(
     # per h and p: the observables pulled back to the thermal input, read there.
     # W = c 1 - |psi><psi| and every noisy gate adjoint leaves 1 alone, so c stays exact
     projector = pauli_coefficients(w.target.density())
-    conv = w.c - thermal_readout(pull_back(prep, projector, models), grid_p)
-    sed = thermal_readout(pull_back(prep.then(measurement), readout, models), grid_p)
+    conv = w.c - thermal_readout(pull_back(prep, projector, grid_h), grid_p)
+    sed = thermal_readout(pull_back(prep.then(measurement), readout, grid_h), grid_p)
     return [
         SweepRecord(p, h, float(conv[j, i]), dec.a0 + float(sed[j, i]))
         for i, p in enumerate(grid_p)

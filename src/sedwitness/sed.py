@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuit import circuit_unitary, vprime2, vprime_dagger_circuit  # vprime2 is re-exported
+from .circuit import circuit_unitary, vprime_dagger_circuit
 from .states import PureState
 from .tensor import ATOL_PHYSICS, dagger, haar_unitary, z_signs
 from .witness import Witness, expectation, generic_witness

@@ -1,4 +1,4 @@
-"""Reference states: computational basis, GHZ, W, pseudopure and thermal mixtures."""
+"""Reference states: computational basis, GHZ, W and pseudopure mixtures."""
 
 from __future__ import annotations
 
@@ -61,13 +61,3 @@ def pseudopure_matrix(core: PureState, epsilon: float) -> np.ndarray:
         raise ValueError(f"epsilon {epsilon} out of [0, 1]")
     dim = 2**core.n
     return (1 - epsilon) * np.eye(dim, dtype=complex) / dim + epsilon * core.density()
-
-
-def thermal_matrix(n: int, p: float) -> np.ndarray:
-    """[p|0><0| + (1-p)|1><1|]^(tensor n), a diagonal product state."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p {p} out of [0, 1]")
-    diag = np.array([1.0])
-    for _ in range(n):
-        diag = np.kron(diag, np.array([p, 1 - p]))
-    return np.diag(diag).astype(complex)

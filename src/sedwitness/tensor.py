@@ -1,6 +1,7 @@
-"""Dense complex linear algebra for multi-qubit states and operators, the
-local kernel that applies a controlled unitary to their tensor view, and
-the change of an operator to its Pauli-string coefficients.
+"""Qubit bookkeeping, tolerances and Pauli matrices; the one local kernel
+that applies a controlled unitary to a (2,)*m tensor view; the change of a
+Hermitian operator to its Pauli-string coefficients; Schmidt coefficients
+and Haar-random unitaries.
 
 Qubit ordering convention used everywhere in this package: qubit 1 is the
 LEFTMOST tensor factor, i.e. the most significant bit of a computational
@@ -32,8 +33,6 @@ SWAP = np.array(
 
 PAULI = np.stack([I2, X, Y, Z])  # Pauli index 0..3 = I, X, Y, Z
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
 
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
@@ -47,16 +46,9 @@ def n_qubits(dim: int) -> int:
     return n
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with `a` as the left (more significant) factor."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def is_hermitian(m: np.ndarray, atol: float | None = None) -> bool:
-    if atol is None:
-        atol = ATOL_ALGEBRA
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= atol
+    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= ATOL_ALGEBRA
 
 
 def _check_qubits(qubits, n, what):
@@ -70,18 +62,18 @@ def _check_qubits(qubits, n, what):
 
 
 @lru_cache(maxsize=4096)
-def _target_slices(ndim: int, first_axis: int, controls: tuple, targets: tuple) -> tuple:
+def _target_slices(ndim: int, controls: tuple, targets: tuple) -> tuple:
     """Per target basis index a (first target most significant), the index
     of a (2,)*ndim view that fixes every control axis to its polarity and
     the target axes to the bits of a."""
     idx = [slice(None)] * ndim
     for q, pol in controls:
-        idx[first_axis + q - 1] = pol
+        idx[q - 1] = pol
     k = len(targets)
     out = []
     for a in range(2**k):
         for i, q in enumerate(targets):
-            idx[first_axis + q - 1] = (a >> (k - 1 - i)) & 1
+            idx[q - 1] = (a >> (k - 1 - i)) & 1
         out.append(tuple(idx))
     return tuple(out)
 
@@ -99,26 +91,24 @@ def _row_terms(raw: bytes, dim: int) -> tuple:
     return tuple(out)
 
 
-def apply_controlled(
-    t: np.ndarray, base, controls, targets, first_axis: int = 0, scale: float = 1.0
-) -> np.ndarray:
-    """scale times the controlled unitary applied to the (2,)*m view t; t is not modified.
+def apply_controlled(t: np.ndarray, base, controls, targets) -> np.ndarray:
+    """The controlled unitary applied to the (2,)*m view t; t is not modified.
 
-    Qubit q sits on axis first_axis + q - 1: first_axis is 0 for a state or
-    the rows of an operator view and n for its columns.  In the slice where
-    every (q, pol) of `controls` has qubit q fixed to pol, the nonzero
-    entries of `base` off its identity rows act on the `targets` axes; no
-    2**n x 2**n matrix is formed.
+    Qubit q sits on axis q - 1; further axes, such as the columns of an
+    operator's rows, are carried along.  In the slice where every (q, pol)
+    of `controls` has qubit q fixed to pol, the nonzero entries of `base`
+    off its identity rows act on the `targets` axes; no 2**n x 2**n matrix
+    is formed.
     """
     base = np.asarray(base, dtype=complex)
-    slices = _target_slices(t.ndim, first_axis, tuple(controls), tuple(targets))
-    out = np.multiply(t, scale)
+    slices = _target_slices(t.ndim, tuple(controls), tuple(targets))
+    out = t.copy()
     for a, row in _row_terms(base.tobytes(), base.shape[0]):
         dst = out[slices[a]]
         (b, coef), *rest = row
-        np.multiply(t[slices[b]], scale * coef, out=dst)
+        np.multiply(t[slices[b]], coef, out=dst)
         for b, coef in rest:
-            dst += (scale * coef) * t[slices[b]]
+            dst += coef * t[slices[b]]
     return out
 
 
@@ -161,44 +151,6 @@ def pauli_coefficients(m: np.ndarray) -> np.ndarray:
     return t.real.copy()
 
 
-def partial_trace(m: np.ndarray, keep) -> np.ndarray:
-    """Trace out all qubits not listed in `keep` (1-based, order preserved)."""
-    m = np.asarray(m, dtype=complex)
-    n = n_qubits(m.shape[0])
-    keep = _check_qubits(keep, n, what="keep")
-    if not keep:
-        return np.array([[np.trace(m)]], dtype=complex)
-    pool = iter(_LETTERS)
-    row, col = {}, {}
-    for q in range(1, n + 1):
-        if q in keep:
-            row[q] = next(pool)
-            col[q] = next(pool)
-        else:
-            row[q] = col[q] = next(pool)
-    sub = (
-        "".join(row[q] for q in range(1, n + 1))
-        + "".join(col[q] for q in range(1, n + 1))
-        + "->"
-        + "".join(row[q] for q in keep)
-        + "".join(col[q] for q in keep)
-    )
-    k = len(keep)
-    return np.einsum(sub, m.reshape((2,) * (2 * n))).reshape(2**k, 2**k)
-
-
-def partial_transpose(m: np.ndarray, subsystem) -> np.ndarray:
-    """Transpose the listed qubits only; involutive."""
-    m = np.asarray(m, dtype=complex)
-    n = n_qubits(m.shape[0])
-    subsystem = _check_qubits(subsystem, n, what="subsystem")
-    t = m.reshape((2,) * (2 * n))
-    axes = list(range(2 * n))
-    for q in subsystem:
-        axes[q - 1], axes[n + q - 1] = axes[n + q - 1], axes[q - 1]
-    return t.transpose(axes).reshape(m.shape)
-
-
 def max_schmidt_sq(psi: np.ndarray, bipartition) -> float:
     """Largest squared Schmidt coefficient of `psi` across the bipartition.
 
@@ -222,14 +174,6 @@ def max_schmidt_sq(psi: np.ndarray, bipartition) -> float:
     return float(s[0] ** 2)
 
 
-def min_eigenvalue_hermitian(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, atol=ATOL_PHYSICS):
-        raise ValueError("matrix is not Hermitian")
-    return float(np.linalg.eigvalsh(m)[0])
-
-
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random unitary via QR with phase correction."""
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
@@ -237,10 +181,3 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     ph = np.diag(r).copy()
     ph /= np.abs(ph)
     return q * ph
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-rank random density matrix (Wishart construction)."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .states import PureState, make_ghz, make_w, pseudopure_matrix
-from .tensor import ATOL_PHYSICS, max_schmidt_sq, min_eigenvalue_hermitian, partial_transpose
+from .tensor import ATOL_PHYSICS, max_schmidt_sq
 
 # class-boundary constants for the two inequivalent tripartite classes
 GHZ_CLASS_C = 3.0 / 4.0
@@ -30,11 +30,6 @@ class Witness:
     @property
     def n(self) -> int:
         return self.target.n
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense observable c*1 - |psi><psi|, formed on every read."""
-        return self.c * np.eye(2**self.n, dtype=complex) - self.target.density()
 
 
 def class_witness(kind: str) -> Witness:
@@ -103,30 +98,3 @@ def epsilon_limit(w: Witness) -> float:
 def pseudopure_expectation(w: Witness, epsilon: float) -> float:
     """Witness value on the pseudopure mixture of its own target."""
     return expectation(w, pseudopure_matrix(w.target, epsilon))
-
-
-def ppt_min_eig(rho: np.ndarray, cut) -> float:
-    """Smallest eigenvalue of the partial transpose; negative means entangled
-    across the cut (internal oracle, exact only for small dimensions)."""
-    return min_eigenvalue_hermitian(partial_transpose(rho, cut))
-
-
-def random_product_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random single-qubit states composed by tensor product."""
-    amps = np.array([1.0], dtype=complex)
-    for _ in range(n):
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v /= np.linalg.norm(v)
-        amps = np.kron(amps, v)
-    return amps
-
-
-def random_separable_density(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random convex combination of at most 8 product states."""
-    terms = int(rng.integers(1, 9))
-    weights = rng.dirichlet(np.ones(terms))
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    for wgt in weights:
-        v = random_product_state(n, rng)
-        rho += wgt * np.outer(v, v.conj())
-    return rho

@@ -1,15 +1,143 @@
 """Dense 2**n x 2**n reference constructions for the tests.
 
-The package builds V'_n only from its gate circuit and applies every gate
-on its own axes of a tensor view.  The full-matrix embedding and the
-matrix recursion of V'_n below are independent constructions that the
-tests compare it with.
+The package builds V'_n only from its gate circuit, applies every gate on
+its own axes of a tensor view and runs gate noise only as the Pauli
+pull-back of an observable.  The constructions below are independent of
+that code and are what the tests compare it with: the full-matrix gate
+embedding and the matrix recursion of V'_n; the noisy-gate channel on
+density matrices, the only Schroedinger-picture reference; and the dense
+helpers those need or the tests sample with (Kronecker product, partial
+trace and transpose, random and thermal density matrices, the
+partial-transpose test, separable sampling, the dense witness matrix and
+comparison up to a global phase).
 """
 
 import numpy as np
 
 from sedwitness.circuit import vprime2
-from sedwitness.tensor import H, I2, SWAP
+from sedwitness.tensor import ATOL_PHYSICS, H, I2, SWAP, _check_qubits, dagger, n_qubits, pauli_strings
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def kron(a, b):
+    """Kronecker product with `a` as the left (more significant) factor."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def partial_trace(m, keep):
+    """Trace out all qubits not listed in `keep` (1-based, order preserved)."""
+    m = np.asarray(m, dtype=complex)
+    n = n_qubits(m.shape[0])
+    keep = _check_qubits(keep, n, what="keep")
+    if not keep:
+        return np.array([[np.trace(m)]], dtype=complex)
+    pool = iter(_LETTERS)
+    row, col = {}, {}
+    for q in range(1, n + 1):
+        if q in keep:
+            row[q] = next(pool)
+            col[q] = next(pool)
+        else:
+            row[q] = col[q] = next(pool)
+    sub = (
+        "".join(row[q] for q in range(1, n + 1))
+        + "".join(col[q] for q in range(1, n + 1))
+        + "->"
+        + "".join(row[q] for q in keep)
+        + "".join(col[q] for q in keep)
+    )
+    k = len(keep)
+    return np.einsum(sub, m.reshape((2,) * (2 * n))).reshape(2**k, 2**k)
+
+
+def partial_transpose(m, subsystem):
+    """Transpose the listed qubits only; involutive."""
+    m = np.asarray(m, dtype=complex)
+    n = n_qubits(m.shape[0])
+    subsystem = _check_qubits(subsystem, n, what="subsystem")
+    t = m.reshape((2,) * (2 * n))
+    axes = list(range(2 * n))
+    for q in subsystem:
+        axes[q - 1], axes[n + q - 1] = axes[n + q - 1], axes[q - 1]
+    return t.transpose(axes).reshape(m.shape)
+
+
+def min_eigenvalue_hermitian(m):
+    """Smallest eigenvalue of a Hermitian matrix."""
+    m = np.asarray(m, dtype=complex)
+    if np.max(np.abs(m - m.conj().T)) > ATOL_PHYSICS:
+        raise ValueError("matrix is not Hermitian")
+    return float(np.linalg.eigvalsh(m)[0])
+
+
+def ppt_min_eig(rho, cut):
+    """Smallest eigenvalue of the partial transpose; negative means entangled
+    across the cut (exact only for small dimensions)."""
+    return min_eigenvalue_hermitian(partial_transpose(rho, cut))
+
+
+def random_hermitian(dim, rng):
+    """Hermitian matrix with Gaussian entries."""
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return m + m.conj().T
+
+
+def random_density_matrix(dim, rng):
+    """Full-rank random density matrix (Wishart construction)."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def thermal_matrix(n, p):
+    """[p|0><0| + (1-p)|1><1|]^(tensor n), a diagonal product state."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p {p} out of [0, 1]")
+    diag = np.array([1.0])
+    for _ in range(n):
+        diag = np.kron(diag, np.array([p, 1 - p]))
+    return np.diag(diag).astype(complex)
+
+
+def random_product_state(n, rng):
+    """Haar-random single-qubit states composed by tensor product."""
+    amps = np.array([1.0], dtype=complex)
+    for _ in range(n):
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        v /= np.linalg.norm(v)
+        amps = np.kron(amps, v)
+    return amps
+
+
+def random_separable_density(n, rng):
+    """Random convex combination of at most 8 product states."""
+    terms = int(rng.integers(1, 9))
+    weights = rng.dirichlet(np.ones(terms))
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    for wgt in weights:
+        v = random_product_state(n, rng)
+        rho += wgt * np.outer(v, v.conj())
+    return rho
+
+
+def witness_matrix(w):
+    """The dense observable c*1 - |psi><psi| of a witness."""
+    return w.c * np.eye(2**w.n, dtype=complex) - w.target.density()
+
+
+def pauli_operator(coeffs):
+    """The matrix sum_s c_s P_s of Pauli coefficients of shape (4,)*n."""
+    coeffs = np.asarray(coeffs)
+    return np.einsum("s,sij->ij", coeffs.ravel(), pauli_strings(coeffs.ndim))
+
+
+def phase_insensitive_equal(m1, m2, atol=ATOL_PHYSICS):
+    """Compare unitaries up to a global phase (taken from the largest entry)."""
+    prod = m1 @ dagger(m2)
+    idx = np.unravel_index(np.argmax(np.abs(prod)), prod.shape)
+    phase = prod[idx] / abs(prod[idx])
+    return bool(np.max(np.abs(prod - phase * np.eye(prod.shape[0]))) <= atol)
 
 
 def reorder_qubits(m, order):
@@ -65,3 +193,37 @@ def vprime_recursion(n):
     for m in range(3, n + 1):
         v = blockdiag_ubd(m) @ permutation_up(m) @ np.kron(I2, v)
     return v
+
+
+def dense_gate(g, n):
+    """Full 2**n unitary of g: the controlled block on g.qubits() (controls
+    first, then targets), embedded in the register."""
+    proj = np.array([1.0], dtype=complex)
+    for _, pol in g.controls:
+        proj = np.kron(proj, np.array([1.0 - pol, float(pol)], dtype=complex))
+    proj = np.diag(proj)
+    block = kron(proj, g.base) + kron(np.eye(proj.shape[0]) - proj, np.eye(g.base.shape[0]))
+    return embed_gate(block, g.qubits(), n)
+
+
+def dense_noisy_gate(rho, g, h):
+    """p_s U rho U^dag + (1 - p_s) Tr_t(rho) (x) 1/2**k with full 2**n
+    matrices, p_s = h**k for the k qubits t that g touches."""
+    n = n_qubits(rho.shape[0])
+    touched = sorted(g.qubits())
+    u = dense_gate(g, n)
+    ps = h ** len(touched)
+    ideal = u @ rho @ dagger(u)
+    if ps == 1.0:
+        return ideal
+    keep = [q for q in range(1, n + 1) if q not in touched]
+    d = 2 ** len(touched)
+    mixed = reorder_qubits(kron(partial_trace(rho, keep), np.eye(d) / d), keep + touched)
+    return ps * ideal + (1 - ps) * mixed
+
+
+def dense_noisy_run(c, rho, h):
+    """The noisy run of circuit c on rho, one dense noisy gate at a time."""
+    for g in c.gates:
+        rho = dense_noisy_gate(rho, g, h)
+    return rho

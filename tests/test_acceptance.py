@@ -8,27 +8,32 @@ as stated rather than loosened.
 
 import numpy as np
 
-from dense_oracle import vprime_recursion
+from dense_oracle import (
+    kron,
+    phase_insensitive_equal,
+    random_density_matrix,
+    random_product_state,
+    random_separable_density,
+    vprime_recursion,
+)
 from sedwitness.ancilla import AncillaConfig, ancilla_readout, intermediate_identities
 from sedwitness.circuit import (
     circuit_unitary,
     expand_multicontrolled,
     gate_count_G,
     gate_count_exponent,
-    phase_insensitive_equal,
+    vprime2,
     vprime_dagger_circuit,
 )
 from sedwitness.noise import grid_values, sweep, zero_crossing_h
-from sedwitness.sed import SedDecomposition, conjugated_observable, verify_equality, vprime2
+from sedwitness.sed import SedDecomposition, conjugated_observable, verify_equality
 from sedwitness.states import make_ghz
-from sedwitness.tensor import I2, Z, dagger, haar_unitary, kron, random_density_matrix
+from sedwitness.tensor import I2, Z, dagger, haar_unitary
 from sedwitness.witness import (
     class_witness,
     epsilon_limit,
     expectation,
     generic_witness,
-    random_product_state,
-    random_separable_density,
 )
 
 W3 = np.exp(2j * np.pi / 3)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dense_oracle import kron, partial_trace, random_density_matrix
 from sedwitness.ancilla import (
     AncillaConfig,
     ConcatSpec,
@@ -22,7 +23,7 @@ from sedwitness.ancilla import (
 )
 from sedwitness.circuit import circuit_unitary, ghz_entangler, w_entangler
 from sedwitness.states import make_ghz
-from sedwitness.tensor import X, Z, dagger, haar_unitary, kron, partial_trace, random_density_matrix
+from sedwitness.tensor import X, Z, dagger, haar_unitary
 
 
 def ghz_v():

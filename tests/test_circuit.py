@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dense_oracle import vprime_recursion
+from dense_oracle import phase_insensitive_equal, vprime_recursion
 from sedwitness.circuit import (
     Circuit,
     Gate,
@@ -18,7 +18,6 @@ from sedwitness.circuit import (
     gate_count_G,
     gate_count_exponent,
     ghz_entangler,
-    phase_insensitive_equal,
     select_entangler,
     vprime_dagger_circuit,
     w_entangler,

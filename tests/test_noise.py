@@ -5,86 +5,117 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dense_oracle import kron, pauli_operator, random_density_matrix, random_hermitian
 from sedwitness.circuit import Circuit, Gate, circuit_unitary, ghz_entangler
 from sedwitness.cli import main
 from sedwitness.noise import (
-    NoiseModel,
     SweepRecord,
-    apply_noisy_gate,
     grid_values,
-    simulate_noisy,
+    pull_back,
     sweep,
     sweep_csv,
+    thermal_readout,
     zero_crossing_h,
 )
 from sedwitness.states import make_ghz
-from sedwitness.tensor import SWAP, H, X, dagger, kron, random_density_matrix
+from sedwitness.tensor import SWAP, H, X, dagger, haar_unitary, pauli_coefficients
+from sedwitness.witness import select_witness
 
 DATA = Path(__file__).with_name("data")
 
 
 def test_success_probability_policy():
-    m = NoiseModel(0.9)
-    assert m.p_success(Gate(H, (1,))) == pytest.approx(0.9)
-    assert m.p_success(Gate(X, (2,), ((1, 1),))) == pytest.approx(0.81)
-    assert m.p_success(Gate(SWAP, (1, 2))) == pytest.approx(0.81)
-    assert m.p_success(Gate(X, (4,), ((1, 0), (2, 0), (3, 0)))) == pytest.approx(0.9**4)
-    with pytest.raises(ValueError):
-        NoiseModel(1.5)
+    # R_g is orthogonal, so a string that is not the identity on the gate's
+    # k qubits keeps its norm up to the damping p_s = h**k
+    rng = np.random.default_rng(4)
+    h = 0.9
+    for g, k in [
+        (Gate(H, (1,)), 1),
+        (Gate(X, (2,), ((1, 1),)), 2),
+        (Gate(SWAP, (1, 2)), 2),
+        (Gate(haar_unitary(2, rng), (3,)), 1),
+        (Gate(X, (4,), ((1, 0), (2, 0), (3, 0))), 4),
+    ]:
+        coeffs = np.zeros((4,) * 4)
+        coeffs[tuple(int(rng.integers(1, 4)) if q in g.qubits() else 0 for q in range(1, 5))] = 1.0
+        pulled = pull_back(Circuit(4, (g,)), coeffs, [h, 1.0])
+        assert np.linalg.norm(pulled[0]) == pytest.approx(h**k, abs=1e-12)
+        assert np.linalg.norm(pulled[1]) == pytest.approx(1.0, abs=1e-12)
+    for bad in (1.5, -0.1):
+        with pytest.raises(ValueError, match=re.escape(f"h {bad} out of [0, 1]")):
+            pull_back(Circuit(1, ()), np.zeros(4), [1.0, bad])
 
 
 def test_perfect_gate_is_unitary_conjugation():
+    # at h = 1 the pull-back is O -> U^dag O U
     rng = np.random.default_rng(2)
-    rho = random_density_matrix(8, rng)
+    obs = random_hermitian(8, rng)
     g = Gate(X, (3,), ((1, 1),))
     u = circuit_unitary(Circuit(3, (g,)))
-    out = apply_noisy_gate(rho, g, NoiseModel(1.0))
-    assert np.max(np.abs(out - u @ rho @ dagger(u))) <= 1e-12
+    (out,) = pull_back(Circuit(3, (g,)), pauli_coefficients(obs), [1.0])
+    assert np.max(np.abs(out - pauli_coefficients(dagger(u) @ obs @ u))) <= 1e-12
 
 
 def test_full_failure_mixes_target_block():
+    # at h = 0 a gate on qubit 1 replaces that qubit by 1/2: the pulled-back
+    # observable is the identity there, and Tr(O E(rho_a (x) rho_b)) = Tr(O (1/2 (x) rho_b))
     rng = np.random.default_rng(6)
     rho_a = random_density_matrix(2, rng)
     rho_b = random_density_matrix(4, rng)
-    joint = kron(rho_a, rho_b)
-    out = apply_noisy_gate(joint, Gate(H, (1,)), NoiseModel(0.0))
-    assert np.max(np.abs(out - kron(np.eye(2) / 2, rho_b))) <= 1e-12
+    obs = random_hermitian(8, rng)
+    (out,) = pull_back(Circuit(3, (Gate(H, (1,)),)), pauli_coefficients(obs), [0.0])
+    assert np.max(np.abs(out[1:])) <= 1e-12
+    got = np.trace(pauli_operator(out) @ kron(rho_a, rho_b))
+    want = np.trace(obs @ kron(np.eye(2) / 2, rho_b))
+    assert abs(got - want) <= 1e-12
 
 
 def test_noisy_gate_rejects_qubit_zero():
-    # qubit 0 would land on the last axis of rho; such a gate cannot be built
-    rho = np.diag([1.0, 0, 0, 0]).astype(complex)
+    # qubit 0 would land outside the coefficient axes; such a gate cannot be built
+    coeffs = np.zeros((4, 4))
     with pytest.raises(ValueError):
-        apply_noisy_gate(rho, Gate(X, (0,)), NoiseModel(1.0))
+        pull_back(Circuit(2, (Gate(X, (0,)),)), coeffs, [1.0])
     with pytest.raises(ValueError):
-        apply_noisy_gate(rho, Gate(X, (1,), ((0, 1),)), NoiseModel(1.0))
+        pull_back(Circuit(2, (Gate(X, (1,), ((0, 1),)),)), coeffs, [1.0])
 
 
 def test_noisy_gate_preserves_trace():
+    # the channel is trace-preserving and unital: the identity string pulls
+    # back to itself, and so does the identity coefficient of any observable
     rng = np.random.default_rng(12)
-    rho = random_density_matrix(8, rng)
-    out = apply_noisy_gate(rho, Gate(X, (2,), ((1, 1),)), NoiseModel(0.7))
-    assert abs(np.trace(out) - 1) <= 1e-12
+    c = Circuit(3, (Gate(X, (2,), ((1, 1),)),))
+    identity = np.zeros((4, 4, 4))
+    identity[0, 0, 0] = 1.0
+    (out,) = pull_back(c, identity, [0.7])
+    assert np.max(np.abs(out - identity)) <= 1e-12
+    coeffs = pauli_coefficients(random_hermitian(8, rng))
+    (out,) = pull_back(c, coeffs, [0.7])
+    assert abs(out[0, 0, 0] - coeffs[0, 0, 0]) <= 1e-12
 
 
 def test_simulate_noiseless_matches_unitary():
+    # the noiseless pull-back through a whole circuit is U^dag O U, and an
+    # empty circuit returns its input unchanged at any h
     rng = np.random.default_rng(14)
     c = ghz_entangler(3)
-    rho = random_density_matrix(8, rng)
+    obs = random_hermitian(8, rng)
     u = circuit_unitary(c)
-    assert np.max(np.abs(simulate_noisy(c, rho, NoiseModel(1.0)) - u @ rho @ dagger(u))) <= 1e-12
-    assert np.array_equal(simulate_noisy(Circuit(3, ()), rho, NoiseModel(0.3)), rho)
+    (out,) = pull_back(c, pauli_coefficients(obs), [1.0])
+    assert np.max(np.abs(out - pauli_coefficients(dagger(u) @ obs @ u))) <= 1e-12
+    coeffs = pauli_coefficients(obs)
+    assert np.array_equal(pull_back(Circuit(3, ()), coeffs, [0.3])[0], coeffs)
 
 
 def test_noisy_ghz_fidelity_strictly_between_zero_and_one():
-    rho0 = np.zeros((8, 8), dtype=complex)
-    rho0[0, 0] = 1.0
-    out = simulate_noisy(ghz_entangler(3), rho0, NoiseModel(0.9))
-    fid = (make_ghz(3).amplitudes.conj() @ out @ make_ghz(3).amplitudes).real
+    # <GHZ| E(|000><000|) |GHZ>: the GHZ projector pulled back, read at p = 1
+    projector = pauli_coefficients(make_ghz(3).density())
+    ((fid,),) = thermal_readout(pull_back(ghz_entangler(3), projector, [0.9]), [1.0])
     assert 0.0 < fid < 1.0
 
 
 def test_noisy_outputs_stay_physical():
+    # the adjoint of a positive channel is positive: a PSD observable pulls
+    # back to a PSD sum_s c_s P_s (Hermitian since the c_s are real)
     rng = np.random.default_rng(23)
     kinds = [
         lambda q: Gate(H, (q[0],)),
@@ -94,15 +125,15 @@ def test_noisy_outputs_stay_physical():
         lambda q: Gate(X, (q[2],), ((q[0], 0), (q[1], 1))),
     ]
     for h in (0.0, 0.5, 0.9, 1.0):
-        rho = random_density_matrix(8, rng)
+        obs = random_density_matrix(8, rng)
         gates = []
         for _ in range(8):
-            qubits = list(rng.permutation([1, 2, 3]))
+            qubits = [int(q) for q in rng.permutation([1, 2, 3])]
             gates.append(kinds[rng.integers(len(kinds))](qubits))
-        out = simulate_noisy(Circuit(3, tuple(gates)), rho, NoiseModel(h))
-        assert abs(np.trace(out) - 1) <= 1e-12
-        assert np.max(np.abs(out - out.conj().T)) <= 1e-12
-        assert np.linalg.eigvalsh(out)[0] >= -1e-10
+        (out,) = pull_back(Circuit(3, tuple(gates)), pauli_coefficients(obs), [h])
+        assert out.dtype == float
+        assert abs(out[0, 0, 0] - 1 / 8) <= 1e-12
+        assert np.linalg.eigvalsh(pauli_operator(out))[0] >= -1e-10
 
 
 def test_maximally_mixed_is_noise_invariant():
@@ -119,6 +150,21 @@ def test_sweep_h1_column_and_corner():
         assert abs(r.value_sed - r.value_conv) <= 1e-10
     corner = [r for r in records if r.p == 1.0][0]
     assert corner.value_conv == pytest.approx(-0.25, abs=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["ghz", "w"])
+def test_sweep_closed_forms_at_n_8(kind):
+    # the channel is unital, so p = 1/2 (the maximally mixed input) reads
+    # c - 2**-8 at every h; without noise the single-run readout is exact
+    c = select_witness(kind, 8).c
+    records = sweep(8, [0.5, 0.8, 1.0], [0.6, 1.0], kind)
+    assert len(records) == 6
+    for r in records:
+        if r.p == 0.5:
+            assert abs(r.value_conv - (c - 2**-8)) <= 1e-12
+            assert abs(r.value_sed - (c - 2**-8)) <= 1e-12
+        if r.h == 1.0:
+            assert abs(r.value_sed - r.value_conv) <= 1e-12
 
 
 def test_sweep_grid_shape_and_order():

@@ -1,10 +1,14 @@
 """Property tests of the local gate kernel, the Pauli-transfer pull-back
 and the Heisenberg sweep.
 
-The dense gate matrix, the dense noisy-gate formula and the forward
-per-(p, h) sweep below are the implementations the kernel and the sweep
-replaced; they are kept here as oracles.  The Pauli pull-back of a noisy
-gate is checked against the density-matrix channel `apply_noisy_gate`.
+The library runs gate noise only as the pull-back `pull_back` of Pauli
+coefficients.  Every check here compares it with the dense
+Schroedinger-picture channel of `dense_oracle` (`dense_noisy_gate` and
+`dense_noisy_run`): coefficient by coefficient through E_g^dag = E_{g^dag},
+or by duality, Tr(O E(rho)) = 2**n sum_s c'_s rho_s for the pulled-back
+coefficients c' of O and the coefficients rho_s of rho.  The forward
+per-(p, h) sweep below is the implementation the Heisenberg sweep
+replaced; it is kept as an oracle.
 """
 
 import numpy as np
@@ -12,7 +16,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dense_oracle import embed_gate, reorder_qubits
+from dense_oracle import (
+    dense_gate,
+    dense_noisy_gate,
+    dense_noisy_run,
+    embed_gate,
+    pauli_operator,
+    random_density_matrix,
+    random_hermitian,
+    thermal_matrix,
+)
 from sedwitness.circuit import (
     Circuit,
     Gate,
@@ -22,49 +35,10 @@ from sedwitness.circuit import (
     select_entangler,
     vprime_dagger_circuit,
 )
-from sedwitness.noise import NoiseModel, apply_noisy_gate, pull_back, simulate_noisy, sweep, thermal_readout
+from sedwitness.noise import pull_back, sweep, thermal_readout
 from sedwitness.sed import SedDecomposition
-from sedwitness.states import thermal_matrix
-from sedwitness.tensor import (
-    SWAP,
-    H,
-    X,
-    Z,
-    dagger,
-    haar_unitary,
-    kron,
-    n_qubits,
-    partial_trace,
-    pauli_coefficients,
-    random_density_matrix,
-)
+from sedwitness.tensor import SWAP, H, X, Z, haar_unitary, pauli_coefficients
 from sedwitness.witness import select_witness
-
-
-def dense_gate(g, n):
-    """Full 2**n unitary of g: the controlled block on g.qubits() (controls
-    first, then targets), embedded in the register."""
-    proj = np.array([1.0], dtype=complex)
-    for _, pol in g.controls:
-        proj = np.kron(proj, np.array([1.0 - pol, float(pol)], dtype=complex))
-    proj = np.diag(proj)
-    block = kron(proj, g.base) + kron(np.eye(proj.shape[0]) - proj, np.eye(g.base.shape[0]))
-    return embed_gate(block, g.qubits(), n)
-
-
-def dense_noisy_gate(rho, g, model):
-    """p_s U rho U^dag + (1 - p_s) Tr_t(rho) (x) 1/2**k with full 2**n matrices."""
-    n = n_qubits(rho.shape[0])
-    touched = sorted(g.qubits())
-    u = dense_gate(g, n)
-    ps = model.p_success(g)
-    ideal = u @ rho @ dagger(u)
-    if ps == 1.0:
-        return ideal
-    keep = [q for q in range(1, n + 1) if q not in touched]
-    d = 2 ** len(touched)
-    mixed = reorder_qubits(kron(partial_trace(rho, keep), np.eye(d) / d), keep + touched)
-    return ps * ideal + (1 - ps) * mixed
 
 
 def forward_sweep(n, grid_p, grid_h, witness_kind, entangler_mode):
@@ -79,9 +53,8 @@ def forward_sweep(n, grid_p, grid_h, witness_kind, entangler_mode):
     for p in grid_p:
         rho0 = thermal_matrix(n, p)
         for h in grid_h:
-            model = NoiseModel(h)
-            rho_prep = simulate_noisy(prep, rho0, model)
-            rho_f = simulate_noisy(measurement, rho_prep, model)
+            rho_prep = dense_noisy_run(prep, rho0, h)
+            rho_f = dense_noisy_run(measurement, rho_prep, h)
             value_sed = dec.a0 + sum(
                 dec.a[k - 1] * np.trace(rho_f @ embed_gate(Z, [n - k + 1], n)).real for k in range(1, n + 1)
             )
@@ -111,24 +84,23 @@ def noisy_cases(draw, max_n=6):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     circ = draw(st.lists(gates(n), min_size=1, max_size=6))
     h = draw(st.floats(0.0, 1.0))
-    return n, circ, NoiseModel(h), rng
+    return n, circ, h, rng
 
 
-def random_matrix(dim, rng):
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-
-def random_hermitian(dim, rng):
-    m = random_matrix(dim, rng)
-    return m + m.conj().T
+def duality_gap(g, n, h, obs, rho):
+    """|Tr(O E_g(rho)) - 2**n sum_s c'_s rho_s| for the noisy gate g: the
+    dense channel on rho against the pull-back of O."""
+    (pulled,) = pull_back(Circuit(n, (g,)), pauli_coefficients(obs), [h])
+    dense = np.trace(obs @ dense_noisy_gate(rho, g, h))
+    return abs(dense - 2**n * np.sum(pulled * pauli_coefficients(rho)))
 
 
 @given(noisy_cases())
 def test_local_kernel_matches_dense_formula(case):
-    n, circ, model, rng = case
-    m = random_matrix(2**n, rng)  # the channel is linear, so any matrix will do
+    n, circ, h, rng = case
+    obs, rho = random_hermitian(2**n, rng), random_density_matrix(2**n, rng)
     for g in circ:
-        assert np.max(np.abs(apply_noisy_gate(m, g, model) - dense_noisy_gate(m, g, model))) <= 1e-12
+        assert duality_gap(g, n, h, obs, rho) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -143,10 +115,13 @@ def test_local_kernel_matches_dense_formula(case):
 )
 @pytest.mark.parametrize("h", [0.0, 0.37, 1.0])
 def test_local_kernel_unsorted_and_zero_controls(g, h):
+    # unsorted targets and zero-polarity controls: by duality and coefficient
+    # by coefficient against the dense channel of g^dag
     rng = np.random.default_rng(3)
-    m = random_matrix(64, rng)
-    model = NoiseModel(h)
-    assert np.max(np.abs(apply_noisy_gate(m, g, model) - dense_noisy_gate(m, g, model))) <= 1e-12
+    obs, rho = random_hermitian(64, rng), random_density_matrix(64, rng)
+    assert duality_gap(g, 6, h, obs, rho) <= 1e-12
+    (got,) = pull_back(Circuit(6, (g,)), pauli_coefficients(obs), [h])
+    assert np.max(np.abs(got - pauli_coefficients(dense_noisy_gate(obs, g.daggered(), h)))) <= 1e-12
 
 
 @given(noisy_cases())
@@ -160,50 +135,49 @@ def test_circuit_unitary_matches_dense_product(case):
 
 @given(noisy_cases(max_n=5))
 def test_every_noisy_step_is_physical(case):
-    n, circ, model, rng = case
-    rho = random_density_matrix(2**n, rng)
-    for g in circ:
-        rho = apply_noisy_gate(rho, g, model)
-        assert abs(np.trace(rho) - 1) <= 1e-12
-        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
-        assert np.linalg.eigvalsh(rho)[0] >= -1e-10
+    # E is positive, trace-preserving and unital, so its adjoint maps a PSD
+    # observable to a PSD one with the same trace, gate after gate
+    n, circ, h, rng = case
+    coeffs = pauli_coefficients(random_density_matrix(2**n, rng))
+    for g in reversed(circ):
+        (coeffs,) = pull_back(Circuit(n, (g,)), coeffs, [h])
+        assert abs(coeffs.flat[0] - 1 / 2**n) <= 1e-12
+        assert np.linalg.eigvalsh(pauli_operator(coeffs))[0] >= -1e-10
 
 
 @given(noisy_cases(max_n=5))
 def test_adjoint_channel_is_dagger_circuit(case):
-    n, circ, model, rng = case
+    # the pull-back through c is the dense noisy run of c^dag on O
+    n, circ, h, rng = case
     c = Circuit(n, tuple(circ))
-    rho = random_density_matrix(2**n, rng)
-    obs = random_matrix(2**n, rng)
-    obs = obs + obs.conj().T
-    schroedinger = np.trace(obs @ simulate_noisy(c, rho, model))
-    heisenberg = np.trace(simulate_noisy(dagger_circuit(c), obs, model) @ rho)
-    assert abs(schroedinger - heisenberg) <= 1e-12
+    obs = random_hermitian(2**n, rng)
+    (got,) = pull_back(c, pauli_coefficients(obs), [h])
+    assert np.max(np.abs(got - pauli_coefficients(dense_noisy_run(dagger_circuit(c), obs, h)))) <= 1e-12
 
 
 @given(noisy_cases(max_n=5))
 def test_pauli_pull_back_matches_noisy_gate(case):
-    n, circ, model, rng = case
+    n, circ, h, rng = case
     obs = random_hermitian(2**n, rng)
     for g in circ:
         # E_g^dag = E_{g^dag}: pulling O back through g is the noisy run of g^dag on O
-        want = pauli_coefficients(apply_noisy_gate(obs, g.daggered(), model))
-        got = pull_back(Circuit(n, (g,)), pauli_coefficients(obs), [model])
+        want = pauli_coefficients(dense_noisy_gate(obs, g.daggered(), h))
+        got = pull_back(Circuit(n, (g,)), pauli_coefficients(obs), [h])
         assert got.shape == (1,) + (4,) * n
         assert np.max(np.abs(got[0] - want)) <= 1e-12
 
 
 def test_pull_back_walks_a_large_h_grid_in_chunks():
-    # one walk at n = 8 takes 16 models, so 17 models take two walks
+    # one walk at n = 8 takes 16 h values, so 17 take two walks
     n = 8
     rng = np.random.default_rng(7)
     c = Circuit(n, (Gate(H, (3,)), Gate(X, (8,), ((1, 0),)), Gate(haar_unitary(4, rng), (5, 2), ((7, 1),))))
     coeffs = rng.standard_normal((4,) * n)
-    models = [NoiseModel(h) for h in np.linspace(0.0, 1.0, 17)]
-    got = pull_back(c, coeffs, models)
+    grid_h = np.linspace(0.0, 1.0, 17)
+    got = pull_back(c, coeffs, grid_h)
     assert got.shape == (17,) + (4,) * n
-    for row, model in zip(got, models):
-        assert np.max(np.abs(row - pull_back(c, coeffs, [model])[0])) <= 1e-12
+    for row, h in zip(got, grid_h):
+        assert np.max(np.abs(row - pull_back(c, coeffs, [h])[0])) <= 1e-12
     assert pull_back(c, coeffs, []).shape == (0,) + (4,) * n
 
 

@@ -1,0 +1,25 @@
+"""The README's library example runs and prints what its comments say."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_prints_its_comments():
+    (code,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    wanted = [line.split("#", 1)[1].split() for line in code.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    printed = [line.split() for line in out.getvalue().splitlines()]
+    assert len(printed) == len(wanted) == 3
+    for got, want in zip(printed, wanted):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            if w in ("True", "False"):
+                assert g == w
+            else:
+                assert abs(float(g) - float(w)) <= 1e-12, (g, w)

@@ -3,7 +3,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from dense_oracle import blockdiag_ubd, embed_gate, permutation_up
+from dense_oracle import blockdiag_ubd, embed_gate, kron, permutation_up, random_density_matrix, witness_matrix
+from sedwitness.circuit import vprime2
 from sedwitness.sed import (
     SedDecomposition,
     SedMeasurementResult,
@@ -11,11 +12,10 @@ from sedwitness.sed import (
     sed_decomposition,
     sed_measure,
     verify_equality,
-    vprime2,
     weighted_z_sum,
 )
 from sedwitness.states import make_ghz, pseudopure_matrix
-from sedwitness.tensor import H, I2, X, Z, dagger, haar_unitary, kron, random_density_matrix
+from sedwitness.tensor import H, I2, X, Z, dagger, haar_unitary
 from sedwitness.witness import class_witness
 
 W3 = np.exp(2j * np.pi / 3)
@@ -167,7 +167,7 @@ def test_sed_measure_ghz_pseudopure():
         rho = pseudopure_matrix(make_ghz(3), eps)
         res = sed_measure(rho, v, dec)
         assert res.diagonal_ok
-        conv = np.trace(w.matrix @ rho).real
+        conv = np.trace(witness_matrix(w) @ rho).real
         assert abs(res.value - conv) <= 1e-10
         assert np.all(np.abs(res.z) <= 1 + 1e-10)
 

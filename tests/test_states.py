@@ -3,13 +3,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from dense_oracle import thermal_matrix
 from sedwitness.states import (
     PureState,
     basis_state,
     make_ghz,
     make_w,
     pseudopure_matrix,
-    thermal_matrix,
 )
 
 

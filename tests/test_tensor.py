@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dense_oracle import embed_gate
+from dense_oracle import (
+    embed_gate,
+    kron,
+    min_eigenvalue_hermitian,
+    partial_trace,
+    partial_transpose,
+    random_density_matrix,
+)
 from sedwitness.states import make_ghz, make_w
 from sedwitness.tensor import (
     H,
@@ -14,14 +21,9 @@ from sedwitness.tensor import (
     X,
     Z,
     haar_unitary,
-    kron,
     max_schmidt_sq,
-    min_eigenvalue_hermitian,
-    partial_trace,
-    partial_transpose,
     pauli_coefficients,
     pauli_strings,
-    random_density_matrix,
     z_signs,
 )
 

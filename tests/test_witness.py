@@ -5,6 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dense_oracle import (
+    ppt_min_eig,
+    random_density_matrix,
+    random_product_state,
+    random_separable_density,
+    witness_matrix,
+)
 from sedwitness.states import (
     PureState,
     basis_state,
@@ -12,7 +19,7 @@ from sedwitness.states import (
     make_w,
     pseudopure_matrix,
 )
-from sedwitness.tensor import is_hermitian, random_density_matrix
+from sedwitness.tensor import is_hermitian
 from sedwitness.witness import (
     Witness,
     biseparable_c,
@@ -20,17 +27,14 @@ from sedwitness.witness import (
     epsilon_limit,
     expectation,
     generic_witness,
-    ppt_min_eig,
     pseudopure_expectation,
-    random_product_state,
-    random_separable_density,
 )
 
 
 def test_class_constants():
     assert class_witness("ghz").c == 0.75
     assert class_witness("w").c == 0.25
-    assert np.trace(class_witness("ghz").matrix).real == pytest.approx(0.75 * 8 - 1)
+    assert np.trace(witness_matrix(class_witness("ghz"))).real == pytest.approx(0.75 * 8 - 1)
 
 
 def test_biseparable_c_values():
@@ -118,8 +122,9 @@ def test_trace_identity_validation():
     for n in (3, 5):
         w = Witness(0.75, make_ghz(n), "GHZ-class")
         assert w.n == n
-        assert np.trace(w.matrix).real == pytest.approx(0.75 * 2**n - 1, abs=1e-12)
-        assert is_hermitian(w.matrix)
+        m = witness_matrix(w)
+        assert np.trace(m).real == pytest.approx(0.75 * 2**n - 1, abs=1e-12)
+        assert is_hermitian(m)
 
 
 def test_witness_keeps_only_c_target_and_label():
@@ -137,7 +142,7 @@ def test_expectation_matches_dense_trace(n, c, scale, seed):
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     w = generic_witness(PureState(amps / np.linalg.norm(amps)), c)
     rho = scale * random_density_matrix(2**n, rng)  # Tr rho != 1 checks the c Tr(rho) term
-    dense = np.trace(w.matrix @ rho)  # the O(8^n) oracle
+    dense = np.trace(witness_matrix(w) @ rho)  # the O(8^n) oracle
     assert abs(expectation(w, rho) - dense.real) <= 1e-12
     # the non-Hermitian part gives Tr(W rho) an imaginary residue of 1e-3 (1 - c)
     with pytest.raises(ValueError, match="imaginary residue"):
