@@ -11,13 +11,15 @@ P(0...0) and
 No diagonality condition on V^dag rho V is required.  Readout is modeled as
 a nondestructive ensemble average: Tr(rho Z_ancilla) with no state update.
 
-The joint state is never formed.  It starts as diag(p, 1-p) (x) rho and
-every CnNOT is undone before the next register unitary, so each register
-unitary meets a state that is block diagonal in the ancilla.  The
-simulation keeps the two register blocks <a|joint|a>, a = 0, 1, and applies
-a register unitary u as u B u^dag to each block: two dense 2^n products per
-block.  The CnNOT only swaps the populations of |0,0...0> and |1,0...0>,
-so the read trades those two diagonal entries.
+The joint state is never formed: one diagonal per stage fixes the read.
+Both ancilla blocks start proportional to rho (p rho and (1-p) rho), every
+register unitary acts on both alike, the CnNOT and its undo cancel on the
+blocks, and the un-compute restores diag(p, 1-p) (x) rho exactly.  So
+before the flip of a stage with entangler V the blocks are p V^dag rho V
+and (1-p) V^dag rho V, and the CnNOT swaps the populations of |0,0...0>
+and |1,0...0>.  `dense_run` in tests/test_ancilla.py is the full
+joint-state reference: it forms the 2^(n+1) state, applies the dense
+CnNOT, takes the partial trace and un-computes.
 """
 
 from __future__ import annotations
@@ -69,36 +71,30 @@ class ConcatSpec:
         for s in self.stages:
             if s.v.shape != (dim, dim):
                 raise ValueError("all stage entanglers must share the register dimension")
-            if np.max(np.abs(s.v @ dagger(s.v) - np.eye(dim))) > ATOL_ALGEBRA:
+            if not np.max(np.abs(s.v @ dagger(s.v) - np.eye(dim))) <= ATOL_ALGEBRA:
                 raise ValueError(f"stage {s.label!r} entangler is not unitary")
 
 
-def _flipped_populations(blocks: np.ndarray) -> np.ndarray:
-    """Diagonals of the two ancilla blocks after the CnNOT, shape (2, 2^n):
-    the flip swaps the populations of |0,0...0> and |1,0...0>."""
-    pops = np.diagonal(blocks, axis1=1, axis2=2).real.copy()
+def _flipped_populations(pops: np.ndarray) -> np.ndarray:
+    """The two ancilla populations, shape (2, 2^n), after the CnNOT: the flip
+    swaps the populations of |0,0...0> and |1,0...0>."""
+    pops = pops.copy()
     pops[[0, 1], 0] = pops[[1, 0], 0]
     return pops
 
 
 def _ancilla_z(rho_in: np.ndarray, entanglers, cfg: AncillaConfig) -> list[float]:
-    """Tr(rho_a Z) after each stage of one run: disentangle with V^dag, flip,
-    read; before each later stage, un-compute the previous one (flip back,
-    then apply its V).  The state is the stack of the two ancilla-diagonal
-    blocks, on which the flip and its undo cancel; the flip shows only in
-    the read."""
+    """Tr(rho_a Z) after each stage of one run, from d = diag(V^dag rho V):
+    the ancilla populations before the flip are p d and (1-p) d."""
     rho_in = np.asarray(rho_in, dtype=complex)
     entanglers = [np.asarray(v, dtype=complex) for v in entanglers]
     dim = 2**cfg.n
     if rho_in.shape != (dim, dim) or any(v.shape != (dim, dim) for v in entanglers):
         raise ValueError("dimension mismatch with ancilla configuration")
-    blocks = np.stack([cfg.p * rho_in, (1 - cfg.p) * rho_in])
     values = []
-    for i, v in enumerate(entanglers):
-        if i:
-            blocks = entanglers[i - 1] @ blocks @ dagger(entanglers[i - 1])
-        blocks = dagger(v) @ blocks @ v
-        pops = _flipped_populations(blocks)
+    for v in entanglers:
+        d = np.einsum("ij,ji->i", dagger(v) @ rho_in, v).real
+        pops = _flipped_populations(np.stack([cfg.p * d, (1 - cfg.p) * d]))
         values.append(float(pops[0].sum() - pops[1].sum()))
     return values
 
@@ -120,7 +116,7 @@ def intermediate_identities(rho_in: np.ndarray, v: np.ndarray, cfg: AncillaConfi
     p_tilde = float(np.vdot(v[:, 0], np.asarray(rho_in) @ v[:, 0]).real)
     residual_trz = abs(trz - (1 - 2 * cfg.p) * (2 * p_tilde - 1))
     residual_ptilde = abs(p_tilde - (0.5 - trz / (2 * (2 * cfg.p - 1))))
-    if residual_trz > ATOL_ALGEBRA or residual_ptilde > ATOL_ALGEBRA:
+    if not (residual_trz <= ATOL_ALGEBRA and residual_ptilde <= ATOL_ALGEBRA):
         raise AssertionError(
             f"readout identities violated: {residual_trz:.3e}, {residual_ptilde:.3e}"
         )

@@ -52,7 +52,7 @@ class Gate:
         d = 2 ** len(self.targets)
         if base.shape != (d, d):
             raise ValueError("base dimension does not match targets")
-        if self.label == "OPAQUE" and abs(base @ base.conj().T - np.eye(d)).max() > ATOL_ALGEBRA:
+        if self.label == "OPAQUE" and not abs(base @ base.conj().T - np.eye(d)).max() <= ATOL_ALGEBRA:
             raise ValueError("base is not unitary")
 
     @property

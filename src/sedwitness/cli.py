@@ -105,7 +105,7 @@ def cmd_ancilla(args, parser) -> int:
         "oracle": oracle,
         "difference": abs(recovered - oracle),
     }
-    return _emit(report, args.json) or int(report["difference"] > ATOL_PHYSICS)
+    return _emit(report, args.json) or int(not report["difference"] <= ATOL_PHYSICS)
 
 
 def cmd_gatecount(args, parser) -> int:

@@ -163,8 +163,9 @@ def sweep(
     """
     grid_p = [float(p) for p in grid_p]
     grid_h = [float(h) for h in grid_h]
-    if any(not 0 <= v <= 1 for v in grid_p + grid_h):
-        raise ValueError("grid values must lie in [0, 1]")
+    for p in grid_p:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p {p} out of [0, 1]")
     if entangler_mode not in ("witness", "identity"):
         raise ValueError(f"unknown entangler mode {entangler_mode!r}")
     entangler = select_entangler(witness_kind, n)

@@ -18,7 +18,7 @@ class PureState:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
         n_qubits(amps.size)
-        if abs(np.linalg.norm(amps) - 1.0) > ATOL_ALGEBRA:
+        if not abs(np.linalg.norm(amps) - 1.0) <= ATOL_ALGEBRA:
             raise ValueError("amplitudes are not normalized")
         object.__setattr__(self, "amplitudes", amps)
 

@@ -159,7 +159,7 @@ def max_schmidt_sq(psi: np.ndarray, bipartition) -> float:
     """
     psi = np.asarray(psi, dtype=complex).ravel()
     n = n_qubits(psi.size)
-    if abs(np.linalg.norm(psi) - 1.0) > ATOL_ALGEBRA:
+    if not abs(np.linalg.norm(psi) - 1.0) <= ATOL_ALGEBRA:
         raise ValueError("state vector is not normalized")
     part = _check_qubits(bipartition, n, what="bipartition")
     if not part or len(part) >= n:

@@ -2,8 +2,8 @@
 
 The dense pipeline below (a 2**(n+1) CnNOT matrix, kron(1, V) conjugations
 of the whole joint state and the ancilla Z through a partial trace) is the
-implementation the two-block routine replaced; it is kept here as the
-oracle.
+full joint-state reference for the one-diagonal-per-stage routine; it is
+kept here as the oracle.
 """
 
 import numpy as np
@@ -49,7 +49,8 @@ def dense_run(rho_in, stages, p):
     through a partial trace, un-compute. Returns (trz, value) per stage.
 
     Every register unitary must meet a state with no coherence between the
-    ancilla's two states: the two-block routine rests on that."""
+    ancilla's two states, and each un-compute must restore
+    diag(p, 1-p) (x) rho: the one-diagonal routine rests on that."""
     n = int(np.log2(rho_in.shape[0]))
     cn = dense_cnnot(n)
     joint = kron(np.diag([p, 1 - p]), rho_in)
@@ -63,6 +64,7 @@ def dense_run(rho_in, stages, p):
         joint = dagger(cn) @ joint @ cn
         assert off_ancilla_diagonal(joint) <= 1e-14
         joint = vfull @ joint @ dagger(vfull)
+        assert np.abs(joint - kron(np.diag([p, 1 - p]), rho_in)).max() <= 1e-12
     return out
 
 
@@ -85,7 +87,8 @@ def test_read_populations_are_the_dense_cnnot_diagonal():
         joint[:dim, :dim], joint[dim:, dim:] = blocks
         cn = dense_cnnot(n)
         want = np.diag(cn @ joint @ cn.T).real
-        assert np.array_equal(_flipped_populations(blocks).ravel(), want)
+        pops = np.diagonal(blocks, axis1=1, axis2=2).real
+        assert np.array_equal(_flipped_populations(pops).ravel(), want)
 
 
 @st.composite
@@ -248,6 +251,9 @@ def test_uncomputation_restores_state():
 def test_stage_validation():
     with pytest.raises(ValueError):
         ConcatSpec((Stage(np.eye(8) * 2.0, 0.5, "bad"),))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ConcatSpec((Stage(np.full((2, 2), bad), 0.5),))
     with pytest.raises(ValueError):
         ConcatSpec(())
     with pytest.raises(ValueError):

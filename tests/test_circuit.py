@@ -246,6 +246,8 @@ def test_serialization_errors():
         ("qubits 3\nCNOT 1 | 2(+1)", 2, "CNOT 1 | 2(+1)"),
         ("qubits 3\nX \u0661", 2, "X \u0661"),
         ("qubits \u0661\u0662\nX 1", 1, "qubits \u0661\u0662"),
+        ("qubits 1\nOPAQUE 1 @ nan 0 0 1", 2, "OPAQUE 1 @ nan 0 0 1"),
+        ("qubits 1\nOPAQUE 1 @ inf 0 0 1", 2, "OPAQUE 1 @ inf 0 0 1"),
     ],
 )
 def test_parse_errors_name_the_line(text, lineno, line):

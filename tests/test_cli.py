@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from sedwitness.cli import main
+from sedwitness.witness import select_witness
 
 DATA = Path(__file__).with_name("data")
 
@@ -62,11 +63,13 @@ def test_sed_verify_pass_and_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_ancilla_command(capsys):
-    code, out = run_cli(capsys, ["ancilla", "--kind", "ghz", "--n", "3", "--p", "0.9"])
+@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("kind", ["ghz", "w"])
+def test_ancilla_command(capsys, kind, n):
+    code, out = run_cli(capsys, ["ancilla", "--kind", kind, "--n", str(n), "--p", "0.9"])
     assert code == 0
     rep = parse_report(out)
-    assert float(rep["recovered"]) == pytest.approx(-0.25, abs=1e-10)
+    assert abs(float(rep["recovered"]) - (select_witness(kind, n).c - 1)) <= 1e-10
     assert float(rep["difference"]) <= 1e-10
     assert float(rep["residual_trz"]) <= 1e-12
     assert float(rep["residual_ptilde"]) <= 1e-12

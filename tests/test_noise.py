@@ -213,8 +213,10 @@ def test_identity_entangler_stays_nonnegative_sample():
 
 
 def test_sweep_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("p 1.5 out of [0, 1]")):
         sweep(3, [1.5], [1.0], "ghz")
+    with pytest.raises(ValueError, match=re.escape("h 1.5 out of [0, 1]")):
+        sweep(3, [1.0], [1.5], "ghz")
     with pytest.raises(ValueError):
         sweep(3, [1.0], [1.0], "nope")
     with pytest.raises(ValueError):

@@ -41,6 +41,8 @@ def test_state_errors():
             make_w(bad)
     with pytest.raises(ValueError, match="not normalized"):
         PureState(np.array([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="not normalized"):
+        PureState(np.array([np.nan, 0.0]))
     with pytest.raises(ValueError, match="not a power of two"):
         PureState(np.ones(3) / np.sqrt(3))
 

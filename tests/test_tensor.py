@@ -150,6 +150,8 @@ def test_max_schmidt_range_and_errors():
         assert abs(max_schmidt_sq(v, [1]) - 1.0) <= 1e-12
     with pytest.raises(ValueError):
         max_schmidt_sq(np.array([1.0, 1.0]), [1])  # unnormalized
+    with pytest.raises(ValueError, match="not normalized"):
+        max_schmidt_sq(np.array([np.nan, 0.0, 0.0, 0.0]), [1])
     with pytest.raises(ValueError):
         max_schmidt_sq(make_ghz(2).amplitudes, [1, 2])  # not a proper subset
 
