@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, H, SWAP, X, apply_controlled, dagger
+from .tensor import ATOL_ALGEBRA, H, SWAP, X, dagger
 
 
 # text labels of the named bases with 0, 1 and >= 2 controls
@@ -99,11 +100,39 @@ class Circuit:
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Product of the gates, each applied on the rows of the running unitary."""
-    u = np.eye(2**c.n, dtype=complex).reshape((2,) * (2 * c.n))
+    """Product of the gates, each applied on the rows of the running unitary.
+
+    The unitary is held as a (2,)*2n view whose axis q - 1 is the row bit of
+    qubit q.  A gate fixes its control axes to their polarities and copies
+    that block to a buffer; each row of the base that is not an identity row
+    then overwrites its target slice of the block with the combination of
+    the buffered slices that its nonzero entries name.  No 2**n x 2**n gate
+    matrix is formed, and the unitary is updated in place.
+    """
+    n = c.n
+    u = np.eye(2**n, dtype=complex).reshape((2,) * (2 * n))
+    old = np.empty_like(u)
     for g in c.gates:
-        u = apply_controlled(u, g.base, g.controls, g.targets)
-    return u.reshape(2**c.n, 2**c.n)
+        idx = [slice(None)] * n  # the row axes; the column axes stay whole
+        for q, pol in g.controls:
+            idx[q - 1] = pol
+        block = tuple(idx)
+        old[block] = u[block]
+        k = len(g.targets)
+        slices = []  # per target basis index a, first target most significant
+        for a in range(2**k):
+            for i, q in enumerate(g.targets):
+                idx[q - 1] = (a >> (k - 1 - i)) & 1
+            slices.append(tuple(idx))
+        for a, row in enumerate(g.base.tolist()):
+            if row[a] == 1 and row.count(0) == len(row) - 1:
+                continue  # an identity row
+            dst = u[slices[a]]
+            (b, coef), *rest = compress(enumerate(row), row)  # the nonzero entries
+            np.multiply(old[slices[b]], coef, out=dst)
+            for b, coef in rest:
+                dst += coef * old[slices[b]]
+    return u.reshape(2**n, 2**n)
 
 
 def dagger_circuit(c: Circuit) -> Circuit:

@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n", None) is not None and args.command != "gatecount":
+    if getattr(args, "n", None) is not None:
         if not 2 <= args.n <= 10:
             parser.error("--n must lie in 2..10")
     return args.func(args, parser)

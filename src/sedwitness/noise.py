@@ -36,8 +36,6 @@ import numpy as np
 
 from .circuit import (
     Circuit,
-    Gate,
-    circuit_unitary,
     dagger_circuit,
     expand_multicontrolled,
     select_entangler,
@@ -61,15 +59,12 @@ def _adjoint_transfer(raw: bytes, dim: int, polarities: tuple) -> np.ndarray:
     """Read-only Pauli transfer matrix R[a, b] = Tr(P_a U^dag P_b U) / 2**k
     of O -> U^dag O U, for the gate whose base has bytes `raw` and whose
     controls have these polarities, placed on its own k qubits with the
-    controls first and the targets after them in order."""
-    m = len(polarities)
-    k = m + n_qubits(dim)
-    local = Gate(
-        np.frombuffer(raw, dtype=complex).reshape(dim, dim),
-        tuple(range(m + 1, k + 1)),
-        tuple((i + 1, pol) for i, pol in enumerate(polarities)),
-    )
-    u = circuit_unitary(Circuit(k, (local,)))
+    controls first and the targets after them in order.  U is the identity
+    but for the base in the block where the controls hold their polarities."""
+    k = len(polarities) + n_qubits(dim)
+    start = dim * sum(pol << i for i, pol in enumerate(reversed(polarities)))
+    u = np.eye(2**k, dtype=complex)
+    u[start : start + dim, start : start + dim] = np.frombuffer(raw, dtype=complex).reshape(dim, dim)
     strings = pauli_strings(k)
     pulled = np.einsum("ji,bjk,kl->bil", u.conj(), strings, u)  # U^dag P_b U
     r = np.einsum("aij,bji->ab", strings, pulled).real / 2**k

@@ -1,5 +1,4 @@
-"""Qubit bookkeeping, tolerances and Pauli matrices; the one local kernel
-that applies a controlled unitary to a (2,)*m tensor view; the change of a
+"""Qubit bookkeeping, tolerances and Pauli matrices; the change of a
 Hermitian operator to its Pauli-string coefficients; Schmidt coefficients
 and Haar-random unitaries.
 
@@ -11,8 +10,6 @@ qubit 1 first.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,57 +56,6 @@ def _check_qubits(qubits, n, what):
         if not 1 <= q <= n:
             raise ValueError(f"{what} qubit {q} out of range 1..{n}")
     return qubits
-
-
-@lru_cache(maxsize=4096)
-def _target_slices(ndim: int, controls: tuple, targets: tuple) -> tuple:
-    """Per target basis index a (first target most significant), the index
-    of a (2,)*ndim view that fixes every control axis to its polarity and
-    the target axes to the bits of a."""
-    idx = [slice(None)] * ndim
-    for q, pol in controls:
-        idx[q - 1] = pol
-    k = len(targets)
-    out = []
-    for a in range(2**k):
-        for i, q in enumerate(targets):
-            idx[q - 1] = (a >> (k - 1 - i)) & 1
-        out.append(tuple(idx))
-    return tuple(out)
-
-
-@lru_cache(maxsize=4096)
-def _row_terms(raw: bytes, dim: int) -> tuple:
-    """Nonzero entries of each row that is not an identity row, for the
-    complex dim x dim matrix whose bytes are `raw`."""
-    u = np.frombuffer(raw, dtype=complex).reshape(dim, dim)
-    out = []
-    for a, row in enumerate(u):
-        nz = np.flatnonzero(row)
-        if not (len(nz) == 1 and nz[0] == a and row[a] == 1):
-            out.append((a, tuple((int(b), complex(row[b])) for b in nz)))
-    return tuple(out)
-
-
-def apply_controlled(t: np.ndarray, base, controls, targets) -> np.ndarray:
-    """The controlled unitary applied to the (2,)*m view t; t is not modified.
-
-    Qubit q sits on axis q - 1; further axes, such as the columns of an
-    operator's rows, are carried along.  In the slice where every (q, pol)
-    of `controls` has qubit q fixed to pol, the nonzero entries of `base`
-    off its identity rows act on the `targets` axes; no 2**n x 2**n matrix
-    is formed.
-    """
-    base = np.asarray(base, dtype=complex)
-    slices = _target_slices(t.ndim, tuple(controls), tuple(targets))
-    out = t.copy()
-    for a, row in _row_terms(base.tobytes(), base.shape[0]):
-        dst = out[slices[a]]
-        (b, coef), *rest = row
-        np.multiply(t[slices[b]], coef, out=dst)
-        for b, coef in rest:
-            dst += coef * t[slices[b]]
-    return out
 
 
 def z_signs(n: int) -> np.ndarray:

@@ -81,7 +81,7 @@ def expectation(w: Witness, rho: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: witness {(dim, dim)}, state {rho.shape}")
     psi = w.target.amplitudes
     val = w.c * np.trace(rho) - np.vdot(psi, rho @ psi)
-    if abs(val.imag) > ATOL_PHYSICS:
+    if not abs(val.imag) <= ATOL_PHYSICS:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return float(val.real)
 

@@ -243,13 +243,18 @@ def test_w_kind_sweep_smoke():
     assert abs(records[0].value_sed - records[0].value_conv) <= 1e-10
 
 
-@pytest.mark.parametrize("kind", ["ghz", "w"])
-def test_default_grid_matches_golden_csv(kind):
-    # tests/data/sweep_<kind>_n3.csv: the default 11 x 11 grid at n = 3 from
-    # the forward (Schroedinger-picture) sweep with dense gate matrices
-    golden = (DATA / f"sweep_{kind}_n3.csv").read_text().splitlines()
+@pytest.mark.parametrize(
+    "kind, n", [("ghz", 3), ("w", 3), ("ghz", 6), ("w", 6)], ids=["ghz", "w", "ghz-n6", "w-n6"]
+)
+def test_default_grid_matches_golden_csv(kind, n):
+    # tests/data/sweep_<kind>_n<n>.csv, the default 11 x 11 grid.  At n = 3
+    # it comes from the forward (Schroedinger-picture) sweep with dense gate
+    # matrices.  At n = 6 it comes from the Pauli-transfer sweep (the forward
+    # sweep agrees to 5e-13), and the expanded zero-controlled CnH gates are
+    # 264 of the 273 gates of V'_6^dag, against 9 of 12 at n = 3
+    golden = (DATA / f"sweep_{kind}_n{n}.csv").read_text().splitlines()
     grid = grid_values(0.5, 1.0, 0.05)
-    ours = sweep_csv(sweep(3, grid, grid, kind)).splitlines()
+    ours = sweep_csv(sweep(n, grid, grid, kind)).splitlines()
     assert ours[0] == golden[0] and len(ours) == len(golden)
     for line, ref in zip(ours[1:], golden[1:]):
         got, want = line.split(","), ref.split(",")

@@ -64,10 +64,11 @@ def forward_sweep(n, grid_p, grid_h, witness_kind, entangler_mode):
 
 @st.composite
 def gates(draw, n, max_k=3):
-    """A 1-3 qubit gate on distinct, unsorted qubits of an n-qubit register."""
+    """A 1-3 qubit gate on distinct, unsorted qubits of an n-qubit register.
+    With no target it is a controlled phase, whose Haar base is one phase."""
     k = draw(st.integers(1, min(max_k, n)))
     qubits = draw(st.permutations(range(1, n + 1)))[:k]
-    n_targets = draw(st.integers(1, min(2, k)))
+    n_targets = draw(st.integers(0, min(2, k)))
     controls = tuple((q, draw(st.integers(0, 1))) for q in qubits[n_targets:])
     targets = tuple(qubits[:n_targets])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -28,6 +28,7 @@ from sedwitness.witness import (
     expectation,
     generic_witness,
     pseudopure_expectation,
+    select_witness,
 )
 
 
@@ -51,6 +52,11 @@ def test_expectation_values():
     assert expectation(unit, make_ghz(3).density()) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         expectation(w, np.eye(4) / 4)
+    # a non-finite matrix fails instead of returning nan
+    bell = select_witness("ghz", 2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            expectation(bell, np.full((4, 4), bad))
 
 
 def test_expectation_linear_in_rho():
