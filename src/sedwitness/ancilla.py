@@ -71,6 +71,8 @@ class ConcatSpec:
         for s in self.stages:
             if s.v.shape != (dim, dim):
                 raise ValueError("all stage entanglers must share the register dimension")
+            if not np.isfinite(s.v).all():
+                raise ValueError(f"stage {s.label!r} entangler has non-finite entries")
             if not np.max(np.abs(s.v @ dagger(s.v) - np.eye(dim))) <= ATOL_ALGEBRA:
                 raise ValueError(f"stage {s.label!r} entangler is not unitary")
 

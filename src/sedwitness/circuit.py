@@ -9,6 +9,7 @@ bit (1 = active on |1>, 0 = active on |0>).
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 from itertools import compress
@@ -298,20 +299,22 @@ def gate_count_exponent(n_values, counts) -> float:
 
 
 # ---------------------------------------------------------------------------
-# line-based serialization: one gate per line,
-#   LABEL targets... [| controls as q(pol)...] [@ base entries row-major]
-# preceded by a "qubits N" header; complex entries round-trip via repr().
+# line-based serialization: a "qubits N" header, then one gate per line in
+# the grammar of _GATE_LINE; complex entries round-trip via repr().
 # Only OPAQUE gates carry their base; every other label names its base.
-# Qubit numbers and polarities are ASCII decimal digits, as the writer emits.
+# Qubit numbers and polarities are ASCII decimal digits, as the writer emits;
+# entry tokens hold no "|" or "@", so a stray mark fails the grammar.
 # ---------------------------------------------------------------------------
 
 _CONTROL = re.compile(r"([0-9]+)\(([0-9]+)\)")
-
-
-def _number(tok: str) -> int:
-    if not (tok.isascii() and tok.isdecimal()):
-        raise ValueError(f"{tok!r} is not a qubit number")
-    return int(tok)
+_GATE_LINE = re.compile(
+    r"""(\S+)                                 # label
+        ((?:\s+[0-9]+)*)                      # targets
+        (?:\s+\|((?:\s+[0-9]+\([0-9]+\))+))?  # | controls q(pol)
+        (?:\s+@(\s+[^|@]*[^\s|@]))?           # @ base entries, row-major
+    """,
+    re.VERBOSE,
+)
 
 
 def circuit_to_text(c: Circuit) -> str:
@@ -338,45 +341,30 @@ def circuit_from_text(text: str) -> Circuit:
     if not lines or lines[0][1].split()[0] != "qubits":
         raise ValueError("missing 'qubits N' header")
     (lineno, header), *body = lines
-    fields = header.split()
-    if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdecimal()):
+    match = re.fullmatch(r"qubits\s+([0-9]+)", header)
+    if not match:
         raise ValueError(f"line {lineno}: {header!r}: expected 'qubits N'")
-    n = int(fields[1])
+    n = int(match[1])
     gates = []
     for lineno, ln in body:
         try:
-            name, *rest = ln.split()
-            targets, controls, entries = [], [], []
-            section, marks = "targets", ""
-            for tok in rest:
-                if tok == "|":
-                    section, marks = "controls", marks + tok
-                elif tok == "@":
-                    section, marks = "entries", marks + tok
-                elif section == "targets":
-                    targets.append(_number(tok))
-                elif section == "controls":
-                    match = _CONTROL.fullmatch(tok)
-                    if not match:
-                        raise ValueError(f"{tok!r} is not a control q(pol)")
-                    controls.append((int(match[1]), int(match[2])))
-                else:
-                    entries.append(tok)
-            # at most one "|" and one "@", in that order, each opening a non-empty section
-            if (
-                marks not in ("", "|", "@", "|@")
-                or ("|" in marks and not controls)
-                or ("@" in marks and not entries)
-            ):
+            match = _GATE_LINE.fullmatch(ln)
+            if not match:
                 raise ValueError("expected 'LABEL targets... [| q(pol)...] [@ entries...]'")
+            name, targets, controls, entries = match.groups()
+            targets = targets.split()  # ASCII digit strings, which Gate turns into ints
+            controls = _CONTROL.findall(controls or "")
             if entries:
+                values = [complex(t) for t in entries.split()]
+                if not all(map(cmath.isfinite, values)):
+                    raise ValueError("base has non-finite entries")
                 d = 2 ** len(targets)
-                base = np.array([complex(t) for t in entries]).reshape(d, d)
+                base = np.array(values).reshape(d, d)
             elif name in _NAMED_BASE:
                 base = _NAMED_BASE[name]
             else:
                 raise ValueError(f"label {name!r} names no base")
-            g = Gate(base, tuple(targets), tuple(controls))
+            g = Gate(base, targets, controls)
             if g.label != name:
                 raise ValueError(f"gate is labelled {g.label}, not {name}")
             gates.append(g)

@@ -79,6 +79,8 @@ def expectation(w: Witness, rho: np.ndarray) -> float:
     dim = 2**w.n
     if rho.shape != (dim, dim):
         raise ValueError(f"dimension mismatch: witness {(dim, dim)}, state {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
     psi = w.target.amplitudes
     val = w.c * np.trace(rho) - np.vdot(psi, rho @ psi)
     if not abs(val.imag) <= ATOL_PHYSICS:

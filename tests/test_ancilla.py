@@ -252,8 +252,8 @@ def test_stage_validation():
     with pytest.raises(ValueError):
         ConcatSpec((Stage(np.eye(8) * 2.0, 0.5, "bad"),))
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
-            ConcatSpec((Stage(np.full((2, 2), bad), 0.5),))
+        with pytest.raises(ValueError, match="stage 'bad' entangler has non-finite"):
+            ConcatSpec((Stage(np.full((2, 2), bad), 0.5, "bad"),))
     with pytest.raises(ValueError):
         ConcatSpec(())
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import phase_insensitive_equal, vprime_recursion
@@ -248,6 +248,12 @@ def test_serialization_errors():
         ("qubits \u0661\u0662\nX 1", 1, "qubits \u0661\u0662"),
         ("qubits 1\nOPAQUE 1 @ nan 0 0 1", 2, "OPAQUE 1 @ nan 0 0 1"),
         ("qubits 1\nOPAQUE 1 @ inf 0 0 1", 2, "OPAQUE 1 @ inf 0 0 1"),
+        ("qubits 1\nOPAQUE 1 @ 1e999 0 0 1", 2, "OPAQUE 1 @ 1e999 0 0 1"),
+        ("qubits 3\nH 1 2(1)", 2, "H 1 2(1)"),
+        ("qubits 3\n| 1(1)", 2, "| 1(1)"),
+        ("qubits 3\nOPAQUE 1 @ 1 @ 0 0 1", 2, "OPAQUE 1 @ 1 @ 0 0 1"),
+        ("qubits 3\nX 1 @", 2, "X 1 @"),
+        ("qubits 3 4\nH 1", 1, "qubits 3 4"),
     ],
 )
 def test_parse_errors_name_the_line(text, lineno, line):
@@ -259,6 +265,13 @@ def test_parse_errors_name_the_line(text, lineno, line):
 def test_parse_controlled_phase_without_target():
     (g,) = circuit_from_text("qubits 2\nOPAQUE | 1(1) @ 1j\n").gates
     assert (g.targets, g.controls, g.base.tolist()) == ((), ((1, 1),), [[1j]])
+
+
+def test_parse_accepts_any_whitespace_between_tokens():
+    (spaced,) = circuit_from_text("qubits 2\nCNOT\t1  |  2(1)\n").gates
+    (plain,) = circuit_from_text("qubits 2\nCNOT 1 | 2(1)\n").gates
+    assert spaced.base is plain.base is X
+    assert (spaced.targets, spaced.controls) == (plain.targets, plain.controls) == ((1,), ((2, 1),))
 
 
 @pytest.mark.parametrize(
@@ -331,6 +344,36 @@ def test_text_round_trip_of_random_gates(case):
         assert (g2.label, g2.targets, g2.controls) == (g1.label, g1.targets, g1.controls)
         assert np.array_equal(g1.base, g2.base)  # bit-exact
         assert (g2.base is g1.base) == (g1.label != "OPAQUE")  # names give the shared constants
+
+
+QUBITS, CONTROLS = ("1", "2", "3", "4", "0", "\u0661"), ("1(1)", "2(0)", "3(1)", "1(2)", "1(", "+1")
+ENTRIES = ("0", "1", "0j", "1j", "-1j", "(1+0j)", "(-0-1j)", "0.7071067811865476", "nan", "inf", "1e999")
+TOKENS = LABELS + ("NOPE", "|", "@") + QUBITS + CONTROLS + ENTRIES
+
+
+@st.composite
+def token_lines(draw):
+    """The text line of a random gate on 3 qubits, up to two of whose tokens
+    are inserted, replaced or deleted from the alphabet, in mixed whitespace."""
+    toks = circuit_to_text(Circuit(3, (draw(labelled_gates(3)),))).splitlines()[1].split()
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(toks)))
+        toks[i : i + draw(st.integers(0, 1))] = draw(st.lists(st.sampled_from(TOKENS), max_size=1))
+    seps = draw(st.lists(st.sampled_from([" ", "\t", "  ", " \t "]), min_size=len(toks), max_size=len(toks)))
+    return "".join(tok + sep for tok, sep in zip(toks, seps)).strip()
+
+
+@settings(max_examples=100)
+@given(token_lines())
+def test_any_token_line_parses_or_names_its_line(line):
+    # a line either round-trips through the writer or fails with its own number and text
+    try:
+        circ = circuit_from_text(f"qubits 3\n{line}\n")
+    except ValueError as exc:
+        assert str(exc).startswith(f"line 2: {line!r}")
+        return
+    text = circuit_to_text(circ)
+    assert circuit_to_text(circuit_from_text(text)) == text
 
 
 def act(gates, psi, n):

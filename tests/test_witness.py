@@ -55,7 +55,7 @@ def test_expectation_values():
     # a non-finite matrix fails instead of returning nan
     bell = select_witness("ghz", 2)
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
             expectation(bell, np.full((4, 4), bad))
 
 
