@@ -24,6 +24,7 @@ CnNOT, takes the partial trace and un-computes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,8 @@ def _ancilla_z(rho_in: np.ndarray, entanglers, cfg: AncillaConfig) -> list[float
 
 def readout_value(c: float, trz: float, p: float) -> float:
     """Witness value c - 1/2 + Tr(rho_a Z) / (2 (2p - 1)) from the ancilla polarization."""
+    if not math.isfinite(c):
+        raise ValueError(f"witness constant c = {c} is non-finite")
     return c - 0.5 + trz / (2 * (2 * p - 1))
 
 

@@ -338,16 +338,17 @@ def circuit_from_text(text: str) -> Circuit:
     A line's label must be the one its gate serializes to, so `CNOT 1` (no
     control), `H 1 | 2(1)` (a CnH) or `X 1 @ ...` (an OPAQUE) are errors."""
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or lines[0][1].split()[0] != "qubits":
+    if not lines:
         raise ValueError("missing 'qubits N' header")
-    (lineno, header), *body = lines
-    match = re.fullmatch(r"qubits\s+([0-9]+)", header)
-    if not match:
-        raise ValueError(f"line {lineno}: {header!r}: expected 'qubits N'")
-    n = int(match[1])
-    gates = []
-    for lineno, ln in body:
+    n, gates = None, []
+    for lineno, ln in lines:
         try:
+            if n is None:
+                match = re.fullmatch(r"qubits\s+([0-9]+)", ln)
+                if not match:
+                    raise ValueError("expected 'qubits N'")
+                n = int(match[1])
+                continue
             match = _GATE_LINE.fullmatch(ln)
             if not match:
                 raise ValueError("expected 'LABEL targets... [| q(pol)...] [@ entries...]'")
@@ -373,5 +374,5 @@ def circuit_from_text(text: str) -> Circuit:
     try:
         return Circuit(n, tuple(gates))
     except QubitRangeError as exc:
-        lineno, ln = body[exc.index]
+        lineno, ln = lines[exc.index + 1]
         raise ValueError(f"line {lineno}: {ln!r}: {exc}") from exc

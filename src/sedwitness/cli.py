@@ -5,12 +5,15 @@ equality check), ancilla (one-ancilla readout vs direct trace), gatecount
 (circuit size scaling), sweep (noise grid, CSV/JSON artifact).
 
 Exit status: 0 success / verification passed, 1 verification failure or
-I/O error, 2 usage error.
+I/O error, 2 usage error. A command raises the library's ValueError for
+bad input; `main` alone turns it into `sedwitness: error: <message>` on
+stderr and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -50,7 +53,7 @@ def _emit(report: dict, json_path: str | None) -> int:
     return _write_json(report, json_path)
 
 
-def cmd_witness(args, parser) -> int:
+def cmd_witness(args) -> int:
     w = select_witness(args.kind, args.n)
     report = {
         "kind": args.kind,
@@ -61,30 +64,20 @@ def cmd_witness(args, parser) -> int:
         "epsilon_limit": epsilon_limit(w),
     }
     if args.epsilon is not None:
-        if not 0 <= args.epsilon <= 1:
-            parser.error("--epsilon must lie in [0, 1]")
         report["epsilon"] = args.epsilon
         report["expectation"] = pseudopure_expectation(w, args.epsilon)
     return _emit(report, args.json)
 
 
-def cmd_sed_verify(args, parser) -> int:
+def cmd_sed_verify(args) -> int:
     if not 2 <= args.n <= 7:
-        parser.error("--n must lie in 2..7")
-    try:
-        report = verify_equality(args.n, trials=args.trials, seed=args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError("--n must lie in 2..7")
+    report = verify_equality(args.n, trials=args.trials, seed=args.seed)
     return _emit(report, args.json) or int(not report["passed"])
 
 
-def cmd_ancilla(args, parser) -> int:
-    try:
-        cfg = AncillaConfig(p=args.p, n=args.n)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if not 0 <= args.epsilon <= 1:
-        parser.error("--epsilon must lie in [0, 1]")
+def cmd_ancilla(args) -> int:
+    cfg = AncillaConfig(p=args.p, n=args.n)
     w = select_witness(args.kind, args.n)
     rho_in = pseudopure_matrix(w.target, args.epsilon)
     v = circuit_unitary(select_entangler(args.kind, args.n))
@@ -108,11 +101,11 @@ def cmd_ancilla(args, parser) -> int:
     return _emit(report, args.json) or int(not report["difference"] <= ATOL_PHYSICS)
 
 
-def cmd_gatecount(args, parser) -> int:
+def cmd_gatecount(args) -> int:
     if args.n_max < args.n_min:
-        parser.error("--n-max must be >= --n-min")
+        raise ValueError("--n-max must be >= --n-min")
     if not (2 <= args.n_min and args.n_max <= 12):
-        parser.error("gate counting supports n in 2..12")
+        raise ValueError("gate counting supports n in 2..12")
     ns = list(range(args.n_min, args.n_max + 1))
     counts = [gate_count_G(n) for n in ns]
     for n, g in zip(ns, counts):
@@ -125,39 +118,26 @@ def cmd_gatecount(args, parser) -> int:
     return _write_json(report, args.json)
 
 
-def cmd_sweep(args, parser) -> int:
-    try:
-        grid_p = grid_values(args.p_min, args.p_max, args.p_step)
-        grid_h = grid_values(args.h_min, args.h_max, args.h_step)
-        records = sweep(
-            args.n,
-            grid_p,
-            grid_h,
-            witness_kind=args.kind,
-            entangler_mode=args.entangler,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_sweep(args) -> int:
+    grid_p = grid_values(args.p_min, args.p_max, args.p_step)
+    grid_h = grid_values(args.h_min, args.h_max, args.h_step)
+    records = sweep(args.n, grid_p, grid_h, witness_kind=args.kind, entangler_mode=args.entangler)
     if args.format == "csv":
         payload = sweep_csv(records)
     else:
-        payload = json.dumps(
-            [
-                {"p": r.p, "h": r.h, "value_conv": r.value_conv, "value_sed": r.value_sed}
-                for r in records
-            ],
-            indent=2,
-        ) + "\n"
+        payload = json.dumps([dataclasses.asdict(r) for r in records], indent=2) + "\n"
     if _write(args.out, payload):
         return 1
-    print(f"rows = {len(records)}")
-    print(f"min_value_conv = {_fmt(min(r.value_conv for r in records))}")
-    print(f"min_value_sed = {_fmt(min(r.value_sed for r in records))}")
+    report = {
+        "rows": len(records),
+        "min_value_conv": min(r.value_conv for r in records),
+        "min_value_sed": min(r.value_sed for r in records),
+    }
     if any(abs(p - 1.0) < ATOL_ALGEBRA for p in grid_p):
         for field in ("value_conv", "value_sed"):
             crossing = zero_crossing_h(records, 1.0, field)
-            print(f"zero_crossing_h_{field} = {'none' if crossing is None else _fmt(crossing)}")
-    return 0
+            report[f"zero_crossing_h_{field}"] = "none" if crossing is None else crossing
+    return _emit(report, None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,10 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n", None) is not None:
-        if not 2 <= args.n <= 10:
-            parser.error("--n must lie in 2..10")
-    return args.func(args, parser)
+    try:
+        if getattr(args, "n", None) is not None and not 2 <= args.n <= 10:
+            raise ValueError("--n must lie in 2..10")
+        return args.func(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

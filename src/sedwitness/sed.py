@@ -20,6 +20,7 @@ from the left, so a_1 sits on the last qubit and a_n on the first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,6 +43,8 @@ class SedDecomposition:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("SED decomposition needs n >= 2")
+        if self.c is not None and not math.isfinite(self.c):
+            raise ValueError(f"witness constant c = {self.c} is non-finite")
 
     @property
     def b(self) -> float:

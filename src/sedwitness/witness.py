@@ -8,6 +8,7 @@ squared Schmidt coefficient over all bipartitions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -26,6 +27,10 @@ class Witness:
     c: float
     target: PureState
     label: str
+
+    def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise ValueError(f"witness constant c = {self.c} is non-finite")
 
     @property
     def n(self) -> int:

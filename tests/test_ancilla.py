@@ -262,3 +262,10 @@ def test_stage_validation():
         Stage(np.ones(4), 0.5, "flat")
     spec = ConcatSpec((Stage([[1, 0], [0, 1]], 0.5),))
     assert spec.stages[0].v.dtype == complex and spec.stages[0].v.shape == (2, 2)
+    # a non-finite witness constant is named, not read out as nan or inf
+    cfg = AncillaConfig(p=0.9, n=1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            run_concatenated(np.eye(2) / 2, ConcatSpec((Stage(np.eye(2), bad),)), cfg)
+        with pytest.raises(ValueError, match="non-finite"):
+            ancilla_readout(np.eye(2) / 2, np.eye(2), bad, cfg)

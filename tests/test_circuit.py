@@ -254,12 +254,20 @@ def test_serialization_errors():
         ("qubits 3\nOPAQUE 1 @ 1 @ 0 0 1", 2, "OPAQUE 1 @ 1 @ 0 0 1"),
         ("qubits 3\nX 1 @", 2, "X 1 @"),
         ("qubits 3 4\nH 1", 1, "qubits 3 4"),
+        ("\n\nH 1\nqubits 2\n", 3, "H 1"),
+        pytest.param("qubits " + "1" * 5000, 1, "qubits " + "1" * 5000, id="qubits-5000-digits"),
     ],
 )
 def test_parse_errors_name_the_line(text, lineno, line):
     with pytest.raises(ValueError) as err:
         circuit_from_text(text)
     assert str(err.value).startswith(f"line {lineno}: {line!r}")
+
+
+@pytest.mark.parametrize("text", ["", " \n\t\n"])
+def test_parse_empty_text_misses_header(text):
+    with pytest.raises(ValueError, match="^missing 'qubits N' header$"):
+        circuit_from_text(text)
 
 
 def test_parse_controlled_phase_without_target():

@@ -120,7 +120,13 @@ def test_sweep_csv_artifact(capsys, tmp_path):
     assert len(lines) == 1 + 9
     last = lines[-1].split(",")
     assert float(last[2]) == pytest.approx(-0.25, abs=1e-10)
-    assert "zero_crossing_h_value_sed" in out
+    assert out == (
+        "rows = 9\n"
+        "min_value_conv = -0.25\n"
+        "min_value_sed = -0.25\n"
+        "zero_crossing_h_value_conv = 1\n"
+        "zero_crossing_h_value_sed = 1\n"
+    )
     # byte-identical rerun
     first_bytes = path.read_bytes()
     code, _ = run_cli(capsys, argv)
@@ -171,7 +177,7 @@ def test_unwritable_json_path_exits_1(argv, capsys, tmp_path):
     assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     for argv in (
         ["witness", "--kind", "ghz", "--n", "1"],
         ["witness", "--kind", "ghz", "--n", "3", "--epsilon", "2"],
@@ -184,26 +190,35 @@ def test_usage_errors_exit_2():
         ["sed-verify", "--n", "3", "--trials", "0"],
         ["sed-verify", "--n", "3", "--trials", "-4"],
         ["nosuchcommand"],
+        ["witness", "--epsilon", "nan"],
+        ["ancilla", "--epsilon", "nan"],
+        ["ancilla", "--p", "nan"],
+        ["sed-verify", "--n", "8"],
+        ["gatecount", "--n-min", "5", "--n-max", "4"],
+        ["gatecount", "--n-max", "13"],
+        ["sweep", "--n", "3", "--h-min", "nan", "--out", "x.csv"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and err.split("error: ", 1)[1].strip(), (argv, err)
 
 
-def _witness_golden():
-    """tests/data/cli_witness.txt: '# argv: ...' lines, each followed by its stdout."""
+def _stdout_golden():
+    """tests/data/cli_stdout.txt: '# argv: ...' lines, each followed by its stdout."""
     blocks = {}
-    for block in (DATA / "cli_witness.txt").read_text().split("# argv: ")[1:]:
+    for block in (DATA / "cli_stdout.txt").read_text().split("# argv: ")[1:]:
         argv, out = block.split("\n", 1)
         blocks[argv] = out
     return blocks
 
 
-WITNESS_GOLDEN = _witness_golden()
+STDOUT_GOLDEN = _stdout_golden()
 
 
-@pytest.mark.parametrize("argv", sorted(WITNESS_GOLDEN))
+@pytest.mark.parametrize("argv", sorted(STDOUT_GOLDEN))
 def test_witness_stdout_matches_golden(argv, capsys):
     code, out = run_cli(capsys, argv.split())
     assert code == 0
-    assert out == WITNESS_GOLDEN[argv]
+    assert out == STDOUT_GOLDEN[argv]

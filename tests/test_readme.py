@@ -1,11 +1,18 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's library example runs and prints what its comments say, and
+each of its CLI examples exits 0."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
 
+import pytest
+
+from sedwitness.cli import main
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+(CLI_BLOCK,) = re.findall(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S)
+CLI_EXAMPLES = [line.split()[1:] for line in CLI_BLOCK.splitlines() if line.startswith("sedwitness ")]
 
 
 def test_readme_library_example_prints_its_comments():
@@ -23,3 +30,13 @@ def test_readme_library_example_prints_its_comments():
                 assert g == w
             else:
                 assert abs(float(g) - float(w)) <= 1e-12, (g, w)
+
+
+def test_readme_cli_block_has_examples():
+    assert len(CLI_EXAMPLES) == 6
+
+
+@pytest.mark.parametrize("argv", CLI_EXAMPLES, ids=" ".join)
+def test_readme_cli_example_exits_0(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0

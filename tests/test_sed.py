@@ -264,6 +264,9 @@ def test_sed_decomposition_errors():
         SedDecomposition(1)
     with pytest.raises(ValueError):
         SedDecomposition(2).a0  # no witness constant attached
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            SedDecomposition(3, bad)
 
 
 def test_records_keep_only_their_inputs():

@@ -57,6 +57,10 @@ def test_expectation_values():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             expectation(bell, np.full((4, 4), bad))
+    # so does a non-finite witness constant, before any evaluation
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            generic_witness(make_ghz(3), c=bad)
 
 
 def test_expectation_linear_in_rho():
