@@ -36,10 +36,10 @@ from .tensor import max_schmidt_sq
 from .witness import (
     Witness,
     biseparable_c,
-    class_witness,
     epsilon_limit,
     expectation,
     generic_witness,
+    select_witness,
 )
 
 __version__ = "0.1.0"

@@ -94,6 +94,10 @@ def _ancilla_z(rho_in: np.ndarray, entanglers, cfg: AncillaConfig) -> list[float
     dim = 2**cfg.n
     if rho_in.shape != (dim, dim) or any(v.shape != (dim, dim) for v in entanglers):
         raise ValueError("dimension mismatch with ancilla configuration")
+    if not np.isfinite(rho_in).all():
+        raise ValueError("density matrix has non-finite entries")
+    if not all(np.isfinite(v).all() for v in entanglers):
+        raise ValueError("entangler has non-finite entries")
     values = []
     for v in entanglers:
         d = np.einsum("ij,ji->i", dagger(v) @ rho_in, v).real

@@ -107,6 +107,10 @@ def sed_measure(rho_in: np.ndarray, v_entangler: np.ndarray, dec: SedDecompositi
     dim = 2**n
     if rho_in.shape != (dim, dim) or v_entangler.shape != (dim, dim):
         raise ValueError("dimension mismatch between state, entangler and decomposition")
+    if not np.isfinite(rho_in).all():
+        raise ValueError("density matrix has non-finite entries")
+    if not np.isfinite(v_entangler).all():
+        raise ValueError("entangler has non-finite entries")
     rho_out = dagger(v_entangler) @ rho_in @ v_entangler
     offdiag_max = float(np.max(np.abs(rho_out - np.diag(np.diag(rho_out)))))
     # diagonal of sigma = V'^dag rho_out V'

@@ -31,6 +31,8 @@ class PureState:
 
 
 def basis_state(n: int, index: int = 0) -> PureState:
+    if not 0 <= index < 2**n:
+        raise ValueError(f"basis index {index} out of 0..{2**n - 1}")
     amps = np.zeros(2**n, dtype=complex)
     amps[index] = 1.0
     return PureState(amps)

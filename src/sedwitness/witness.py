@@ -37,16 +37,6 @@ class Witness:
         return self.target.n
 
 
-def class_witness(kind: str) -> Witness:
-    """Tripartite class witness: c = 3/4 for the GHZ class, 1/4 for the W class."""
-    kind = kind.lower()
-    if kind == "ghz":
-        return Witness(GHZ_CLASS_C, make_ghz(3), "GHZ-class")
-    if kind == "w":
-        return Witness(W_CLASS_C, make_w(3), "W-class")
-    raise ValueError(f"unknown witness class {kind!r}")
-
-
 def biseparable_c(psi: PureState) -> float:
     """Largest squared Schmidt coefficient over all bipartitions of psi."""
     n = psi.n
@@ -68,13 +58,16 @@ def generic_witness(target: PureState, c: float | None = None) -> Witness:
 
 
 def select_witness(kind: str, n: int) -> Witness:
-    """Witness for a target family: the class witness for ghz/w at n = 3,
-    otherwise the biseparability bound of the GHZ or W target."""
+    """Witness for a target family: the tripartite class witness for ghz/w at
+    n = 3 (c = 3/4 for the GHZ class, 1/4 for the W class), otherwise the
+    biseparability bound of the GHZ target (ghz, generic) or the W target (w)."""
     kind = kind.lower()
     if kind not in ("ghz", "w", "generic"):
         raise ValueError(f"unknown witness kind {kind!r}")
-    if kind != "generic" and n == 3:
-        return class_witness(kind)
+    if kind == "ghz" and n == 3:
+        return Witness(GHZ_CLASS_C, make_ghz(3), "GHZ-class")
+    if kind == "w" and n == 3:
+        return Witness(W_CLASS_C, make_w(3), "W-class")
     return generic_witness(make_w(n) if kind == "w" else make_ghz(n))
 
 
@@ -94,12 +87,14 @@ def expectation(w: Witness, rho: np.ndarray) -> float:
 
 
 def epsilon_limit(w: Witness) -> float:
-    """Pseudopure threshold: the witness turns negative for eps above this value."""
-    target_val = expectation(w, w.target.density())
-    if target_val >= 0:
+    """Pseudopure threshold: the witness turns negative for eps above this value.
+
+    Tr(W rho_eps) = (1 - eps) Tr(W) / 2^n + eps (c - 1) with Tr(W) = c 2^n - 1,
+    which vanishes at eps = (c 2^n - 1) / (2^n - 1)."""
+    if w.c >= 1:
         raise ValueError("witness does not detect its own target (c >= 1)")
-    trace_w = w.c * 2**w.n - 1.0
-    return trace_w / (trace_w - 2**w.n * target_val)
+    dim = 2**w.n
+    return (w.c * dim - 1.0) / (dim - 1.0)
 
 
 def pseudopure_expectation(w: Witness, epsilon: float) -> float:

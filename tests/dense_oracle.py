@@ -4,12 +4,13 @@ The package builds V'_n only from its gate circuit, applies every gate on
 its own axes of a tensor view and runs gate noise only as the Pauli
 pull-back of an observable.  The constructions below are independent of
 that code and are what the tests compare it with: the full-matrix gate
-embedding and the matrix recursion of V'_n; the noisy-gate channel on
-density matrices, the only Schroedinger-picture reference; and the dense
-helpers those need or the tests sample with (Kronecker product, partial
-trace and transpose, random and thermal density matrices, the
-partial-transpose test, separable sampling, the dense witness matrix and
-comparison up to a global phase).
+embedding and the matrix recursion of V'_n; a circuit applied gate by gate
+to a state vector, for registers too large for a 4**n unitary; the
+noisy-gate channel on density matrices, the only Schroedinger-picture
+reference; and the dense helpers those need or the tests sample with
+(Kronecker product, partial trace and transpose, random and thermal density
+matrices, the partial-transpose test, separable sampling, the dense witness
+matrix and comparison up to a global phase).
 """
 
 import numpy as np
@@ -204,6 +205,25 @@ def dense_gate(g, n):
     proj = np.diag(proj)
     block = kron(proj, g.base) + kron(np.eye(proj.shape[0]) - proj, np.eye(g.base.shape[0]))
     return embed_gate(block, g.qubits(), n)
+
+
+def apply_circuit(c, psi):
+    """The state vector c|psi>, one gate at a time on a (2,)*n view: each
+    base acts on its target axes of the slice where the controls hold their
+    polarities.  No 2**n x 2**n matrix is formed."""
+    n = c.n
+    t = np.array(psi, dtype=complex).reshape((2,) * n)
+    for g in c.gates:
+        idx = [slice(None)] * n
+        for q, pol in g.controls:
+            idx[q - 1] = pol
+        sub = t[tuple(idx)]  # a view: writes land in t
+        free = [q for q in range(1, n + 1) if q not in dict(g.controls)]
+        axes = [free.index(q) for q in g.targets]
+        moved = np.moveaxis(sub, axes, range(len(axes)))
+        new = (g.base @ moved.reshape(g.base.shape[0], -1)).reshape(moved.shape)
+        sub[...] = np.moveaxis(new, range(len(axes)), axes)
+    return t.ravel()
 
 
 def dense_noisy_gate(rho, g, h):

@@ -30,17 +30,17 @@ from sedwitness.sed import SedDecomposition, conjugated_observable, verify_equal
 from sedwitness.states import make_ghz
 from sedwitness.tensor import I2, Z, dagger, haar_unitary
 from sedwitness.witness import (
-    class_witness,
     epsilon_limit,
     expectation,
     generic_witness,
+    select_witness,
 )
 
 W3 = np.exp(2j * np.pi / 3)
 
 
 def test_criterion_1_epsilon_limit():
-    value = epsilon_limit(class_witness("ghz"))
+    value = epsilon_limit(select_witness("ghz", 3))
     assert abs(value - 5 / 7) <= 1e-12
     print(f"\nCRITERION 1 PASS: epsilon_limit = {value!r} (= 5/7 within 1e-12)")
 

@@ -175,6 +175,27 @@ def test_readouts_accept_nested_lists():
         intermediate_identities(rho, np.eye(4).tolist(), cfg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)], ids=["nan", "inf", "inf-j"])
+def test_readouts_reject_non_finite(bad):
+    # every ancilla path names a non-finite state or entangler before its first product
+    cfg = AncillaConfig(p=0.9, n=3)
+    rho, v = np.eye(8, dtype=complex) / 8, np.eye(8, dtype=complex)
+    bad_rho, bad_v = rho.copy(), v.copy()
+    bad_rho[1, 2] = bad_v[2, 1] = bad
+    spec = ConcatSpec((Stage(v, 0.5), Stage(v, 0.5)))
+    for call in (
+        lambda: ancilla_readout(bad_rho, v, 0.5, cfg),
+        lambda: intermediate_identities(bad_rho, v, cfg),
+        lambda: run_concatenated(bad_rho, spec, cfg),
+    ):
+        with pytest.raises(ValueError, match="density matrix has non-finite"):
+            call()
+    with pytest.raises(ValueError, match="entangler has non-finite"):
+        ancilla_readout(rho, bad_v, 0.5, cfg)
+    with pytest.raises(ValueError, match="entangler has non-finite"):
+        intermediate_identities(rho, bad_v, cfg)
+
+
 def test_identity_p_one():
     # p = 1 and P(0..0) = 1 force Tr(rho_a Z) = -1
     cfg = AncillaConfig(p=1.0, n=3)

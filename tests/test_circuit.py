@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import phase_insensitive_equal, vprime_recursion
+from dense_oracle import apply_circuit, phase_insensitive_equal, vprime_recursion
 from sedwitness.circuit import (
     Circuit,
     Gate,
@@ -384,23 +384,6 @@ def test_any_token_line_parses_or_names_its_line(line):
     assert circuit_to_text(circuit_from_text(text)) == text
 
 
-def act(gates, psi, n):
-    """Gates applied to a state vector: each base acts on its target axes of
-    the slice where the controls hold their polarities."""
-    t = psi.reshape((2,) * n).copy()
-    for g in gates:
-        idx = [slice(None)] * n
-        for q, pol in g.controls:
-            idx[q - 1] = pol
-        sub = t[tuple(idx)]  # a view: writes land in t
-        free = [q for q in range(1, n + 1) if q not in dict(g.controls)]
-        axes = [free.index(q) for q in g.targets]
-        moved = np.moveaxis(sub, axes, range(len(axes)))
-        new = (g.base @ moved.reshape(g.base.shape[0], -1)).reshape(moved.shape)
-        sub[...] = np.moveaxis(new, range(len(axes)), axes)
-    return t.ravel()
-
-
 @st.composite
 def controlled_gates(draw):
     """A single-target X, H or Haar-random gate with 1..n-1 controls, n <= 8."""
@@ -421,6 +404,28 @@ def test_expansion_acts_like_the_gate(case):
     for _ in range(2):
         psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         psi /= np.linalg.norm(psi)
-        got, want = act(ex.gates, psi, n), act([g], psi, n)
+        got, want = apply_circuit(ex, psi), apply_circuit(Circuit(n, (g,)), psi)
         phase = np.vdot(want, got) / abs(np.vdot(want, got))
         assert np.max(np.abs(got - phase * want)) <= 1e-10
+
+
+@given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(labelled_gates(n), min_size=1, max_size=8))))
+def test_apply_circuit_matches_unitary(case):
+    # the gate-by-gate vector oracle agrees with the unitary where that is small
+    n, gates = case
+    c = Circuit(n, tuple(gates))
+    rng = np.random.default_rng(n)
+    psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    assert np.max(np.abs(apply_circuit(c, psi) - circuit_unitary(c) @ psi)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_expanded_vprime_acts_like_the_circuit_at_scale(n):
+    # at the sizes the CLI allows, without forming a 4^n unitary
+    circ = vprime_dagger_circuit(n)
+    ex = expand_multicontrolled(circ)
+    rng = np.random.default_rng(n)
+    for _ in range(2):
+        psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        psi /= np.linalg.norm(psi)
+        assert np.max(np.abs(apply_circuit(ex, psi) - apply_circuit(circ, psi))) <= 1e-12

@@ -16,7 +16,7 @@ from sedwitness.sed import (
 )
 from sedwitness.states import make_ghz, pseudopure_matrix
 from sedwitness.tensor import H, I2, X, Z, dagger, haar_unitary
-from sedwitness.witness import class_witness
+from sedwitness.witness import select_witness
 
 W3 = np.exp(2j * np.pi / 3)
 S3 = 1 / np.sqrt(3.0)
@@ -160,7 +160,7 @@ def test_block_offdiagonals_vanish_after_permutation():
 
 
 def test_sed_measure_ghz_pseudopure():
-    w = class_witness("ghz")
+    w = select_witness("ghz", 3)
     dec = sed_decomposition(w)
     v = ghz_entangler_matrix(3)
     for eps in (0.0, 0.4, 5 / 7, 1.0):
@@ -173,7 +173,7 @@ def test_sed_measure_ghz_pseudopure():
 
 
 def test_sed_measure_maximally_mixed():
-    w = class_witness("ghz")
+    w = select_witness("ghz", 3)
     dec = sed_decomposition(w)
     v = ghz_entangler_matrix(3)
     res = sed_measure(np.eye(8) / 8, v, dec)
@@ -182,7 +182,7 @@ def test_sed_measure_maximally_mixed():
 
 
 def test_sed_measure_reports_nondiagonal():
-    w = class_witness("ghz")
+    w = select_witness("ghz", 3)
     dec = sed_decomposition(w)
     v = ghz_entangler_matrix(3)
     rho = np.zeros((8, 8), dtype=complex)
@@ -204,7 +204,7 @@ def test_sed_measure_offdiag_residual():
 
 
 def test_sed_measure_accepts_nested_lists():
-    dec = sed_decomposition(class_witness("ghz"))
+    dec = sed_decomposition(select_witness("ghz", 3))
     v = ghz_entangler_matrix(3)
     rho = make_ghz(3).density()
     want = sed_measure(rho, v, dec)
@@ -212,6 +212,20 @@ def test_sed_measure_accepts_nested_lists():
     assert got.value == want.value and got.diagonal_ok
     with pytest.raises(ValueError):
         sed_measure(rho, np.eye(4).tolist(), dec)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)], ids=["nan", "inf", "inf-j"])
+def test_sed_measure_rejects_non_finite(bad):
+    # named before the first product, not read out as nan or blamed on diagonality
+    dec = sed_decomposition(select_witness("ghz", 3))
+    rho, v = np.eye(8, dtype=complex) / 8, ghz_entangler_matrix(3)
+    rho[1, 2] = bad
+    with pytest.raises(ValueError, match="density matrix has non-finite"):
+        sed_measure(rho, v, dec)
+    v = v.copy()
+    v[2, 1] = bad
+    with pytest.raises(ValueError, match="entangler has non-finite"):
+        sed_measure(np.eye(8) / 8, v, dec)
 
 
 def test_sed_measure_zero_state_trial():
@@ -256,7 +270,7 @@ def test_weighted_z_sum_slots():
 def test_sed_decomposition_attaches_witness_constant():
     dec = SedDecomposition(4, c=0.5)
     assert dec.c == 0.5 and dec.a0 == 0.5 + dec.b
-    assert sed_decomposition(class_witness("w")).a0 == 0.25 + SedDecomposition(3).b
+    assert sed_decomposition(select_witness("w", 3)).a0 == 0.25 + SedDecomposition(3).b
 
 
 def test_sed_decomposition_errors():

@@ -45,6 +45,10 @@ def test_state_errors():
         PureState(np.array([np.nan, 0.0]))
     with pytest.raises(ValueError, match="not a power of two"):
         PureState(np.ones(3) / np.sqrt(3))
+    # a basis index outside 0..2^n - 1 is named, not wrapped or left to IndexError
+    for index in (-1, 8):
+        with pytest.raises(ValueError, match=rf"basis index {index} out of 0\.\.7"):
+            basis_state(3, index)
 
 
 def test_pure_state_reads_n_off_its_amplitudes():

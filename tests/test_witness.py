@@ -23,7 +23,6 @@ from sedwitness.tensor import is_hermitian
 from sedwitness.witness import (
     Witness,
     biseparable_c,
-    class_witness,
     epsilon_limit,
     expectation,
     generic_witness,
@@ -33,9 +32,17 @@ from sedwitness.witness import (
 
 
 def test_class_constants():
-    assert class_witness("ghz").c == 0.75
-    assert class_witness("w").c == 0.25
-    assert np.trace(witness_matrix(class_witness("ghz"))).real == pytest.approx(0.75 * 8 - 1)
+    assert select_witness("ghz", 3).c == 0.75
+    assert select_witness("w", 3).c == 0.25
+    assert np.trace(witness_matrix(select_witness("ghz", 3))).real == pytest.approx(0.75 * 8 - 1)
+    # generic at n = 3 is the biseparable GHZ witness, and the kind is case-blind
+    ghz3 = make_ghz(3).amplitudes.tolist()
+    generic, upper = select_witness("generic", 3), select_witness("GHZ", 3)
+    assert (generic.label, generic.target.amplitudes.tolist()) == ("biseparable", ghz3)
+    assert generic.c == pytest.approx(0.5, abs=1e-12)
+    assert (upper.c, upper.label, upper.target.amplitudes.tolist()) == (0.75, "GHZ-class", ghz3)
+    with pytest.raises(ValueError, match="unknown witness kind 'bell'"):
+        select_witness("Bell", 3)
 
 
 def test_biseparable_c_values():
@@ -45,7 +52,7 @@ def test_biseparable_c_values():
 
 
 def test_expectation_values():
-    w = class_witness("ghz")
+    w = select_witness("ghz", 3)
     assert expectation(w, make_ghz(3).density()) == pytest.approx(-0.25, abs=1e-12)
     assert expectation(w, np.eye(8) / 8) == pytest.approx(0.75 - 1 / 8, abs=1e-12)
     unit = generic_witness(make_ghz(3), c=1.0)
@@ -65,7 +72,7 @@ def test_expectation_values():
 
 def test_expectation_linear_in_rho():
     rng = np.random.default_rng(21)
-    w = class_witness("w")
+    w = select_witness("w", 3)
     r1, r2 = random_density_matrix(8, rng), random_density_matrix(8, rng)
     for a in (0.0, 0.25, 0.9):
         mix = a * r1 + (1 - a) * r2
@@ -74,15 +81,15 @@ def test_expectation_linear_in_rho():
 
 
 def test_epsilon_limit_values():
-    assert epsilon_limit(class_witness("ghz")) == pytest.approx(5 / 7, abs=1e-12)
-    assert epsilon_limit(class_witness("w")) == pytest.approx(1 / 7, abs=1e-12)
+    assert epsilon_limit(select_witness("ghz", 3)) == pytest.approx(5 / 7, abs=1e-12)
+    assert epsilon_limit(select_witness("w", 3)) == pytest.approx(1 / 7, abs=1e-12)
     bell = generic_witness(make_ghz(2))  # biseparable c = 1/2
     assert bell.c == pytest.approx(0.5, abs=1e-12)
     assert epsilon_limit(bell) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_epsilon_limit_is_the_zero_crossing():
-    w = class_witness("ghz")
+    w = select_witness("ghz", 3)
     lim = epsilon_limit(w)
     assert pseudopure_expectation(w, lim) == pytest.approx(0.0, abs=1e-12)
     assert pseudopure_expectation(w, lim + 1e-6) < 0
