@@ -17,9 +17,10 @@ register unitary acts on both alike, the CnNOT and its undo cancel on the
 blocks, and the un-compute restores diag(p, 1-p) (x) rho exactly.  So
 before the flip of a stage with entangler V the blocks are p V^dag rho V
 and (1-p) V^dag rho V, and the CnNOT swaps the populations of |0,0...0>
-and |1,0...0>.  `dense_run` in tests/test_ancilla.py is the full
-joint-state reference: it forms the 2^(n+1) state, applies the dense
-CnNOT, takes the partial trace and un-computes.
+and |1,0...0>.  d = diag(V^dag rho V) is one dense 2^n product and a
+diagonal contraction (tensor.conjugated_diagonal).  `dense_run` in
+tests/test_ancilla.py, the full joint-state reference, forms the 2^(n+1)
+state, applies the dense CnNOT, takes the partial trace and un-computes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, dagger
+from .tensor import ATOL_ALGEBRA, checked_operand, conjugated_diagonal, is_unitary
 
 ILL_CONDITIONED_P = 1e-6  # guard: 1/(2p-1) amplification stays below 5e5
 
@@ -55,10 +56,8 @@ class Stage:
     label: str = ""
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"stage {self.label!r} entangler is not a square matrix")
-        object.__setattr__(self, "v", v)
+        what = f"stage {self.label!r} entangler"
+        object.__setattr__(self, "v", checked_operand(self.v, len(np.atleast_1d(self.v)), what))
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,9 +71,7 @@ class ConcatSpec:
         for s in self.stages:
             if s.v.shape != (dim, dim):
                 raise ValueError("all stage entanglers must share the register dimension")
-            if not np.isfinite(s.v).all():
-                raise ValueError(f"stage {s.label!r} entangler has non-finite entries")
-            if not np.max(np.abs(s.v @ dagger(s.v) - np.eye(dim))) <= ATOL_ALGEBRA:
+            if not is_unitary(s.v):
                 raise ValueError(f"stage {s.label!r} entangler is not unitary")
 
 
@@ -88,19 +85,12 @@ def _flipped_populations(pops: np.ndarray) -> np.ndarray:
 
 def _ancilla_z(rho_in: np.ndarray, entanglers, cfg: AncillaConfig) -> list[float]:
     """Tr(rho_a Z) after each stage of one run, from d = diag(V^dag rho V):
-    the ancilla populations before the flip are p d and (1-p) d."""
-    rho_in = np.asarray(rho_in, dtype=complex)
-    entanglers = [np.asarray(v, dtype=complex) for v in entanglers]
-    dim = 2**cfg.n
-    if rho_in.shape != (dim, dim) or any(v.shape != (dim, dim) for v in entanglers):
-        raise ValueError("dimension mismatch with ancilla configuration")
-    if not np.isfinite(rho_in).all():
-        raise ValueError("density matrix has non-finite entries")
-    if not all(np.isfinite(v).all() for v in entanglers):
-        raise ValueError("entangler has non-finite entries")
+    the ancilla populations before the flip are p d and (1-p) d.  The
+    entanglers arrive checked: finite, 2^n x 2^n."""
+    rho_in = checked_operand(rho_in, 2**cfg.n, "density matrix")
     values = []
     for v in entanglers:
-        d = np.einsum("ij,ji->i", dagger(v) @ rho_in, v).real
+        d = conjugated_diagonal(rho_in, v)
         pops = _flipped_populations(np.stack([cfg.p * d, (1 - cfg.p) * d]))
         values.append(float(pops[0].sum() - pops[1].sum()))
     return values
@@ -115,12 +105,13 @@ def readout_value(c: float, trz: float, p: float) -> float:
 
 def ancilla_readout(rho_in: np.ndarray, v: np.ndarray, c: float, cfg: AncillaConfig) -> float:
     """Witness value Tr(rho (c*1 - V|0..0><0..0|V^dag)) from one ancilla polarization."""
+    v = checked_operand(v, 2**cfg.n, "entangler")
     return readout_value(c, _ancilla_z(rho_in, [v], cfg)[0], cfg.p)
 
 
 def intermediate_identities(rho_in: np.ndarray, v: np.ndarray, cfg: AncillaConfig) -> dict:
     """Return P(0...0) and Tr(rho_a_out Z) and check the two readout identities."""
-    v = np.asarray(v, dtype=complex)
+    v = checked_operand(v, 2**cfg.n, "entangler")
     (trz,) = _ancilla_z(rho_in, [v], cfg)
     p_tilde = float(np.vdot(v[:, 0], np.asarray(rho_in) @ v[:, 0]).real)
     residual_trz = abs(trz - (1 - 2 * cfg.p) * (2 * p_tilde - 1))
@@ -140,5 +131,7 @@ def intermediate_identities(rho_in: np.ndarray, v: np.ndarray, cfg: AncillaConfi
 def run_concatenated(rho_in: np.ndarray, spec: ConcatSpec, cfg: AncillaConfig) -> list[float]:
     """Read several witnesses in one run: per stage disentangle, flip, read,
     then un-compute before the next stage."""
+    if spec.stages[0].v.shape[0] != 2**cfg.n:
+        raise ValueError(f"stage entanglers do not match the {cfg.n}-qubit register")
     trzs = _ancilla_z(rho_in, [s.v for s in spec.stages], cfg)
     return [readout_value(s.c, trz, cfg.p) for s, trz in zip(spec.stages, trzs)]

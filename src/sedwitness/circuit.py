@@ -16,7 +16,7 @@ from itertools import compress
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, H, SWAP, X, dagger
+from .tensor import ATOL_ALGEBRA, H, SWAP, X, dagger, is_unitary
 
 
 # text labels of the named bases with 0, 1 and >= 2 controls
@@ -54,7 +54,7 @@ class Gate:
         d = 2 ** len(self.targets)
         if base.shape != (d, d):
             raise ValueError("base dimension does not match targets")
-        if self.label == "OPAQUE" and not abs(base @ base.conj().T - np.eye(d)).max() <= ATOL_ALGEBRA:
+        if self.label == "OPAQUE" and not is_unitary(base):
             raise ValueError("base is not unitary")
 
     @property
@@ -174,8 +174,9 @@ def select_entangler(kind: str, n: int) -> Circuit:
     return ghz_entangler(n) if kind == "ghz" else w_entangler(n)
 
 
-def vprime2() -> tuple[np.ndarray, float, np.ndarray]:
-    """The explicit two-qubit solution (V'_2, b, (a_1, a_2))."""
+def vprime2() -> np.ndarray:
+    """The explicit two-qubit solution V'_2; its coefficients b = -1/4 and
+    a_1 = a_2 = 3/8 are those of sed.SedDecomposition(2)."""
     w = np.exp(2j * np.pi / 3)
     s = 1 / np.sqrt(3.0)
     v = np.array(
@@ -187,7 +188,7 @@ def vprime2() -> tuple[np.ndarray, float, np.ndarray]:
         ],
         dtype=complex,
     )
-    return v, -0.25, np.array([3 / 8, 3 / 8])
+    return v
 
 
 def vprime_dagger_circuit(n: int) -> Circuit:
@@ -207,8 +208,7 @@ def vprime_dagger_circuit(n: int) -> Circuit:
         gates.append(Gate(H, (n,), tuple((q, 0) for q in range(first, n))))
         gates.append(Gate(H, (n,)))
         gates.append(Gate(SWAP, (first, n)))
-    v2, _, _ = vprime2()
-    gates.append(Gate(dagger(v2), (n - 1, n)))
+    gates.append(Gate(dagger(vprime2()), (n - 1, n)))
     return Circuit(n, tuple(gates))
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .circuit import circuit_unitary, vprime_dagger_circuit
 from .states import PureState
-from .tensor import ATOL_PHYSICS, dagger, haar_unitary, z_signs
+from .tensor import ATOL_PHYSICS, checked_operand, conjugated_diagonal, dagger, haar_unitary, z_signs
 from .witness import Witness, expectation, generic_witness
 
 
@@ -101,21 +101,11 @@ def sed_measure(rho_in: np.ndarray, v_entangler: np.ndarray, dec: SedDecompositi
     either way but equals the conventional witness expectation only when
     the audit passes.
     """
-    rho_in = np.asarray(rho_in, dtype=complex)
-    v_entangler = np.asarray(v_entangler, dtype=complex)
-    n = dec.n
-    dim = 2**n
-    if rho_in.shape != (dim, dim) or v_entangler.shape != (dim, dim):
-        raise ValueError("dimension mismatch between state, entangler and decomposition")
-    if not np.isfinite(rho_in).all():
-        raise ValueError("density matrix has non-finite entries")
-    if not np.isfinite(v_entangler).all():
-        raise ValueError("entangler has non-finite entries")
+    rho_in = checked_operand(rho_in, 2**dec.n, "density matrix")
+    v_entangler = checked_operand(v_entangler, 2**dec.n, "entangler")
     rho_out = dagger(v_entangler) @ rho_in @ v_entangler
     offdiag_max = float(np.max(np.abs(rho_out - np.diag(np.diag(rho_out)))))
-    # diagonal of sigma = V'^dag rho_out V'
-    sigma_diag = np.einsum("ij,ij->j", dec.vprime.conj(), rho_out @ dec.vprime).real
-    z = z_signs(n) @ sigma_diag
+    z = z_signs(dec.n) @ conjugated_diagonal(rho_out, dec.vprime)
     value = dec.a0 + float(np.dot(dec.a, z))
     return SedMeasurementResult(z, value, offdiag_max)
 

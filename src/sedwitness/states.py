@@ -31,6 +31,8 @@ class PureState:
 
 
 def basis_state(n: int, index: int = 0) -> PureState:
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise ValueError(f"basis index {index!r} is not an integer")
     if not 0 <= index < 2**n:
         raise ValueError(f"basis index {index} out of 0..{2**n - 1}")
     amps = np.zeros(2**n, dtype=complex)

@@ -1,6 +1,6 @@
-"""Qubit bookkeeping, tolerances and Pauli matrices; the change of a
-Hermitian operator to its Pauli-string coefficients; Schmidt coefficients
-and Haar-random unitaries.
+"""Qubit bookkeeping, tolerances and Pauli matrices; the operand check and
+the read of diag(U^dag rho U) that every readout shares; Pauli-string
+coefficients of a Hermitian operator; Schmidt coefficients; Haar unitaries.
 
 Qubit ordering convention used everywhere in this package: qubit 1 is the
 LEFTMOST tensor factor, i.e. the most significant bit of a computational
@@ -46,6 +46,25 @@ def n_qubits(dim: int) -> int:
 def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m)
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= ATOL_ALGEBRA
+
+
+def is_unitary(m: np.ndarray) -> bool:
+    return abs(m @ m.conj().T - np.eye(len(m))).max() <= ATOL_ALGEBRA
+
+
+def checked_operand(m, dim: int, what: str) -> np.ndarray:
+    """m as a complex dim x dim array, else a ValueError naming `what`."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (dim, dim):
+        raise ValueError(f"{what} has shape {m.shape}, expected {(dim, dim)}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has non-finite entries")
+    return m
+
+
+def conjugated_diagonal(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Real diagonal of U^dag rho U without forming it: sum_i conj(U_ij) (rho U)_ij."""
+    return np.einsum("ij,ij->j", u.conj(), rho @ u).real
 
 
 def _check_qubits(qubits, n, what):

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .states import PureState, make_ghz, make_w, pseudopure_matrix
-from .tensor import ATOL_PHYSICS, max_schmidt_sq
+from .tensor import ATOL_PHYSICS, checked_operand, max_schmidt_sq
 
 # class-boundary constants for the two inequivalent tripartite classes
 GHZ_CLASS_C = 3.0 / 4.0
@@ -73,12 +73,7 @@ def select_witness(kind: str, n: int) -> Witness:
 
 def expectation(w: Witness, rho: np.ndarray) -> float:
     """Tr(W rho) = c Tr(rho) - <psi|rho|psi>, without forming W."""
-    rho = np.asarray(rho, dtype=complex)
-    dim = 2**w.n
-    if rho.shape != (dim, dim):
-        raise ValueError(f"dimension mismatch: witness {(dim, dim)}, state {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix has non-finite entries")
+    rho = checked_operand(rho, 2**w.n, "density matrix")
     psi = w.target.amplitudes
     val = w.c * np.trace(rho) - np.vdot(psi, rho @ psi)
     if not abs(val.imag) <= ATOL_PHYSICS:

@@ -190,7 +190,7 @@ def blockdiag_ubd(n_plus_1):
 
 def vprime_recursion(n):
     """Dense V'_n by the matrix induction V'_m = U_bd U_p (I (x) V'_{m-1})."""
-    v, _, _ = vprime2()
+    v = vprime2()
     for m in range(3, n + 1):
         v = blockdiag_ubd(m) @ permutation_up(m) @ np.kron(I2, v)
     return v

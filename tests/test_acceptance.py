@@ -46,7 +46,9 @@ def test_criterion_1_epsilon_limit():
 
 
 def test_criterion_2_vprime2_conjugation():
-    v, b, a = vprime2()
+    v, dec = vprime2(), SedDecomposition(2)
+    b, a = dec.b, dec.a
+    assert b == -1 / 4 and np.array_equal(a, [3 / 8, 3 / 8])
     conj = v @ (b * np.eye(4) + a[0] * kron(I2, Z) + a[1] * kron(Z, I2)) @ dagger(v)
     expected = np.array(
         [

@@ -290,3 +290,6 @@ def test_stage_validation():
             run_concatenated(np.eye(2) / 2, ConcatSpec((Stage(np.eye(2), bad),)), cfg)
         with pytest.raises(ValueError, match="non-finite"):
             ancilla_readout(np.eye(2) / 2, np.eye(2), bad, cfg)
+    # stage entanglers of another register size are named before the read
+    with pytest.raises(ValueError, match="stage entanglers do not match the 1-qubit register"):
+        run_concatenated(np.eye(2) / 2, ConcatSpec((Stage(np.eye(4), 0.5),)), cfg)

@@ -10,7 +10,8 @@ import pytest
 
 from sedwitness.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 (CLI_BLOCK,) = re.findall(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S)
 CLI_EXAMPLES = [line.split()[1:] for line in CLI_BLOCK.splitlines() if line.startswith("sedwitness ")]
 
@@ -30,6 +31,14 @@ def test_readme_library_example_prints_its_comments():
                 assert g == w
             else:
                 assert abs(float(g) - float(w)) <= 1e-12, (g, w)
+
+
+def test_readme_layout_has_one_row_per_module():
+    # a module added or removed cannot leave the Layout table stale
+    (table,) = re.findall(r"## Layout\n\n(.*?)(?:\n## |\Z)", README.read_text(), re.S)
+    rows = re.findall(r"^\| `sedwitness\.(\w+)` \|", table, re.M)
+    modules = [p.stem for p in (ROOT / "src" / "sedwitness").glob("*.py") if p.stem != "__init__"]
+    assert sorted(rows) == sorted(modules)
 
 
 def test_readme_cli_block_has_examples():

@@ -52,7 +52,8 @@ def ghz_entangler_matrix(n):
 
 
 def test_vprime2_fixture():
-    v, b, a = vprime2()
+    v, dec = vprime2(), SedDecomposition(2)
+    b, a = dec.b, dec.a
     assert np.max(np.abs(v - VPRIME2_EXPECTED)) <= 1e-15
     assert np.allclose(v[0], [0, 0, 0, 1])
     assert v[2, 0] == pytest.approx(S3 * W3, abs=1e-15)
@@ -61,7 +62,9 @@ def test_vprime2_fixture():
 
 
 def test_vprime2_conjugation_reproduces_fixture():
-    v, b, a = vprime2()
+    v, dec = vprime2(), SedDecomposition(2)
+    b, a = dec.b, dec.a
+    assert b == -1 / 4 and np.array_equal(a, [3 / 8, 3 / 8])
     conj = v @ (b * np.eye(4) + a[0] * kron(I2, Z) + a[1] * kron(Z, I2)) @ dagger(v)
     assert np.max(np.abs(conj - CONJUGATED2_EXPECTED)) <= 1e-12
 

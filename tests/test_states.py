@@ -49,6 +49,11 @@ def test_state_errors():
     for index in (-1, 8):
         with pytest.raises(ValueError, match=rf"basis index {index} out of 0\.\.7"):
             basis_state(3, index)
+    # so is an index that is not an integer; a numpy integer is one
+    for index in (2.5, True):
+        with pytest.raises(ValueError, match=rf"basis index {index!r} is not an integer"):
+            basis_state(3, index)
+    assert basis_state(3, np.int64(3)).amplitudes[3] == 1
 
 
 def test_pure_state_reads_n_off_its_amplitudes():

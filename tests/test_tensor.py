@@ -1,3 +1,5 @@
+import re
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -13,6 +15,8 @@ from dense_oracle import (
     partial_transpose,
     random_density_matrix,
 )
+from sedwitness.ancilla import AncillaConfig, ConcatSpec, Stage, ancilla_readout, intermediate_identities, run_concatenated
+from sedwitness.sed import sed_decomposition, sed_measure
 from sedwitness.states import make_ghz, make_w
 from sedwitness.tensor import (
     H,
@@ -20,12 +24,15 @@ from sedwitness.tensor import (
     SWAP,
     X,
     Z,
+    conjugated_diagonal,
+    dagger,
     haar_unitary,
     max_schmidt_sq,
     pauli_coefficients,
     pauli_strings,
     z_signs,
 )
+from sedwitness.witness import expectation, select_witness
 
 
 def test_kron_identities():
@@ -213,3 +220,52 @@ def test_pauli_coefficients_errors():
         pauli_coefficients(np.array([[0, 1], [0, 0]]))
     with pytest.raises(ValueError, match="power of two"):
         pauli_coefficients(np.eye(3))
+
+
+def _bad_operand_cases():
+    """(call, name) for each dense readout and each operand it checks, spoilt
+    by a wrong shape or a non-finite entry; then a Stage with a bad entangler."""
+    cfg, w = AncillaConfig(p=0.9, n=3), select_witness("ghz", 3)
+    readouts = {
+        "expectation": (lambda rho, v: expectation(w, rho), "rho"),
+        "sed_measure": (lambda rho, v: sed_measure(rho, v, sed_decomposition(w)), "rho v"),
+        "ancilla_readout": (lambda rho, v: ancilla_readout(rho, v, 0.5, cfg), "rho v"),
+        "intermediate_identities": (lambda rho, v: intermediate_identities(rho, v, cfg), "rho v"),
+        "run_concatenated": (lambda rho, v: run_concatenated(rho, ConcatSpec((Stage(v, 0.5),)), cfg), "rho"),
+    }
+    names = {"rho": "density matrix", "v": "entangler"}
+    spoil = {"shape": (slice(4), slice(4)), "nan": np.nan, "inf": np.inf}
+    for label, (call, operands) in readouts.items():
+        for operand in operands.split():
+            for bad, how in spoil.items():
+                args = {"rho": np.eye(8, dtype=complex) / 8, "v": np.eye(8, dtype=complex)}
+                if bad == "shape":
+                    args[operand] = args[operand][how]
+                else:
+                    args[operand][1, 2] = how
+                yield pytest.param(partial(call, **args), names[operand], id=f"{label}-{operand}-{bad}")
+    stage_entanglers = {
+        "scalar": 1.0,
+        "1-d": np.ones(4),
+        "non-square": np.ones((2, 4)),
+        "nan": np.full((2, 2), np.nan),
+        "inf": np.full((2, 2), np.inf),
+    }
+    for bad, v in stage_entanglers.items():
+        yield pytest.param(partial(Stage, v, 0.5, "bad"), "stage 'bad' entangler", id=f"Stage-{bad}")
+
+
+@pytest.mark.parametrize("call, name", list(_bad_operand_cases()))
+def test_every_dense_readout_names_its_bad_operand(call, name):
+    # one check for every (rho, V): a ValueError naming the operand, never a TypeError or a nan
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} has (shape .*, expected .*|non-finite entries)$"):
+        call()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_conjugated_diagonal_matches_dense_product(n):
+    rng = np.random.default_rng(100 + n)
+    rho, u = random_density_matrix(2**n, rng), haar_unitary(2**n, rng)
+    d = conjugated_diagonal(rho, u)
+    assert d.dtype == float
+    assert np.max(np.abs(d - np.diag(dagger(u) @ rho @ u).real)) <= 1e-12
