@@ -57,7 +57,10 @@ class Stage:
 
     def __post_init__(self):
         what = f"stage {self.label!r} entangler"
-        object.__setattr__(self, "v", checked_operand(self.v, len(np.atleast_1d(self.v)), what))
+        v = checked_operand(self.v, len(np.atleast_1d(self.v)), what)
+        if not v.size:
+            raise ValueError(f"{what} is empty")
+        object.__setattr__(self, "v", v)
 
 
 @dataclass(frozen=True, eq=False)

@@ -89,10 +89,13 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        for i, g in enumerate(self.gates):
-            for q in g.qubits():  # Gate holds distinct qubits numbered from 1
-                if q > self.n:
-                    raise QubitRangeError(i, q, self.n)
+        # Gate holds distinct qubits numbered from 1, and a repeated Gate is checked once;
+        # only a failing check walks the list for the first bad position
+        if max((max(g.qubits(), default=0) for g in set(self.gates)), default=0) > self.n:
+            for i, g in enumerate(self.gates):
+                for q in g.qubits():
+                    if q > self.n:
+                        raise QubitRangeError(i, q, self.n)
 
     def then(self, other: "Circuit") -> "Circuit":
         if other.n != self.n:
@@ -317,30 +320,59 @@ _GATE_LINE = re.compile(
 )
 
 
+def _gate_text(g: Gate) -> str:
+    label = g.label
+    parts = [label] + [str(t) for t in g.targets]
+    if g.controls:
+        parts.append("|")
+        parts += [f"{q}({p})" for q, p in g.controls]
+    if label == "OPAQUE":
+        parts.append("@")
+        parts += [repr(complex(z)) for z in g.base.ravel()]
+    return " ".join(parts)
+
+
 def circuit_to_text(c: Circuit) -> str:
-    lines = [f"qubits {c.n}"]
-    for g in c.gates:
-        label = g.label
-        parts = [label] + [str(t) for t in g.targets]
-        if g.controls:
-            parts.append("|")
-            parts += [f"{q}({p})" for q, p in g.controls]
-        if label == "OPAQUE":
-            parts.append("@")
-            parts += [repr(complex(z)) for z in g.base.ravel()]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    """The text of c; each distinct Gate object (Gate hashes by identity) is formatted once."""
+    text = {g: _gate_text(g) for g in set(c.gates)}
+    return "\n".join([f"qubits {c.n}"] + [text[g] for g in c.gates]) + "\n"
+
+
+def _gate_from_line(ln: str) -> Gate:
+    match = _GATE_LINE.fullmatch(ln)
+    if not match:
+        raise ValueError("expected 'LABEL targets... [| q(pol)...] [@ entries...]'")
+    name, targets, controls, entries = match.groups()
+    targets = targets.split()  # ASCII digit strings, which Gate turns into ints
+    controls = _CONTROL.findall(controls or "")
+    if entries:
+        values = [complex(t) for t in entries.split()]
+        if not all(map(cmath.isfinite, values)):
+            raise ValueError("base has non-finite entries")
+        d = 2 ** len(targets)
+        base = np.array(values).reshape(d, d)
+    elif name in _NAMED_BASE:
+        base = _NAMED_BASE[name]
+    else:
+        raise ValueError(f"label {name!r} names no base")
+    g = Gate(base, targets, controls)
+    if g.label != name:
+        raise ValueError(f"gate is labelled {g.label}, not {name}")
+    return g
 
 
 def circuit_from_text(text: str) -> Circuit:
     """Parse the text format; a malformed line raises ValueError naming its number.
 
     A line's label must be the one its gate serializes to, so `CNOT 1` (no
-    control), `H 1 | 2(1)` (a CnH) or `X 1 @ ...` (an OPAQUE) are errors."""
+    control), `H 1 | 2(1)` (a CnH) or `X 1 @ ...` (an OPAQUE) are errors.
+    Each distinct stripped gate line is parsed and validated once per call;
+    a repeated line appends the same frozen Gate, so the first line that
+    fails is the one named."""
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("missing 'qubits N' header")
-    n, gates = None, []
+    n, gates, parsed = None, [], {}
     for lineno, ln in lines:
         try:
             if n is None:
@@ -349,26 +381,9 @@ def circuit_from_text(text: str) -> Circuit:
                     raise ValueError("expected 'qubits N'")
                 n = int(match[1])
                 continue
-            match = _GATE_LINE.fullmatch(ln)
-            if not match:
-                raise ValueError("expected 'LABEL targets... [| q(pol)...] [@ entries...]'")
-            name, targets, controls, entries = match.groups()
-            targets = targets.split()  # ASCII digit strings, which Gate turns into ints
-            controls = _CONTROL.findall(controls or "")
-            if entries:
-                values = [complex(t) for t in entries.split()]
-                if not all(map(cmath.isfinite, values)):
-                    raise ValueError("base has non-finite entries")
-                d = 2 ** len(targets)
-                base = np.array(values).reshape(d, d)
-            elif name in _NAMED_BASE:
-                base = _NAMED_BASE[name]
-            else:
-                raise ValueError(f"label {name!r} names no base")
-            g = Gate(base, targets, controls)
-            if g.label != name:
-                raise ValueError(f"gate is labelled {g.label}, not {name}")
-            gates.append(g)
+            if ln not in parsed:
+                parsed[ln] = _gate_from_line(ln)
+            gates.append(parsed[ln])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {ln!r}: {exc}") from exc
     try:

@@ -49,6 +49,14 @@ def is_hermitian(m: np.ndarray) -> bool:
 
 
 def is_unitary(m: np.ndarray) -> bool:
+    """max |m m^dag - 1| <= ATOL_ALGEBRA; a non-finite entry fails."""
+    if m.shape == (2, 2):  # closed form on Python complexes: numpy's call overhead dominates here
+        (a, b), (c, d) = m.tolist()
+        return (
+            abs(a * a.conjugate() + b * b.conjugate() - 1) <= ATOL_ALGEBRA
+            and abs(a * c.conjugate() + b * d.conjugate()) <= ATOL_ALGEBRA
+            and abs(c * c.conjugate() + d * d.conjugate() - 1) <= ATOL_ALGEBRA
+        )
     return abs(m @ m.conj().T - np.eye(len(m))).max() <= ATOL_ALGEBRA
 
 

@@ -281,6 +281,8 @@ def test_stage_validation():
         Stage(np.ones((2, 4)), 0.5, "wide")
     with pytest.raises(ValueError):
         Stage(np.ones(4), 0.5, "flat")
+    with pytest.raises(ValueError, match="^stage 'empty' entangler is empty$"):
+        ConcatSpec((Stage(np.zeros((0, 0)), 0.5, "empty"),))
     spec = ConcatSpec((Stage([[1, 0], [0, 1]], 0.5),))
     assert spec.stages[0].v.dtype == complex and spec.stages[0].v.shape == (2, 2)
     # a non-finite witness constant is named, not read out as nan or inf

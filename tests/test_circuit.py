@@ -230,6 +230,7 @@ def test_serialization_errors():
         ("qubits 3\n\nOPAQUE 1 @ 1 0 0", 3, "OPAQUE 1 @ 1 0 0"),
         ("qubits 3\nH 1\n  NOPE 2", 3, "NOPE 2"),
         ("qubits 2\nH 3", 2, "H 3"),
+        ("qubits 2\nH 1\nH 3\nH 3", 3, "H 3"),
         ("qubits 2\n\nH 1\nCNOT 1 | 3(1)", 4, "CNOT 1 | 3(1)"),
         ("qubits 3\nCnNOT 1", 2, "CnNOT 1"),
         ("qubits 3\nCNOT 1", 2, "CNOT 1"),
@@ -275,6 +276,13 @@ def test_parse_controlled_phase_without_target():
     assert (g.targets, g.controls, g.base.tolist()) == ((), ((1, 1),), [[1j]])
 
 
+@pytest.mark.parametrize("line, qubits", [("OPAQUE | 1(1) @ 1j", [1]), ("OPAQUE @ 1j", [])])
+def test_parse_doubled_zero_target_line(line, qubits):
+    # a zero-qubit gate passes the range check, and its repeat is the same Gate
+    g, h = circuit_from_text(f"qubits 2\n{line}\n{line}\n").gates
+    assert g is h and g.qubits() == qubits and g.base.tolist() == [[1j]]
+
+
 def test_parse_accepts_any_whitespace_between_tokens():
     (spaced,) = circuit_from_text("qubits 2\nCNOT\t1  |  2(1)\n").gates
     (plain,) = circuit_from_text("qubits 2\nCNOT 1 | 2(1)\n").gates
@@ -314,6 +322,10 @@ EXPANDED_VPRIME_SHA256 = {
 def test_expanded_vprime_text_is_pinned(n):
     text = circuit_to_text(expand_multicontrolled(vprime_dagger_circuit(n)))
     assert hashlib.sha256(text.encode()).hexdigest() == EXPANDED_VPRIME_SHA256[n]
+    # the round trip hits the same digest, and a repeated line is one shared Gate
+    parsed = circuit_from_text(text)
+    assert hashlib.sha256(circuit_to_text(parsed).encode()).hexdigest() == EXPANDED_VPRIME_SHA256[n]
+    assert len(set(parsed.gates)) <= len(set(text.splitlines()[1:]))
 
 
 LABELS = ("X", "CNOT", "CnNOT", "H", "CnH", "SWAP", "OPAQUE")
@@ -352,6 +364,14 @@ def test_text_round_trip_of_random_gates(case):
         assert (g2.label, g2.targets, g2.controls) == (g1.label, g1.targets, g1.controls)
         assert np.array_equal(g1.base, g2.base)  # bit-exact
         assert (g2.base is g1.base) == (g1.label != "OPAQUE")  # names give the shared constants
+    # a circuit that repeats the drawn Gate objects: equal lines parse to one object
+    repeated = Circuit(n, tuple(gates) + tuple(reversed(gates)) + tuple(gates))
+    text = circuit_to_text(repeated)
+    back = circuit_from_text(text)
+    assert circuit_to_text(back) == text
+    first = {}
+    for ln, g in zip(text.splitlines()[1:], back.gates):
+        assert first.setdefault(ln, g) is g
 
 
 QUBITS, CONTROLS = ("1", "2", "3", "4", "0", "\u0661"), ("1(1)", "2(0)", "3(1)", "1(2)", "1(", "+1")
@@ -374,14 +394,21 @@ def token_lines(draw):
 @settings(max_examples=100)
 @given(token_lines())
 def test_any_token_line_parses_or_names_its_line(line):
-    # a line either round-trips through the writer or fails with its own number and text
+    # a line either round-trips through the writer or fails with its own number and text;
+    # written twice, it parses to one shared Gate or fails with the same message
+    doubled = f"qubits 3\n{line}\n{line}\n"
     try:
         circ = circuit_from_text(f"qubits 3\n{line}\n")
     except ValueError as exc:
         assert str(exc).startswith(f"line 2: {line!r}")
+        with pytest.raises(ValueError) as err:
+            circuit_from_text(doubled)
+        assert str(err.value) == str(exc)
         return
     text = circuit_to_text(circ)
     assert circuit_to_text(circuit_from_text(text)) == text
+    gates = circuit_from_text(doubled).gates  # a blank line holds no gate
+    assert len(gates) == 2 * len(circ.gates) and len(set(gates)) == len(circ.gates)
 
 
 @st.composite

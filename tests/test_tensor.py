@@ -19,6 +19,7 @@ from sedwitness.ancilla import AncillaConfig, ConcatSpec, Stage, ancilla_readout
 from sedwitness.sed import sed_decomposition, sed_measure
 from sedwitness.states import make_ghz, make_w
 from sedwitness.tensor import (
+    ATOL_ALGEBRA,
     H,
     I2,
     SWAP,
@@ -27,6 +28,7 @@ from sedwitness.tensor import (
     conjugated_diagonal,
     dagger,
     haar_unitary,
+    is_unitary,
     max_schmidt_sq,
     pauli_coefficients,
     pauli_strings,
@@ -269,3 +271,25 @@ def test_conjugated_diagonal_matches_dense_product(n):
     d = conjugated_diagonal(rho, u)
     assert d.dtype == float
     assert np.max(np.abs(d - np.diag(dagger(u) @ rho @ u).real)) <= 1e-12
+
+
+def test_is_unitary_2x2_closed_form_matches_dense_formula():
+    # Haar bases perturbed by about 1e-12 straddle the tolerance; the closed 2x2
+    # form must decide as max|m m^dag - 1| computed densely here does
+    rng = np.random.default_rng(19)
+    verdicts, near = [], 0
+    for _ in range(4000):
+        eps = 10.0 ** rng.uniform(-13, -11)
+        m = haar_unitary(2, rng) + eps * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        dense = np.max(np.abs(m @ m.conj().T - np.eye(2)))
+        if abs(dense - ATOL_ALGEBRA) <= 1e-15:
+            near += 1  # the two forms round differently at the last bits
+            continue
+        assert is_unitary(m) == (dense <= ATOL_ALGEBRA)
+        verdicts.append(dense <= ATOL_ALGEBRA)
+    assert near < 40 and 1000 < sum(verdicts) < len(verdicts) - 1000
+    for bad in (np.nan, np.inf):
+        for i in range(4):
+            m = np.eye(2, dtype=complex)
+            m.flat[i] = bad
+            assert not is_unitary(m)
