@@ -10,6 +10,7 @@ bit (1 = active on |1>, 0 = active on |0>).
 from __future__ import annotations
 
 import cmath
+import operator
 import re
 from dataclasses import dataclass
 from itertools import compress
@@ -24,6 +25,14 @@ _LABELS = ((X, ("X", "CNOT", "CnNOT")), (H, ("H", "CnH", "CnH")), (SWAP, ("SWAP"
 _NAMED_BASE = {name: base for base, names in _LABELS for name in names if name}
 
 
+def _integer(v, what: str) -> int:
+    """v as an int through operator.index, so a float or a string is a ValueError."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{what} {v!r} is not an integer") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Gate:
     """Controlled unitary: the 2**len(targets) unitary `base` acts on
@@ -36,10 +45,9 @@ class Gate:
     controls: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        object.__setattr__(
-            self, "controls", tuple((int(q), int(p)) for q, p in self.controls)
-        )
+        object.__setattr__(self, "targets", tuple(_integer(t, "qubit") for t in self.targets))
+        controls = tuple((_integer(q, "qubit"), _integer(p, "polarity")) for q, p in self.controls)
+        object.__setattr__(self, "controls", controls)
         ctrl_qubits = [q for q, _ in self.controls]
         if any(q < 1 for q in ctrl_qubits + list(self.targets)):
             raise ValueError("qubits are numbered from 1")
@@ -74,20 +82,14 @@ class Gate:
         return Gate(dagger(self.base), self.targets, self.controls)
 
 
-class QubitRangeError(ValueError):
-    """A gate touches a qubit outside the register; `index` is its position."""
-
-    def __init__(self, index: int, qubit: int, n: int):
-        super().__init__(f"gate {index}: qubit {qubit} out of range 1..{n}")
-        self.index = index
-
-
 @dataclass(frozen=True, eq=False)
 class Circuit:
     n: int
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
+        if _integer(self.n, "register size") < 0:
+            raise ValueError(f"register size {self.n} is negative")
         object.__setattr__(self, "gates", tuple(self.gates))
         # Gate holds distinct qubits numbered from 1, and a repeated Gate is checked once;
         # only a failing check walks the list for the first bad position
@@ -95,7 +97,7 @@ class Circuit:
             for i, g in enumerate(self.gates):
                 for q in g.qubits():
                     if q > self.n:
-                        raise QubitRangeError(i, q, self.n)
+                        raise ValueError(f"gate {i}: qubit {q} out of range 1..{self.n}")
 
     def then(self, other: "Circuit") -> "Circuit":
         if other.n != self.n:
@@ -338,13 +340,13 @@ def circuit_to_text(c: Circuit) -> str:
     return "\n".join([f"qubits {c.n}"] + [text[g] for g in c.gates]) + "\n"
 
 
-def _gate_from_line(ln: str) -> Gate:
+def _gate_from_line(ln: str, n: int) -> Gate:
     match = _GATE_LINE.fullmatch(ln)
     if not match:
         raise ValueError("expected 'LABEL targets... [| q(pol)...] [@ entries...]'")
     name, targets, controls, entries = match.groups()
-    targets = targets.split()  # ASCII digit strings, which Gate turns into ints
-    controls = _CONTROL.findall(controls or "")
+    targets = [int(t) for t in targets.split()]
+    controls = [(int(q), int(p)) for q, p in _CONTROL.findall(controls or "")]
     if entries:
         values = [complex(t) for t in entries.split()]
         if not all(map(cmath.isfinite, values)):
@@ -358,17 +360,19 @@ def _gate_from_line(ln: str) -> Gate:
     g = Gate(base, targets, controls)
     if g.label != name:
         raise ValueError(f"gate is labelled {g.label}, not {name}")
+    for q in g.qubits():
+        if q > n:
+            raise ValueError(f"qubit {q} out of range 1..{n}")
     return g
 
 
 def circuit_from_text(text: str) -> Circuit:
-    """Parse the text format; a malformed line raises ValueError naming its number.
+    """Parse the text format; the first malformed line raises ValueError naming its number.
 
     A line's label must be the one its gate serializes to, so `CNOT 1` (no
-    control), `H 1 | 2(1)` (a CnH) or `X 1 @ ...` (an OPAQUE) are errors.
-    Each distinct stripped gate line is parsed and validated once per call;
-    a repeated line appends the same frozen Gate, so the first line that
-    fails is the one named."""
+    control), `H 1 | 2(1)` (a CnH) or `X 1 @ ...` (an OPAQUE) are errors, and
+    its qubits must lie in 1..N.  Each distinct stripped gate line is checked
+    whole once per call, in file order, and a repeat appends the same Gate."""
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("missing 'qubits N' header")
@@ -382,12 +386,8 @@ def circuit_from_text(text: str) -> Circuit:
                 n = int(match[1])
                 continue
             if ln not in parsed:
-                parsed[ln] = _gate_from_line(ln)
+                parsed[ln] = _gate_from_line(ln, n)
             gates.append(parsed[ln])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {ln!r}: {exc}") from exc
-    try:
-        return Circuit(n, tuple(gates))
-    except QubitRangeError as exc:
-        lineno, ln = lines[exc.index + 1]
-        raise ValueError(f"line {lineno}: {ln!r}: {exc}") from exc
+    return Circuit(n, tuple(gates))

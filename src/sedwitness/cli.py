@@ -23,7 +23,7 @@ from .noise import grid_values, sweep, sweep_csv, zero_crossing_h
 from .sed import verify_equality
 from .states import pseudopure_matrix
 from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS
-from .witness import epsilon_limit, expectation, pseudopure_expectation, select_witness
+from .witness import epsilon_limit, expectation, select_witness
 
 
 def _fmt(x) -> str:
@@ -65,7 +65,7 @@ def cmd_witness(args) -> int:
     }
     if args.epsilon is not None:
         report["epsilon"] = args.epsilon
-        report["expectation"] = pseudopure_expectation(w, args.epsilon)
+        report["expectation"] = expectation(w, pseudopure_matrix(w.target, args.epsilon))
     return _emit(report, args.json)
 
 

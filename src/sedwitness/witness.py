@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import PureState, make_ghz, make_w, pseudopure_matrix
+from .states import PureState, make_ghz, make_w
 from .tensor import ATOL_PHYSICS, checked_operand, max_schmidt_sq
 
 # class-boundary constants for the two inequivalent tripartite classes
@@ -90,8 +90,3 @@ def epsilon_limit(w: Witness) -> float:
         raise ValueError("witness does not detect its own target (c >= 1)")
     dim = 2**w.n
     return (w.c * dim - 1.0) / (dim - 1.0)
-
-
-def pseudopure_expectation(w: Witness, epsilon: float) -> float:
-    """Witness value on the pseudopure mixture of its own target."""
-    return expectation(w, pseudopure_matrix(w.target, epsilon))

@@ -185,6 +185,22 @@ def test_gate_validation():
         Gate(X, (0,))  # qubits are numbered from 1
     with pytest.raises(ValueError):
         Gate(X, (1,), ((-1, 1),))
+    with pytest.raises(ValueError, match="^base is not unitary$"):
+        Gate(np.full((4, 4), np.inf), (1, 2))  # no numpy warning on the way
+    # qubits and polarities are integers, numpy's too; a float or a string is refused
+    for targets, controls in [((1.7,), ()), (("2",), ()), ((1,), ((2.0, 1),)), ((1,), ((2, "1"),))]:
+        with pytest.raises(ValueError, match="is not an integer$"):
+            Gate(X, targets, controls)
+    g = Gate(X, (np.int64(1),), ((np.int32(2), np.uint8(1)),))
+    assert (g.targets, g.controls) == ((1,), ((2, 1),))
+    assert all(type(q) is int for q in g.qubits() + [g.controls[0][1]])
+    # the register size is a non-negative integer
+    assert Circuit(0).n == 0
+    for n in (-1, 2.0, "2", None):
+        with pytest.raises(ValueError, match="^register size "):
+            Circuit(n)
+    with pytest.raises(ValueError, match=r"^gate 1: qubit 3 out of range 1\.\.2$"):
+        Circuit(2, (Gate(X, (1,)), Gate(X, (3,))))
 
 
 def test_serialization_roundtrip():
@@ -220,6 +236,10 @@ def test_serialization_errors():
         circuit_from_text("H 1\n")
 
 
+HUGE_4X4 = "OPAQUE 1 2 @ 1e200 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1"  # m m^dag overflows
+INF_4X4 = "OPAQUE 1 2 @ " + " ".join(["inf"] * 16)
+
+
 @pytest.mark.parametrize(
     "text, lineno, line",
     [
@@ -231,6 +251,8 @@ def test_serialization_errors():
         ("qubits 3\nH 1\n  NOPE 2", 3, "NOPE 2"),
         ("qubits 2\nH 3", 2, "H 3"),
         ("qubits 2\nH 1\nH 3\nH 3", 3, "H 3"),
+        ("qubits 2\nH 3\nfoo bar", 2, "H 3"),
+        ("qubits 2\nH 3\nX 1 @ 0 1 1 0", 2, "H 3"),
         ("qubits 2\n\nH 1\nCNOT 1 | 3(1)", 4, "CNOT 1 | 3(1)"),
         ("qubits 3\nCnNOT 1", 2, "CnNOT 1"),
         ("qubits 3\nCNOT 1", 2, "CNOT 1"),
@@ -250,6 +272,8 @@ def test_serialization_errors():
         ("qubits 1\nOPAQUE 1 @ nan 0 0 1", 2, "OPAQUE 1 @ nan 0 0 1"),
         ("qubits 1\nOPAQUE 1 @ inf 0 0 1", 2, "OPAQUE 1 @ inf 0 0 1"),
         ("qubits 1\nOPAQUE 1 @ 1e999 0 0 1", 2, "OPAQUE 1 @ 1e999 0 0 1"),
+        (f"qubits 2\n{HUGE_4X4}", 2, HUGE_4X4),
+        (f"qubits 2\n{INF_4X4}", 2, INF_4X4),
         ("qubits 3\nH 1 2(1)", 2, "H 1 2(1)"),
         ("qubits 3\n| 1(1)", 2, "| 1(1)"),
         ("qubits 3\nOPAQUE 1 @ 1 @ 0 0 1", 2, "OPAQUE 1 @ 1 @ 0 0 1"),
@@ -395,7 +419,11 @@ def token_lines(draw):
 @given(token_lines())
 def test_any_token_line_parses_or_names_its_line(line):
     # a line either round-trips through the writer or fails with its own number and text;
-    # written twice, it parses to one shared Gate or fails with the same message
+    # written twice, it parses to one shared Gate or fails with the same message;
+    # after an out-of-range line, the earlier line is the one named
+    with pytest.raises(ValueError) as err:
+        circuit_from_text(f"qubits 2\nH 3\n{line}\n")
+    assert str(err.value) == "line 2: 'H 3': qubit 3 out of range 1..2"
     doubled = f"qubits 3\n{line}\n{line}\n"
     try:
         circ = circuit_from_text(f"qubits 3\n{line}\n")

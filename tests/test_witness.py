@@ -26,7 +26,6 @@ from sedwitness.witness import (
     epsilon_limit,
     expectation,
     generic_witness,
-    pseudopure_expectation,
     select_witness,
 )
 
@@ -91,12 +90,12 @@ def test_epsilon_limit_values():
 def test_epsilon_limit_is_the_zero_crossing():
     w = select_witness("ghz", 3)
     lim = epsilon_limit(w)
-    assert pseudopure_expectation(w, lim) == pytest.approx(0.0, abs=1e-12)
-    assert pseudopure_expectation(w, lim + 1e-6) < 0
-    assert pseudopure_expectation(w, lim - 1e-6) > 0
+    assert expectation(w, pseudopure_matrix(w.target, lim)) == pytest.approx(0.0, abs=1e-12)
+    assert expectation(w, pseudopure_matrix(w.target, lim + 1e-6)) < 0
+    assert expectation(w, pseudopure_matrix(w.target, lim - 1e-6)) > 0
     # negative iff eps above the threshold
     for eps in np.linspace(0, 1, 21):
-        val = pseudopure_expectation(w, eps)
+        val = expectation(w, pseudopure_matrix(w.target, eps))
         if eps > lim + 1e-12:
             assert val < 1e-12
         elif eps < lim - 1e-12:
