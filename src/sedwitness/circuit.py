@@ -10,27 +10,18 @@ bit (1 = active on |1>, 0 = active on |0>).
 from __future__ import annotations
 
 import cmath
-import operator
 import re
 from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, H, SWAP, X, dagger, is_unitary
+from .tensor import ATOL_ALGEBRA, H, SWAP, X, _integer, dagger, is_unitary
 
 
 # text labels of the named bases with 0, 1 and >= 2 controls
 _LABELS = ((X, ("X", "CNOT", "CnNOT")), (H, ("H", "CnH", "CnH")), (SWAP, ("SWAP", None, None)))
 _NAMED_BASE = {name: base for base, names in _LABELS for name in names if name}
-
-
-def _integer(v, what: str) -> int:
-    """v as an int through operator.index, so a float or a string is a ValueError."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise ValueError(f"{what} {v!r} is not an integer") from None
 
 
 @dataclass(frozen=True, eq=False)

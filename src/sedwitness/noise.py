@@ -15,8 +15,15 @@ E_g^dag = R_g D_g, where D_g multiplies by p_s every string that is not
 the identity on the gate's qubits (Tr_t of a traceless factor is 0) and
 R_g is the real 4**k x 4**k Pauli transfer matrix of O -> U^dag O U.  R_g
 does not depend on h, so one backward walk over the gate list pulls an
-observable back for a whole chunk of h values at once, each gate one
-matmul on its own axes.
+observable back for a whole chunk of h values at once.  The walk follows a
+plan, a pure function of the gate list: consecutive gates, last to first,
+form blocks of at most 3 qubits (a wider gate is a block of its own), and
+each block applies the product of its gates' maps M_g = R_g D_g by one
+matmul on its own axes.  The block maps are built per walk, once for each
+distinct block (the same bases, polarities and local qubit positions), and
+each is dropped after its last use, so none outlives the walk.  The damping
+stays per gate; only the order of rounding differs from a walk gate by
+gate.
 
 The sweep prepares a thermal product state, runs the noisy entangler, then
 compares the conventional witness (noiseless direct trace) with the
@@ -72,20 +79,107 @@ def _adjoint_transfer(raw: bytes, dim: int, polarities: tuple) -> np.ndarray:
     return r
 
 
-# coefficients in one walk over the gates: past about 2**20 (8 MB) the
+# coefficients in one walk over the gates: past about 2**18 (2 MB) the
 # arrays leave the cache and each h costs more than in a walk of its own
-# (measured at n = 9 and 10), so larger h grids are walked in chunks
-_WALK_COEFFS = 2**20
+# (measured for the block walk at n = 8, 9 and 10), so larger h grids are
+# walked in chunks
+_WALK_COEFFS = 2**18
+
+# most qubits in one block of the walk plan; a wider gate is a block of its own
+_BLOCK_WIDTH = 3
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One block of the walk plan: gates that run one after another, last to
+    first, on at most _BLOCK_WIDTH qubits together.
+
+    support lists the block's qubits in the order of its map's axes; axes is
+    the transpose of the (h, coefficients) array that brings them first, None
+    when they already lead.  key holds, for the block's gates in walk order,
+    the _adjoint_transfer arguments of each with the positions of its qubits
+    in support, so equal keys have equal maps.  The first step with a key
+    builds its map and the last one drops it."""
+
+    support: tuple[int, ...]
+    axes: tuple[int, ...] | None
+    key: tuple
+    first: bool
+    last: bool
+
+
+def _walk_plan(c: Circuit) -> tuple[list[_Step], tuple[int, ...]]:
+    """The steps of a walk over c's gates, and the transpose that puts the
+    qubits back in order after the last step.
+
+    Gates join the current block, last to first, while the joint support
+    stays within _BLOCK_WIDTH qubits.  A block takes its qubits in the order
+    they lead the coefficient array when they already do, which saves the
+    transpose, else in the order its gates first name them.
+    """
+    qubits = {g: g.qubits() for g in set(c.gates)}
+    transfer = {g: (g.base.tobytes(), len(g.base), tuple(pol for _, pol in g.controls)) for g in qubits}
+    blocks = []  # (support, gates) per block, in walk order
+    support = []
+    for g in reversed(c.gates):
+        joint = [q for q in qubits[g] if q not in support]
+        if not blocks or len(support) + len(joint) > _BLOCK_WIDTH:
+            support, gates = list(qubits[g]), [g]
+            blocks.append((support, gates))
+        else:
+            support += joint
+            gates.append(g)
+    order = list(range(1, c.n + 1))  # order[i] is the qubit on axis i + 1 of the array
+    placed = []  # (support, axes, key) per block
+    for support, gates in blocks:
+        axes = None
+        if set(order[: len(support)]) == set(support):
+            support = order[: len(support)]
+        else:
+            new = support + [q for q in order if q not in support]
+            axes = tuple([0] + [order.index(q) + 1 for q in new])
+            order = new
+        local = {q: i for i, q in enumerate(support)}
+        key = tuple((transfer[g], tuple(map(local.__getitem__, qubits[g]))) for g in gates)
+        placed.append((tuple(support), axes, key))
+    first = {key: i for i, (_, _, key) in reversed(list(enumerate(placed)))}
+    last = {key: i for i, (_, _, key) in enumerate(placed)}
+    steps = [_Step(*block, first[block[2]] == i, last[block[2]] == i) for i, block in enumerate(placed)]
+    return steps, tuple([0] + [order.index(q) + 1 for q in range(1, c.n + 1)])
+
+
+def _block_map(key, gate_maps: dict, m: int) -> np.ndarray:
+    """M_B = M_wj ... M_w1, one 4**m x 4**m matrix per h of gate_maps, of the
+    block on m qubits whose gates in walk order and their local positions
+    are key: each gate's map acts on its own row axes of the running product."""
+    (t, pos), *rest = key
+    if not rest and pos == tuple(range(m)):
+        return gate_maps[t]  # one gate on its own qubits, in order
+    a = np.eye(4**m)[None]
+    order = list(range(m))  # order[i] is the local qubit on row axis i + 1 of a
+    for t, pos in key:
+        new = list(pos) + [q for q in order if q not in pos]
+        if new != order:
+            a = a.reshape((len(a),) + (4,) * m + (4**m,)).transpose([0] + [order.index(q) + 1 for q in new] + [m + 1])
+            order = new
+        a = gate_maps[t] @ a.reshape(len(a), 4 ** len(pos), -1)
+    a = a.reshape((len(a),) + (4,) * m + (4**m,)).transpose([0] + [order.index(q) + 1 for q in range(m)] + [m + 1])
+    return a.reshape(len(a), 4**m, 4**m)
 
 
 def pull_back(c: Circuit, coeffs: np.ndarray, grid_h) -> np.ndarray:
     """Pauli coefficients of E^dag(O) for the noisy run E of c at each h of grid_h.
 
     coeffs holds the real Pauli coefficients of O, shape (4,)*c.n; the
-    result has one more, leading axis over grid_h.  The gates are walked
-    last to first, once for as many h values as fit _WALK_COEFFS: gate g
-    applies M_g = R_g diag(1, p_s, ..., p_s), one 4**k x 4**k matrix per h,
-    to the axes of its own k qubits.
+    result has one more, leading axis over grid_h.  Gate g's noisy adjoint is
+    M_g = R_g diag(1, p_s, ..., p_s), one 4**k x 4**k matrix per h.  The walk
+    follows _walk_plan: the gates, last to first, fall into blocks of at most
+    3 qubits, and each block applies the product M_B of its gates' maps by
+    one matmul on its own axes.  A block's map is built once per walk for
+    each distinct key (the bases and control polarities of its gates and
+    their positions in the block) and dropped after the last step that uses
+    it, so no map outlives the call.  One walk covers as many h values as
+    fit _WALK_COEFFS.
     """
     n = c.n
     coeffs = np.asarray(coeffs, dtype=float)
@@ -96,32 +190,33 @@ def pull_back(c: Circuit, coeffs: np.ndarray, grid_h) -> np.ndarray:
         if not 0.0 <= h <= 1.0:
             raise ValueError(f"h {h} out of [0, 1]")
     out = np.empty((len(grid_h),) + coeffs.shape)
+    plan = _walk_plan(c)
     per_walk = max(1, _WALK_COEFFS // 4**n)
     for i in range(0, len(grid_h), per_walk):
-        out[i : i + per_walk] = _walk(c, coeffs, grid_h[i : i + per_walk])
+        out[i : i + per_walk] = _walk(plan, coeffs, grid_h[i : i + per_walk])
     return out
 
 
-def _walk(c: Circuit, coeffs: np.ndarray, grid_h: list[float]) -> np.ndarray:
-    """One walk of pull_back, for all of grid_h at once."""
-    n = c.n
-    out = np.repeat(coeffs[None], len(grid_h), axis=0)
-    order = list(range(1, n + 1))  # order[i] is the qubit on axis i + 1 of out
-    for g in reversed(c.gates):
-        qubits = g.qubits()
-        k = len(qubits)
-        r = _adjoint_transfer(g.base.tobytes(), len(g.base), tuple(pol for _, pol in g.controls))
+def _walk(plan, coeffs: np.ndarray, grid_h: list[float]) -> np.ndarray:
+    """One walk of pull_back over its plan, for all of grid_h at once."""
+    steps, restore = plan
+    widths = {t: len(pos) for s in steps if s.first for t, pos in s.key}
+    gate_maps = {}  # M_g per h, by the _adjoint_transfer arguments of g
+    for t, k in widths.items():
         damp = np.ones((len(grid_h), 1, 4**k))
         damp[:, :, 1:] = np.array([h**k for h in grid_h])[:, None, None]  # p_s per h
-        # the gate's axes go first, the others keep their order, so the
-        # transpose copies long contiguous runs; the result keeps that order
-        new = qubits + [q for q in order if q not in qubits]
-        if new != order:
-            out = out.transpose([0] + [order.index(q) + 1 for q in new])
-            order = new
-        out = (r * damp) @ out.reshape(len(grid_h), 4**k, 4 ** (n - k))  # M_g per h
-        out = out.reshape((len(grid_h),) + (4,) * n)
-    return out.transpose([0] + [order.index(q) + 1 for q in range(1, n + 1)])
+        gate_maps[t] = _adjoint_transfer(*t) * damp
+    maps = {}  # each block map, from the first step with its key to the last
+    out = np.repeat(coeffs[None], len(grid_h), axis=0)
+    for s in steps:
+        if s.axes is not None:
+            out = out.transpose(s.axes)
+        if s.first:
+            maps[s.key] = _block_map(s.key, gate_maps, len(s.support))
+        block = maps.pop(s.key) if s.last else maps[s.key]
+        out = block @ out.reshape(len(grid_h), 4 ** len(s.support), -1)
+        out = out.reshape((len(grid_h),) + coeffs.shape)
+    return out.transpose(restore)
 
 
 def thermal_readout(coeffs: np.ndarray, grid_p) -> np.ndarray:

@@ -11,6 +11,8 @@ qubit 1 first.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # default tolerances: algebraic identities vs physics-level assertions, and
@@ -76,8 +78,16 @@ def conjugated_diagonal(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", u.conj(), rho @ u).real
 
 
+def _integer(v, what: str) -> int:
+    """v as an int through operator.index, so a float or a string is a ValueError."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{what} {v!r} is not an integer") from None
+
+
 def _check_qubits(qubits, n, what):
-    qubits = [int(q) for q in qubits]
+    qubits = [_integer(q, f"{what} qubit") for q in qubits]
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate {what} qubits: {qubits}")
     for q in qubits:

@@ -7,7 +7,9 @@ that code and are what the tests compare it with: the full-matrix gate
 embedding and the matrix recursion of V'_n; a circuit applied gate by gate
 to a state vector, for registers too large for a 4**n unitary; the
 noisy-gate channel on density matrices, the only Schroedinger-picture
-reference; and the dense helpers those need or the tests sample with
+reference; the Pauli pull-back one gate at a time, built on the package's
+own transfer matrices, against which the fused walk of `pull_back` is
+checked; and the dense helpers those need or the tests sample with
 (Kronecker product, partial trace and transpose, random and thermal density
 matrices, the partial-transpose test, separable sampling, the dense witness
 matrix and comparison up to a global phase).
@@ -16,6 +18,7 @@ matrix and comparison up to a global phase).
 import numpy as np
 
 from sedwitness.circuit import vprime2
+from sedwitness.noise import _adjoint_transfer
 from sedwitness.tensor import ATOL_PHYSICS, H, I2, SWAP, _check_qubits, dagger, n_qubits, pauli_strings
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -247,3 +250,23 @@ def dense_noisy_run(c, rho, h):
     for g in c.gates:
         rho = dense_noisy_gate(rho, g, h)
     return rho
+
+
+def per_gate_pull_back(c, coeffs, grid_h):
+    """Pauli coefficients of E^dag(O) per h of grid_h, one gate at a time,
+    last to first: gate g applies M_g = R_g diag(1, p_s, ..., p_s), p_s =
+    h**k, to the axes of its own k qubits, which are moved first."""
+    n = c.n
+    out = np.repeat(np.asarray(coeffs, dtype=float)[None], len(grid_h), axis=0)
+    order = list(range(1, n + 1))  # order[i] is the qubit on axis i + 1 of out
+    for g in reversed(c.gates):
+        qubits = g.qubits()
+        k = len(qubits)
+        r = _adjoint_transfer(g.base.tobytes(), len(g.base), tuple(pol for _, pol in g.controls))
+        damp = np.ones((len(grid_h), 1, 4**k))
+        damp[:, :, 1:] = np.array([h**k for h in grid_h])[:, None, None]
+        new = qubits + [q for q in order if q not in qubits]
+        out = out.transpose([0] + [order.index(q) + 1 for q in new])
+        order = new
+        out = ((r * damp) @ out.reshape(len(grid_h), 4**k, 4 ** (n - k))).reshape((len(grid_h),) + (4,) * n)
+    return out.transpose([0] + [order.index(q) + 1 for q in range(1, n + 1)])

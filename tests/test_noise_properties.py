@@ -2,13 +2,15 @@
 and the Heisenberg sweep.
 
 The library runs gate noise only as the pull-back `pull_back` of Pauli
-coefficients.  Every check here compares it with the dense
+coefficients.  The checks here compare it with the dense
 Schroedinger-picture channel of `dense_oracle` (`dense_noisy_gate` and
 `dense_noisy_run`): coefficient by coefficient through E_g^dag = E_{g^dag},
 or by duality, Tr(O E(rho)) = 2**n sum_s c'_s rho_s for the pulled-back
-coefficients c' of O and the coefficients rho_s of rho.  The forward
-per-(p, h) sweep below is the implementation the Heisenberg sweep
-replaced; it is kept as an oracle.
+coefficients c' of O and the coefficients rho_s of rho.  Long circuits,
+whose gates `pull_back` fuses into blocks, are compared with the walk one
+gate at a time, `per_gate_pull_back`.  The forward per-(p, h) sweep below
+is the implementation the Heisenberg sweep replaced; it is kept as an
+oracle.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from dense_oracle import (
     dense_noisy_run,
     embed_gate,
     pauli_operator,
+    per_gate_pull_back,
     random_density_matrix,
     random_hermitian,
     thermal_matrix,
@@ -35,7 +38,7 @@ from sedwitness.circuit import (
     select_entangler,
     vprime_dagger_circuit,
 )
-from sedwitness.noise import pull_back, sweep, thermal_readout
+from sedwitness.noise import _walk_plan, pull_back, sweep, thermal_readout
 from sedwitness.sed import SedDecomposition
 from sedwitness.tensor import SWAP, H, X, Z, haar_unitary, pauli_coefficients
 from sedwitness.witness import select_witness
@@ -168,18 +171,80 @@ def test_pauli_pull_back_matches_noisy_gate(case):
         assert np.max(np.abs(got[0] - want)) <= 1e-12
 
 
+@st.composite
+def walk_cases(draw, max_n=6):
+    """A circuit of up to 12 gates of 1-4 qubits drawn from a pool of at most
+    4, so Gate objects repeat, and 0-3 h values with 0 and 1 favoured."""
+    n = draw(st.integers(1, max_n))
+    pool = draw(st.lists(gates(n, max_k=4), min_size=1, max_size=4))
+    circ = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    grid_h = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return Circuit(n, tuple(circ)), grid_h, rng.standard_normal((4,) * n)
+
+
+@given(walk_cases())
+def test_fused_walk_matches_per_gate_walk(case):
+    c, grid_h, coeffs = case
+    got = pull_back(c, coeffs, grid_h)
+    assert got.shape == (len(grid_h),) + (4,) * c.n
+    assert np.max(np.abs(got - per_gate_pull_back(c, coeffs, grid_h)), initial=0.0) <= 1e-12
+
+
+def test_block_maps_are_keyed_by_gate_and_position():
+    # blocks share a map only when their gates have the same bases and
+    # polarities at the same local positions.  The bases u and v form blocks
+    # on qubits (1, 2, 3) and (4, 5, 6) with different layouts; u alone runs
+    # on (1, 2), (2, 1) and (4, 5), and after the four-qubit gate w the block
+    # of p12 takes the leading order (2, 1), so the same Gate object sits at
+    # swapped positions.  A map shared across positions, or dropped before
+    # its last use, fails
+    rng = np.random.default_rng(11)
+    u, v = haar_unitary(4, rng), haar_unitary(4, rng)
+    p12, p21, p45 = Gate(u, (1, 2)), Gate(u, (2, 1)), Gate(u, (4, 5))
+    v23, v46 = Gate(v, (2, 3)), Gate(v, (4, 6))
+    spacer = Gate(haar_unitary(2, rng), (6,), ((3, 1),))
+    w = Gate(X, (4,), ((2, 1), (1, 0), (3, 1)))
+    layouts = (v23, p12, v46, p45) * 2
+    swapped = (p12, spacer, p21, spacer, p45, spacer, p12, w, spacer, p21, spacer, p45)
+    c = Circuit(6, layouts + swapped)
+    steps, _ = _walk_plan(c)
+    assert {s.support for s in steps} >= {(1, 2, 3), (4, 5, 6), (2, 1)}
+    assert any(s.support == (2, 1) and s.key[0][1] == (1, 0) for s in steps), "no gate at swapped positions"
+    assert sum(s.first for s in steps) < len(steps), "no block map is reused"
+    coeffs = rng.standard_normal((4,) * 6)
+    grid_h = [0.0, 0.6, 1.0]
+    assert np.max(np.abs(pull_back(c, coeffs, grid_h) - per_gate_pull_back(c, coeffs, grid_h))) <= 1e-12
+
+
+def _on_qubits(c, qubits, n):
+    """c on the qubits `qubits` of an n-qubit register; a Gate object that
+    repeats in c repeats in the result."""
+    moved = {}
+    for g in set(c.gates):
+        targets = tuple(qubits[q - 1] for q in g.targets)
+        moved[g] = Gate(g.base, targets, tuple((qubits[q - 1], pol) for q, pol in g.controls))
+    return Circuit(n, tuple(moved[g] for g in c.gates))
+
+
 def test_pull_back_walks_a_large_h_grid_in_chunks():
-    # one walk at n = 8 takes 16 h values, so 17 take two walks
+    # one walk at n = 8 takes 4 h values, so 17 take five walks; the second
+    # circuit repeats a sub-network, so blocks and map reuse span both walks
     n = 8
     rng = np.random.default_rng(7)
-    c = Circuit(n, (Gate(H, (3,)), Gate(X, (8,), ((1, 0),)), Gate(haar_unitary(4, rng), (5, 2), ((7, 1),))))
-    coeffs = rng.standard_normal((4,) * n)
+    small = Circuit(n, (Gate(H, (3,)), Gate(X, (8,), ((1, 0),)), Gate(haar_unitary(4, rng), (5, 2), ((7, 1),))))
+    vp4 = expand_multicontrolled(vprime_dagger_circuit(4))
+    copy = _on_qubits(vp4, [2, 5, 7, 8], n)
+    repeated = copy.then(_on_qubits(vp4, [6, 3, 1, 4], n)).then(copy)
     grid_h = np.linspace(0.0, 1.0, 17)
-    got = pull_back(c, coeffs, grid_h)
-    assert got.shape == (17,) + (4,) * n
-    for row, h in zip(got, grid_h):
-        assert np.max(np.abs(row - pull_back(c, coeffs, [h])[0])) <= 1e-12
-    assert pull_back(c, coeffs, []).shape == (0,) + (4,) * n
+    for c in (small, repeated):
+        coeffs = rng.standard_normal((4,) * n)
+        got = pull_back(c, coeffs, grid_h)
+        assert got.shape == (17,) + (4,) * n
+        for row, h in zip(got, grid_h):
+            assert np.max(np.abs(row - pull_back(c, coeffs, [h])[0])) <= 1e-12
+        assert pull_back(c, coeffs, []).shape == (0,) + (4,) * n
+    assert np.max(np.abs(got[[0, 9, 16]] - per_gate_pull_back(repeated, coeffs, grid_h[[0, 9, 16]]))) <= 1e-12
 
 
 @given(st.integers(1, 5), st.lists(st.floats(0.0, 1.0), max_size=3), st.integers(0, 2**32 - 1))

@@ -165,6 +165,15 @@ def test_max_schmidt_range_and_errors():
         max_schmidt_sq(make_ghz(2).amplitudes, [1, 2])  # not a proper subset
 
 
+def test_max_schmidt_reads_qubits_as_integers():
+    # a float or a digit string is refused by value, not truncated or parsed
+    w = make_w(3).amplitudes
+    for bad in (1.7, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"bipartition qubit {bad!r} is not an integer")):
+            max_schmidt_sq(w, [bad])
+    assert max_schmidt_sq(w, [np.int64(2)]) == max_schmidt_sq(w, [2])
+
+
 def test_min_eigenvalue_hermitian():
     assert min_eigenvalue_hermitian(np.diag([3.0, -1.0, 0.0, 2.0])) == pytest.approx(-1.0)
     assert min_eigenvalue_hermitian(Z) == pytest.approx(-1.0)
