@@ -11,14 +11,15 @@ P(0...0) and
 No diagonality condition on V^dag rho V is required.  Readout is modeled as
 a nondestructive ensemble average: Tr(rho Z_ancilla) with no state update.
 
-The joint state is never formed: one diagonal per stage fixes the read.
-Both ancilla blocks start proportional to rho (p rho and (1-p) rho), every
-register unitary acts on both alike, the CnNOT and its undo cancel on the
-blocks, and the un-compute restores diag(p, 1-p) (x) rho exactly.  So
-before the flip of a stage with entangler V the blocks are p V^dag rho V
-and (1-p) V^dag rho V, and the CnNOT swaps the populations of |0,0...0>
-and |1,0...0>.  d = diag(V^dag rho V) is one dense 2^n product and a
-diagonal contraction (tensor.conjugated_diagonal).  `dense_run` in
+The joint state is never formed.  Both ancilla blocks start as p rho and
+(1-p) rho, every register unitary acts on both alike, and the un-compute
+restores diag(p, 1-p) (x) rho exactly, so before the flip of a stage with
+entangler V the populations are p d_j and (1-p) d_j, d = diag(V^dag rho V).
+The flip swaps only those of |0,0...0> and |1,0...0>, so d_0 = P(0...0) =
+<v0|rho|v0> (v0 = V[:, 0]) enters Tr(rho_a Z) as (1-2p) d_0 and every other
+d_j as (2p-1) d_j.  As sum_j d_j = Tr rho for unitary V (`ConcatSpec`
+checks this, `ancilla_readout` does not), one matrix-vector product per
+stage gives Tr(rho_a Z) = (2p - 1) (Tr rho - 2 P(0...0)).  `dense_run` in
 tests/test_ancilla.py, the full joint-state reference, forms the 2^(n+1)
 state, applies the dense CnNOT, takes the partial trace and un-computes.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, checked_operand, conjugated_diagonal, is_unitary
+from .tensor import ATOL_ALGEBRA, checked_operand, is_unitary
 
 ILL_CONDITIONED_P = 1e-6  # guard: 1/(2p-1) amplification stays below 5e5
 
@@ -78,25 +79,17 @@ class ConcatSpec:
                 raise ValueError(f"stage {s.label!r} entangler is not unitary")
 
 
-def _flipped_populations(pops: np.ndarray) -> np.ndarray:
-    """The two ancilla populations, shape (2, 2^n), after the CnNOT: the flip
-    swaps the populations of |0,0...0> and |1,0...0>."""
-    pops = pops.copy()
-    pops[[0, 1], 0] = pops[[1, 0], 0]
-    return pops
-
-
-def _ancilla_z(rho_in: np.ndarray, entanglers, cfg: AncillaConfig) -> list[float]:
-    """Tr(rho_a Z) after each stage of one run, from d = diag(V^dag rho V):
-    the ancilla populations before the flip are p d and (1-p) d.  The
-    entanglers arrive checked: finite, 2^n x 2^n."""
+def _ancilla_z(rho_in: np.ndarray, entanglers, cfg: AncillaConfig) -> list[tuple[float, float]]:
+    """(P(0...0), Tr(rho_a Z)) after each stage of one run, by the closed
+    form of the module docstring.  The entanglers arrive checked: finite,
+    2^n x 2^n."""
     rho_in = checked_operand(rho_in, 2**cfg.n, "density matrix")
-    values = []
+    tr_rho = np.trace(rho_in).real
+    reads = []
     for v in entanglers:
-        d = conjugated_diagonal(rho_in, v)
-        pops = _flipped_populations(np.stack([cfg.p * d, (1 - cfg.p) * d]))
-        values.append(float(pops[0].sum() - pops[1].sum()))
-    return values
+        p_tilde = float(np.vdot(v[:, 0], rho_in @ v[:, 0]).real)
+        reads.append((p_tilde, float((2 * cfg.p - 1) * (tr_rho - 2 * p_tilde))))
+    return reads
 
 
 def readout_value(c: float, trz: float, p: float) -> float:
@@ -109,19 +102,20 @@ def readout_value(c: float, trz: float, p: float) -> float:
 def ancilla_readout(rho_in: np.ndarray, v: np.ndarray, c: float, cfg: AncillaConfig) -> float:
     """Witness value Tr(rho (c*1 - V|0..0><0..0|V^dag)) from one ancilla polarization."""
     v = checked_operand(v, 2**cfg.n, "entangler")
-    return readout_value(c, _ancilla_z(rho_in, [v], cfg)[0], cfg.p)
+    ((_, trz),) = _ancilla_z(rho_in, [v], cfg)
+    return readout_value(c, trz, cfg.p)
 
 
 def intermediate_identities(rho_in: np.ndarray, v: np.ndarray, cfg: AncillaConfig) -> dict:
-    """Return P(0...0) and Tr(rho_a_out Z) and check the two readout identities."""
+    """Return P(0...0) and Tr(rho_a_out Z) and check the two readout identities,
+    whose residuals are |2p - 1| |Tr rho - 1| and |Tr rho - 1| / 2."""
     v = checked_operand(v, 2**cfg.n, "entangler")
-    (trz,) = _ancilla_z(rho_in, [v], cfg)
-    p_tilde = float(np.vdot(v[:, 0], np.asarray(rho_in) @ v[:, 0]).real)
+    ((p_tilde, trz),) = _ancilla_z(rho_in, [v], cfg)
     residual_trz = abs(trz - (1 - 2 * cfg.p) * (2 * p_tilde - 1))
     residual_ptilde = abs(p_tilde - (0.5 - trz / (2 * (2 * cfg.p - 1))))
     if not (residual_trz <= ATOL_ALGEBRA and residual_ptilde <= ATOL_ALGEBRA):
-        raise AssertionError(
-            f"readout identities violated: {residual_trz:.3e}, {residual_ptilde:.3e}"
+        raise ValueError(
+            f"readout identities need Tr rho = 1, got |Tr rho - 1| = {2 * residual_ptilde:.3e}"
         )
     return {
         "p_tilde": p_tilde,
@@ -136,5 +130,5 @@ def run_concatenated(rho_in: np.ndarray, spec: ConcatSpec, cfg: AncillaConfig) -
     then un-compute before the next stage."""
     if spec.stages[0].v.shape[0] != 2**cfg.n:
         raise ValueError(f"stage entanglers do not match the {cfg.n}-qubit register")
-    trzs = _ancilla_z(rho_in, [s.v for s in spec.stages], cfg)
-    return [readout_value(s.c, trz, cfg.p) for s, trz in zip(spec.stages, trzs)]
+    reads = _ancilla_z(rho_in, [s.v for s in spec.stages], cfg)
+    return [readout_value(s.c, trz, cfg.p) for s, (_, trz) in zip(spec.stages, reads)]

@@ -60,7 +60,8 @@ def generic_witness(target: PureState, c: float | None = None) -> Witness:
 def select_witness(kind: str, n: int) -> Witness:
     """Witness for a target family: the tripartite class witness for ghz/w at
     n = 3 (c = 3/4 for the GHZ class, 1/4 for the W class), otherwise the
-    biseparability bound of the GHZ target (ghz, generic) or the W target (w)."""
+    biseparable_c value in closed form: 1/2 for the GHZ target (ghz, generic)
+    and (n-1)/n, from a one-qubit cut, for the W target (w)."""
     kind = kind.lower()
     if kind not in ("ghz", "w", "generic"):
         raise ValueError(f"unknown witness kind {kind!r}")
@@ -68,7 +69,9 @@ def select_witness(kind: str, n: int) -> Witness:
         return Witness(GHZ_CLASS_C, make_ghz(3), "GHZ-class")
     if kind == "w" and n == 3:
         return Witness(W_CLASS_C, make_w(3), "W-class")
-    return generic_witness(make_w(n) if kind == "w" else make_ghz(n))
+    if kind == "w":
+        return Witness((n - 1) / n, make_w(n), "biseparable")
+    return Witness(0.5, make_ghz(n), "biseparable")
 
 
 def expectation(w: Witness, rho: np.ndarray) -> float:

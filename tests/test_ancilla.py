@@ -2,8 +2,8 @@
 
 The dense pipeline below (a 2**(n+1) CnNOT matrix, kron(1, V) conjugations
 of the whole joint state and the ancilla Z through a partial trace) is the
-full joint-state reference for the one-diagonal-per-stage routine; it is
-kept here as the oracle.
+full joint-state reference for the closed-form read
+Tr(rho_a Z) = (2p - 1) (Tr rho - 2 <v0|rho|v0>); it is kept here as the oracle.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ from sedwitness.ancilla import (
     AncillaConfig,
     ConcatSpec,
     Stage,
-    _flipped_populations,
+    _ancilla_z,
     ancilla_readout,
     intermediate_identities,
     run_concatenated,
@@ -50,7 +50,7 @@ def dense_run(rho_in, stages, p):
 
     Every register unitary must meet a state with no coherence between the
     ancilla's two states, and each un-compute must restore
-    diag(p, 1-p) (x) rho: the one-diagonal routine rests on that."""
+    diag(p, 1-p) (x) rho: the closed-form read rests on that."""
     n = int(np.log2(rho_in.shape[0]))
     cn = dense_cnnot(n)
     joint = kron(np.diag([p, 1 - p]), rho_in)
@@ -77,18 +77,20 @@ def test_config_validation():
 
 
 def test_read_populations_are_the_dense_cnnot_diagonal():
-    # on a joint state that is block diagonal in the ancilla, the populations
-    # the read uses are exactly the diagonal after the dense CnNOT
+    # on the blocks (p B, (1-p) B) the dense CnNOT leaves Tr(Z_a J) =
+    # (2p - 1)(Tr B - 2 B_00): the flip moves only the populations of |0,0...0>
+    # and |1,0...0>; with V = 1 the read takes B_00 as P(0...0)
     rng = np.random.default_rng(3)
     for n in range(1, 5):
         dim = 2**n
-        blocks = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
-        joint = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        joint[:dim, :dim], joint[dim:, dim:] = blocks
-        cn = dense_cnnot(n)
-        want = np.diag(cn @ joint @ cn.T).real
-        pops = np.diagonal(blocks, axis1=1, axis2=2).real
-        assert np.array_equal(_flipped_populations(pops).ravel(), want)
+        z_a, cn = kron(Z, np.eye(dim)), dense_cnnot(n)
+        for p in (0.0, 0.3, 0.8, 1.0):
+            b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            joint = kron(np.diag([p, 1 - p]), b)
+            want = np.trace(z_a @ cn @ joint @ dagger(cn))
+            assert abs(want - (2 * p - 1) * (np.trace(b) - 2 * b[0, 0])) <= 1e-12
+            ((p_tilde, trz),) = _ancilla_z(b, [np.eye(dim)], AncillaConfig(p, n))
+            assert (p_tilde, trz) == pytest.approx((b[0, 0].real, want.real), abs=1e-12)
 
 
 @st.composite
@@ -99,7 +101,9 @@ def readout_cases(draw, max_n=5):
         (haar_unitary(2**n, rng), draw(st.floats(0.0, 1.0)))
         for _ in range(draw(st.integers(1, 3)))
     ]
-    return random_density_matrix(2**n, rng), stages, AncillaConfig(draw(st.floats(0.55, 1.0)), n)
+    # Tr rho != 1 too: the read keeps its Tr rho term rather than assume 1
+    rho = draw(st.sampled_from([1.0, 0.3, 2.5])) * random_density_matrix(2**n, rng)
+    return rho, stages, AncillaConfig(draw(st.floats(0.55, 1.0)), n)
 
 
 @given(readout_cases())
@@ -108,9 +112,13 @@ def test_readouts_match_dense_pipeline(case):
     want = dense_run(rho, stages, cfg.p)
     v, c = stages[0]
     assert abs(ancilla_readout(rho, v, c, cfg) - want[0][1]) <= 1e-12
-    ident = intermediate_identities(rho, v, cfg)
-    assert abs(ident["tr_ancilla_z"] - want[0][0]) <= 1e-12
-    assert abs(ident["p_tilde"] - (dagger(v) @ rho @ v)[0, 0].real) <= 1e-12
+    if abs(np.trace(rho).real - 1) <= 1e-12:
+        ident = intermediate_identities(rho, v, cfg)
+        assert abs(ident["tr_ancilla_z"] - want[0][0]) <= 1e-12
+        assert abs(ident["p_tilde"] - (dagger(v) @ rho @ v)[0, 0].real) <= 1e-12
+    else:
+        with pytest.raises(ValueError, match="need Tr rho = 1"):
+            intermediate_identities(rho, v, cfg)
     got = run_concatenated(rho, ConcatSpec(tuple(Stage(v, c) for v, c in stages)), cfg)
     assert len(got) == len(stages)
     assert all(abs(g - w[1]) <= 1e-12 for g, w in zip(got, want))
@@ -194,6 +202,13 @@ def test_readouts_reject_non_finite(bad):
         ancilla_readout(rho, bad_v, 0.5, cfg)
     with pytest.raises(ValueError, match="entangler has non-finite"):
         intermediate_identities(rho, bad_v, cfg)
+
+
+def test_identities_name_a_trace_other_than_one():
+    # on 2|GHZ><GHZ| the residuals are |2p - 1| |Tr rho - 1| and |Tr rho - 1| / 2
+    cfg = AncillaConfig(p=0.9, n=3)
+    with pytest.raises(ValueError, match=r"^readout identities need Tr rho = 1, got \|Tr rho - 1\| = 1\.000e\+00$"):
+        intermediate_identities(2 * make_ghz(3).density(), ghz_v(), cfg)
 
 
 def test_identity_p_one():

@@ -50,6 +50,18 @@ def test_biseparable_c_values():
     assert biseparable_c(basis_state(3, 0)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_select_witness_closed_forms_are_biseparable_c(n):
+    # 1/2 for the GHZ target, (n - 1)/n for W; n = 3 ghz/w keep the class constants
+    for kind in ("ghz", "w", "generic"):
+        w = select_witness(kind, n)
+        if w.label != "biseparable":
+            assert (n, kind) in ((3, "ghz"), (3, "w"))
+            continue
+        assert abs(w.c - biseparable_c(w.target)) <= 1e-12
+        assert w.c == ((n - 1) / n if kind == "w" else 0.5)
+
+
 def test_expectation_values():
     w = select_witness("ghz", 3)
     assert expectation(w, make_ghz(3).density()) == pytest.approx(-0.25, abs=1e-12)
