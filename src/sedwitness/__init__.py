@@ -13,6 +13,7 @@ from .circuit import (
     expand_multicontrolled,
     gate_count_G,
     ghz_entangler,
+    sed_measurement_circuit,
     vprime2,
     vprime_dagger_circuit,
     w_entangler,

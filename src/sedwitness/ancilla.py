@@ -17,9 +17,12 @@ restores diag(p, 1-p) (x) rho exactly, so before the flip of a stage with
 entangler V the populations are p d_j and (1-p) d_j, d = diag(V^dag rho V).
 The flip swaps only those of |0,0...0> and |1,0...0>, so d_0 = P(0...0) =
 <v0|rho|v0> (v0 = V[:, 0]) enters Tr(rho_a Z) as (1-2p) d_0 and every other
-d_j as (2p-1) d_j.  As sum_j d_j = Tr rho for unitary V (`ConcatSpec`
-checks this, `ancilla_readout` does not), one matrix-vector product per
-stage gives Tr(rho_a Z) = (2p - 1) (Tr rho - 2 P(0...0)).  `dense_run` in
+d_j as (2p-1) d_j.  As sum_j d_j = Tr rho for unitary V, one
+matrix-vector product per stage gives Tr(rho_a Z) = (2p - 1) (Tr rho -
+2 P(0...0)).  That read needs V only through v0, so `ancilla_readout` and
+`intermediate_identities` check in O(2^n) that v0 is a unit vector (a V
+with that column can be completed to a unitary one), and `ConcatSpec`
+checks each V whole.  `dense_run` in
 tests/test_ancilla.py, the full joint-state reference, forms the 2^(n+1)
 state, applies the dense CnNOT, takes the partial trace and un-computes.
 """
@@ -92,6 +95,15 @@ def _ancilla_z(rho_in: np.ndarray, entanglers, cfg: AncillaConfig) -> list[tuple
     return reads
 
 
+def _checked_entangler(v, n: int) -> np.ndarray:
+    """The finite 2^n x 2^n entangler, whose column 0 must be a unit vector."""
+    v = checked_operand(v, 2**n, "entangler")
+    norm_sq = float(np.vdot(v[:, 0], v[:, 0]).real)
+    if abs(norm_sq - 1) > ATOL_ALGEBRA:
+        raise ValueError(f"entangler is not unitary: its column 0 has squared norm {norm_sq:.6g}")
+    return v
+
+
 def readout_value(c: float, trz: float, p: float) -> float:
     """Witness value c - 1/2 + Tr(rho_a Z) / (2 (2p - 1)) from the ancilla polarization."""
     if not math.isfinite(c):
@@ -101,7 +113,7 @@ def readout_value(c: float, trz: float, p: float) -> float:
 
 def ancilla_readout(rho_in: np.ndarray, v: np.ndarray, c: float, cfg: AncillaConfig) -> float:
     """Witness value Tr(rho (c*1 - V|0..0><0..0|V^dag)) from one ancilla polarization."""
-    v = checked_operand(v, 2**cfg.n, "entangler")
+    v = _checked_entangler(v, cfg.n)
     ((_, trz),) = _ancilla_z(rho_in, [v], cfg)
     return readout_value(c, trz, cfg.p)
 
@@ -109,7 +121,7 @@ def ancilla_readout(rho_in: np.ndarray, v: np.ndarray, c: float, cfg: AncillaCon
 def intermediate_identities(rho_in: np.ndarray, v: np.ndarray, cfg: AncillaConfig) -> dict:
     """Return P(0...0) and Tr(rho_a_out Z) and check the two readout identities,
     whose residuals are |2p - 1| |Tr rho - 1| and |Tr rho - 1| / 2."""
-    v = checked_operand(v, 2**cfg.n, "entangler")
+    v = _checked_entangler(v, cfg.n)
     ((p_tilde, trz),) = _ancilla_z(rho_in, [v], cfg)
     residual_trz = abs(trz - (1 - 2 * cfg.p) * (2 * p_tilde - 1))
     residual_ptilde = abs(p_tilde - (0.5 - trz / (2 * (2 * cfg.p - 1))))

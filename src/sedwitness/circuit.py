@@ -282,6 +282,44 @@ def expand_multicontrolled(c: Circuit) -> Circuit:
     return Circuit(c.n, tuple(out))
 
 
+def _rz(theta: float) -> np.ndarray:
+    return np.diag([cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)])
+
+
+# A, B, C of Barenco et al., PRA 52, 3457 (1995), Lemma 7.9 for the base -iH:
+# ABC = 1 and A X B X C = -iH
+_ABC_MINUS_IH = (_ry(np.pi / 4), _ry(-np.pi / 4) @ _rz(-np.pi / 2), _rz(np.pi / 2))
+
+
+def sed_measurement_circuit(n: int) -> Circuit:
+    """The measurement circuit of the noise sweep: the expanded V'_n^dag
+    with its first gate, the full-width zero-controlled C(n-1)H, replaced by
+    the relative-phase C(n-1)(-iH) when that gate has 3 or more controls.
+
+    With no spare qubit, `expand_multicontrolled` peels C(n-1)H one control
+    at a time, quadratic in n.  C(n-1)H = D C(n-1)(-iH) for the diagonal D
+    that multiplies by i where the controls hold their polarities, and
+    C(n-1)(-iH) takes linear size: under the X sandwiches of the zero
+    controls, C, C(n-2)X, B, C(n-2)X, A in temporal order, with A, B and C
+    controlled by qubit n-1 and each C(n-2)X on controls 1..n-2 and target n
+    borrowing qubit n-1 dirty.  Dropping D leaves a circuit equal to
+    V'_n^dag D^dag, a diagonal that acts first: its readout is that of
+    V'_n^dag whenever the state it measures is diagonal, the paper's
+    precondition.  For n <= 3 it is the exact expansion, gate for gate.
+    """
+    circ = vprime_dagger_circuit(n)
+    first, rest = circ.gates[0], circ.gates[1:]
+    if len(first.controls) < 3:
+        return expand_multicontrolled(circ)
+    (target,) = first.targets
+    *head, last = [q for q, _ in first.controls]
+    a, b, c = (Gate(u, (target,), ((last, 1),)) for u in _ABC_MINUS_IH)
+    flip = _lambda(X, head, target, n)
+    sandwiches = [Gate(X, (q,)) for q, pol in first.controls if pol == 0]
+    gates = sandwiches + [c] + flip + [b] + flip + [a] + sandwiches
+    return Circuit(n, tuple(gates) + expand_multicontrolled(Circuit(n, rest)).gates)
+
+
 def gate_count_G(n: int) -> int:
     """One/two-qubit gate count of the expanded V'_n^dag circuit."""
     return len(expand_multicontrolled(vprime_dagger_circuit(n)).gates)

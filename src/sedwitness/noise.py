@@ -27,10 +27,13 @@ gate.
 
 The sweep prepares a thermal product state, runs the noisy entangler, then
 compares the conventional witness (noiseless direct trace) with the
-single-run readout whose measurement circuit (disentangler followed by the
-expanded V'^dag circuit) is itself noisy.  Both observables are pulled
-back to the thermal input.  It is diagonal, so every p reads only the I/Z
-strings: Tr(rho_0(p) P_z) = (2p - 1)**|z|.
+single-run readout whose measurement circuit is itself noisy: the
+disentangler V^dag, then `sed_measurement_circuit(n)`.  That circuit is
+V'_n^dag up to a diagonal that acts first, on V^dag rho V, so it reads as
+V'_n^dag exactly under the paper's precondition that V^dag rho V be
+diagonal; for n >= 4 it has fewer noisy gates than the exact expansion.
+Both observables are pulled back to the thermal input.  It is diagonal, so
+every p reads only the I/Z strings: Tr(rho_0(p) P_z) = (2p - 1)**|z|.
 """
 
 from __future__ import annotations
@@ -41,13 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import (
-    Circuit,
-    dagger_circuit,
-    expand_multicontrolled,
-    select_entangler,
-    vprime_dagger_circuit,
-)
+from .circuit import Circuit, dagger_circuit, sed_measurement_circuit, select_entangler
 from .sed import sed_decomposition
 from .tensor import ATOL_ALGEBRA, ATOL_GRID, n_qubits, pauli_coefficients, pauli_strings
 from .witness import select_witness
@@ -265,7 +262,7 @@ def sweep(
     for k, a_k in enumerate(dec.a, 1):
         readout[(0,) * (n - k) + (3,) + (0,) * (k - 1)] = a_k
     prep = entangler if entangler_mode == "witness" else Circuit(n, ())
-    measurement = dagger_circuit(entangler).then(expand_multicontrolled(vprime_dagger_circuit(n)))
+    measurement = dagger_circuit(entangler).then(sed_measurement_circuit(n))
     # per h and p: the observables pulled back to the thermal input, read there.
     # W = c 1 - |psi><psi| and every noisy gate adjoint leaves 1 alone, so c stays exact
     projector = pauli_coefficients(w.target.density())

@@ -204,6 +204,20 @@ def test_readouts_reject_non_finite(bad):
         intermediate_identities(rho, bad_v, cfg)
 
 
+def test_readouts_reject_an_entangler_whose_column_0_is_not_a_unit_vector():
+    # a scaled V would read a scaled P(0...0); 2 * 1 once read 0.0 silently
+    rng = np.random.default_rng(41)
+    cfg = AncillaConfig(p=0.9, n=3)
+    rho = random_density_matrix(8, rng)
+    for v, norm_sq in ((2 * np.eye(8), "4"), (1.1 * haar_unitary(8, rng), "1.21")):
+        message = f"^entangler is not unitary: its column 0 has squared norm {norm_sq}$"
+        for call in (lambda: ancilla_readout(rho, v, 0.5, cfg), lambda: intermediate_identities(rho, v, cfg)):
+            with pytest.raises(ValueError, match=message):
+                call()
+        with pytest.raises(ValueError, match="entangler is not unitary"):
+            ConcatSpec((Stage(v, 0.5),))
+
+
 def test_identities_name_a_trace_other_than_one():
     # on 2|GHZ><GHZ| the residuals are |2p - 1| |Tr rho - 1| and |Tr rho - 1| / 2
     cfg = AncillaConfig(p=0.9, n=3)

@@ -18,6 +18,7 @@ from sedwitness.circuit import (
     gate_count_G,
     gate_count_exponent,
     ghz_entangler,
+    sed_measurement_circuit,
     select_entangler,
     vprime_dagger_circuit,
     w_entangler,
@@ -484,3 +485,42 @@ def test_expanded_vprime_acts_like_the_circuit_at_scale(n):
         psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         psi /= np.linalg.norm(psi)
         assert np.max(np.abs(apply_circuit(ex, psi) - apply_circuit(circ, psi))) <= 1e-12
+
+
+def _first_diagonal(n):
+    """D^dag of sed_measurement_circuit(n) = V'_n^dag D^dag: -i on the basis
+    states whose qubits 1..n-1 are all 0 (the first two, qubit 1 leading),
+    1 elsewhere; all 1 for n <= 3, where the circuit is the exact expansion."""
+    d = np.ones(2**n, dtype=complex)
+    if n >= 4:
+        d[:2] = -1j
+    return d
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_sed_measurement_circuit_is_vprime_dagger_after_a_diagonal(n):
+    exact = circuit_unitary(expand_multicontrolled(vprime_dagger_circuit(n)))
+    got = circuit_unitary(sed_measurement_circuit(n))
+    assert np.max(np.abs(dagger(exact) @ got - np.diag(_first_diagonal(n)))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_sed_measurement_circuit_at_scale(n):
+    circ, d = vprime_dagger_circuit(n), _first_diagonal(n)
+    sed = sed_measurement_circuit(n)
+    rng = np.random.default_rng(n + 1)
+    for _ in range(2):
+        psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        psi /= np.linalg.norm(psi)
+        assert np.max(np.abs(apply_circuit(sed, psi) - apply_circuit(circ, d * psi))) <= 1e-12
+
+
+def test_sed_measurement_circuit_gate_counts():
+    # G_sed(n) for n = 4..12; n = 2, 3 are the exact expansion, gate for gate
+    counts = [len(sed_measurement_circuit(n).gates) for n in range(4, 13)]
+    assert counts == [33, 93, 215, 359, 575, 813, 1113, 1415, 1799]
+    for n in (2, 3):
+        exact = expand_multicontrolled(vprime_dagger_circuit(n))
+        assert circuit_to_text(sed_measurement_circuit(n)) == circuit_to_text(exact)
+    for n in range(2, 13):
+        assert all(len(g.qubits()) <= 2 for g in sed_measurement_circuit(n).gates)

@@ -249,9 +249,11 @@ def test_w_kind_sweep_smoke():
 def test_default_grid_matches_golden_csv(kind, n):
     # tests/data/sweep_<kind>_n<n>.csv, the default 11 x 11 grid.  At n = 3
     # it comes from the forward (Schroedinger-picture) sweep with dense gate
-    # matrices.  At n = 6 it comes from the Pauli-transfer sweep (the forward
-    # sweep agrees to 5e-13), and the expanded zero-controlled CnH gates are
-    # 264 of the 273 gates of V'_6^dag, against 9 of 12 at n = 3
+    # matrices.  At n = 6 it comes from the Pauli-transfer sweep, checked on
+    # the whole grid against the forward sweep of test_noise_properties to
+    # 1e-15.  Of the 215 gates of sed_measurement_circuit(6), 113 make the
+    # relative-phase C5(-iH) that opens it and 93 expand the other
+    # zero-controlled CnH gates, against 9 of 12 at n = 3
     golden = (DATA / f"sweep_{kind}_n{n}.csv").read_text().splitlines()
     grid = grid_values(0.5, 1.0, 0.05)
     ours = sweep_csv(sweep(n, grid, grid, kind)).splitlines()

@@ -35,6 +35,7 @@ from sedwitness.circuit import (
     circuit_unitary,
     dagger_circuit,
     expand_multicontrolled,
+    sed_measurement_circuit,
     select_entangler,
     vprime_dagger_circuit,
 )
@@ -51,7 +52,7 @@ def forward_sweep(n, grid_p, grid_h, witness_kind, entangler_mode):
     psi_in = circuit_unitary(entangler)[:, 0]
     w_conv = c * np.eye(2**n) - np.outer(psi_in, psi_in.conj())
     prep = entangler if entangler_mode == "witness" else Circuit(n, ())
-    measurement = dagger_circuit(entangler).then(expand_multicontrolled(vprime_dagger_circuit(n)))
+    measurement = dagger_circuit(entangler).then(sed_measurement_circuit(n))
     out = []
     for p in grid_p:
         rho0 = thermal_matrix(n, p)
