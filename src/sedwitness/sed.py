@@ -10,7 +10,12 @@ explicit 4x4 solution:
 
 where U_p swaps the first and last qubits and U_bd = diag(I, H, ..., H).
 The induction is realized gate by gate by circuit.vprime_dagger_circuit,
-whose unitary gives the dense V'.  Coefficients halve at each induction
+whose unitary gives the dense V'.  The readout applies V'^dag after V^dag
+and reads every z_k at once, so z_k = Tr(O_k rho_out) with rho_out =
+V^dag rho V and O_k = V' Z_k V'^dag, an observable of n alone.  Each O_k is
+sparse, at most 3 nonzeros per row for k = 1, 2 and one for k >= 3, so
+(n+3) 2**n terms in all; they are conjugated through the gate list, not
+read off the dense V'.  Coefficients halve at each induction
 step and the new leading coefficient is -1/2, giving the closed forms
 b = -2**-n, a_1 = a_2 = 3 * 2**-(n+1) and a_k = -2**(k-n-1) for k >= 3.
 
@@ -26,16 +31,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuit import circuit_unitary, vprime_dagger_circuit
+from .circuit import Gate, circuit_unitary, vprime_dagger_circuit
 from .states import PureState
-from .tensor import ATOL_PHYSICS, checked_operand, conjugated_diagonal, dagger, haar_unitary, z_signs
+from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, checked_operand, dagger, haar_unitary, z_signs
 from .witness import Witness, expectation, generic_witness
 
 
 @dataclass(frozen=True, eq=False)
 class SedDecomposition:
-    """V'_n and its coefficients, all derived from n on read; c is attached
-    from the associated witness."""
+    """V'_n, its coefficients and the sparse readout observables O_k, all
+    derived from n on read (V' and the O_k on first use); c is attached from
+    the associated witness."""
 
     n: int
     c: float | None = None
@@ -61,6 +67,19 @@ class SedDecomposition:
         """Dense V'_n, the dagger of the unitary of its gate circuit."""
         return dagger(circuit_unitary(vprime_dagger_circuit(self.n)))
 
+    @cached_property
+    def z_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzero terms (k - 1, row, col, value) of O_k = V' Z_k V'^dag for
+        k = 1..n, Z_k on tensor slot n-k+1.  Each Z_k starts diagonal and is
+        conjugated by g^dag . g for the gates g of V'^dag, last gate first."""
+        n = self.n
+        idx = np.arange(2**n)
+        key = ((np.arange(n)[:, None] << 2 * n) | (idx << n) | idx).ravel()
+        val = z_signs(n).ravel().astype(complex)
+        for g in reversed(vprime_dagger_circuit(n).gates):
+            key, val = _conjugated_terms(key, val, g, n)
+        return key >> 2 * n, (key >> n) & (2**n - 1), key & (2**n - 1), val
+
     @property
     def a0(self) -> float:
         if self.c is None:
@@ -77,6 +96,63 @@ class SedMeasurementResult:
     @property
     def diagonal_ok(self) -> bool:
         return self.offdiag_max <= ATOL_PHYSICS
+
+
+def _local_index(idx: np.ndarray, g: Gate, n: int) -> np.ndarray:
+    """The target bits of each register index as g's local basis index."""
+    t = np.zeros(len(idx), dtype=np.int64)
+    for q in g.targets:
+        t = (t << 1) | ((idx >> (n - q)) & 1)
+    return t
+
+
+def _conjugated_terms(key: np.ndarray, val: np.ndarray, g: Gate, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Terms of g^dag O g from the terms of O, keyed (k << 2n) | (row << n) | col.
+
+    (g^dag O g)[r', c'] = sum conj(g[r, r']) O[r, c] g[c, c'], and g moves
+    only the target bits of an index whose controls hold.  So a term spreads
+    over the nonzero entries of one row of the base on each side (of the
+    identity where the controls fail), and a term whose row and column both
+    fail them stays as it is.  Terms that land on one key are summed, and
+    residues below ATOL_ALGEBRA are dropped.
+    """
+    d = len(g.base)
+    cmask = sum(1 << (n - q) for q, _ in g.controls)
+    cval = sum(pol << (n - q) for q, pol in g.controls)
+    tbits = sum(1 << (n - q) for q in g.targets)
+    row, col = (key >> n) & (2**n - 1), key & (2**n - 1)
+    ok_r, ok_c = (row & cmask) == cval, (col & cmask) == cval
+    idle = ~(ok_r | ok_c)
+    kept = key[idle], val[idle]
+    key, val, row, col, ok_r, ok_c = (a[~idle] for a in (key, val, row, col, ok_r, ok_c))
+
+    # rows 0..d-1 of m are the base, rows d..2d-1 the identity of a failed control;
+    # each row lists its r nonzero columns (weight 0 pads a shorter row) as register bits
+    m = np.vstack([g.base, np.eye(d)])
+    r = int(np.count_nonzero(m, axis=1).max())
+    cols = np.argsort(m == 0, axis=1, kind="stable")[:, :r]
+    local_bits = sum(((np.arange(d) >> (len(g.targets) - 1 - i)) & 1) << (n - q) for i, q in enumerate(g.targets))
+    bits, wts = local_bits[cols], np.take_along_axis(m, cols, axis=1)
+    # one table over (row's m-row, column's m-row) pairs: r x r key offsets and weights
+    pair_bits = ((bits[:, None, :, None] << n) | bits[None, :, None, :]).reshape(4 * d * d, r * r)
+    pair_wts = (wts.conj()[:, None, :, None] * wts[None, :, None, :]).reshape(4 * d * d, r * r)
+    pair = (_local_index(row, g, n) + d * ~ok_r) * 2 * d + _local_index(col, g, n) + d * ~ok_c
+    key = ((key & ~((tbits << n) | tbits))[:, None] | pair_bits[pair]).ravel()
+    val = (val[:, None] * pair_wts[pair]).ravel()
+    if r > 1:  # a base with one nonzero per row maps distinct keys to distinct keys
+        # sort the keys with their positions in the low bits, cheaper than an argsort;
+        # both fit in 63 bits up to n = 16, past any 2**n x 2**n rho that fits in memory
+        shift = (len(key) - 1).bit_length()
+        packed = np.sort((key << shift) | np.arange(len(key)))
+        key = packed >> shift
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        group = np.empty(len(key), dtype=np.int64)
+        group[packed & ((1 << shift) - 1)] = np.cumsum(first) - 1
+        val = np.bincount(group, val.real) + 1j * np.bincount(group, val.imag)
+        keep = np.abs(val) > ATOL_ALGEBRA
+        key, val = key[first][keep], val[keep]
+    return np.concatenate([key, kept[0]]), np.concatenate([val, kept[1]])
 
 
 def sed_decomposition(w: Witness) -> SedDecomposition:
@@ -96,6 +172,8 @@ def conjugated_observable(dec: SedDecomposition) -> np.ndarray:
 def sed_measure(rho_in: np.ndarray, v_entangler: np.ndarray, dec: SedDecomposition) -> SedMeasurementResult:
     """Simulate the single-run readout: apply U = V'^dag V^dag, read all z_k.
 
+    rho_out = V^dag rho_in V is formed densely, and each z_k is the real
+    part of Tr(O_k rho_out), read from the sparse terms of O_k.
     diagonal_ok audits the precondition that V^dag rho_in V is diagonal,
     with offdiag_max as the residual behind it; the value is reported
     either way but equals the conventional witness expectation only when
@@ -105,7 +183,8 @@ def sed_measure(rho_in: np.ndarray, v_entangler: np.ndarray, dec: SedDecompositi
     v_entangler = checked_operand(v_entangler, 2**dec.n, "entangler")
     rho_out = dagger(v_entangler) @ rho_in @ v_entangler
     offdiag_max = float(np.max(np.abs(rho_out - np.diag(np.diag(rho_out)))))
-    z = z_signs(dec.n) @ conjugated_diagonal(rho_out, dec.vprime)
+    k, row, col, val = dec.z_terms
+    z = np.bincount(k, weights=(val * rho_out[col, row]).real, minlength=dec.n)
     value = dec.a0 + float(np.dot(dec.a, z))
     return SedMeasurementResult(z, value, offdiag_max)
 

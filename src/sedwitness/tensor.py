@@ -1,6 +1,6 @@
-"""Qubit bookkeeping, tolerances and Pauli matrices; the operand check and
-the read of diag(U^dag rho U) that every readout shares; Pauli-string
-coefficients of a Hermitian operator; Schmidt coefficients; Haar unitaries.
+"""Qubit bookkeeping, tolerances and Pauli matrices; the operand check that
+every readout shares; Pauli-string coefficients of a Hermitian operator;
+Schmidt coefficients; Haar unitaries.
 
 Qubit ordering convention used everywhere in this package: qubit 1 is the
 LEFTMOST tensor factor, i.e. the most significant bit of a computational
@@ -68,14 +68,13 @@ def checked_operand(m, dim: int, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"{what} has shape {m.shape}, expected {(dim, dim)}")
-    if not np.isfinite(m).all():
+    # a NaN or inf entry makes the sum non-finite; only then, since huge
+    # finite entries can overflow it too, is each entry tested
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = m.sum()
+    if not np.isfinite(total) and not np.isfinite(m).all():
         raise ValueError(f"{what} has non-finite entries")
     return m
-
-
-def conjugated_diagonal(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Real diagonal of U^dag rho U without forming it: sum_i conj(U_ij) (rho U)_ij."""
-    return np.einsum("ij,ij->j", u.conj(), rho @ u).real
 
 
 def _integer(v, what: str) -> int:

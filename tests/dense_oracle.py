@@ -9,10 +9,11 @@ to a state vector, for registers too large for a 4**n unitary; the
 noisy-gate channel on density matrices, the only Schroedinger-picture
 reference; the Pauli pull-back one gate at a time, built on the package's
 own transfer matrices, against which the fused walk of `pull_back` is
-checked; and the dense helpers those need or the tests sample with
-(Kronecker product, partial trace and transpose, random and thermal density
-matrices, the partial-transpose test, separable sampling, the dense witness
-matrix and comparison up to a global phase).
+checked; the populations diag(U^dag rho U) by a dense product, against
+which the sparse SED read is checked; and the dense helpers those need or
+the tests sample with (Kronecker product, partial trace and transpose,
+random and thermal density matrices, the partial-transpose test, separable
+sampling, the dense witness matrix and comparison up to a global phase).
 """
 
 import numpy as np
@@ -134,6 +135,11 @@ def pauli_operator(coeffs):
     """The matrix sum_s c_s P_s of Pauli coefficients of shape (4,)*n."""
     coeffs = np.asarray(coeffs)
     return np.einsum("s,sij->ij", coeffs.ravel(), pauli_strings(coeffs.ndim))
+
+
+def conjugated_diagonal(rho, u):
+    """Real diagonal of U^dag rho U without forming it: sum_i conj(U_ij) (rho U)_ij."""
+    return np.einsum("ij,ij->j", u.conj(), rho @ u).real
 
 
 def phase_insensitive_equal(m1, m2, atol=ATOL_PHYSICS):

@@ -1,9 +1,20 @@
 from dataclasses import fields
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dense_oracle import blockdiag_ubd, embed_gate, kron, permutation_up, random_density_matrix, witness_matrix
+from dense_oracle import (
+    blockdiag_ubd,
+    conjugated_diagonal,
+    embed_gate,
+    kron,
+    permutation_up,
+    random_density_matrix,
+    witness_matrix,
+)
 from sedwitness.circuit import vprime2
 from sedwitness.sed import (
     SedDecomposition,
@@ -15,7 +26,7 @@ from sedwitness.sed import (
     weighted_z_sum,
 )
 from sedwitness.states import make_ghz, pseudopure_matrix
-from sedwitness.tensor import H, I2, X, Z, dagger, haar_unitary
+from sedwitness.tensor import H, I2, X, Z, dagger, haar_unitary, z_signs
 from sedwitness.witness import select_witness
 
 W3 = np.exp(2j * np.pi / 3)
@@ -229,6 +240,67 @@ def test_sed_measure_rejects_non_finite(bad):
     v[2, 1] = bad
     with pytest.raises(ValueError, match="entangler has non-finite"):
         sed_measure(np.eye(8) / 8, v, dec)
+
+
+@cache
+def _decomposition(n):
+    return SedDecomposition(n, c=0.5)
+
+
+@st.composite
+def sed_cases(draw):
+    n = draw(st.integers(2, 8))
+    dim = 2**n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Tr rho != 1 and non-Hermitian rho too: the read keeps the real part of
+    # each Tr(O_k rho_out), as the dense diagonal read did
+    kind = draw(st.sampled_from(["density", "trace 2.5", "non-Hermitian"]))
+    if kind == "non-Hermitian":
+        rho = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / dim
+    else:
+        rho = (2.5 if kind == "trace 2.5" else 1.0) * random_density_matrix(dim, rng)
+    return rho, haar_unitary(dim, rng), _decomposition(n)
+
+
+@given(sed_cases())
+def test_sed_measure_matches_dense_diagonal_read(case):
+    rho, v, dec = case
+    z = z_signs(dec.n) @ conjugated_diagonal(dagger(v) @ rho @ v, dec.vprime)
+    res = sed_measure(rho, v, dec)
+    assert res.z.shape == (dec.n,)
+    assert np.max(np.abs(res.z - z)) <= 1e-13
+    assert abs(res.value - (dec.a0 + dec.a @ z)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_z_terms_structure(n):
+    k, row, col, val = SedDecomposition(n).z_terms
+    assert len(val) == (n + 3) * 2**n
+    assert len(set(zip(k.tolist(), row.tolist(), col.tolist()))) == len(val)
+    assert np.min(np.abs(val)) >= 1 / 3 - 1e-15  # far above the ATOL_ALGEBRA cut
+    per_row = np.zeros((n, 2**n), dtype=int)
+    np.add.at(per_row, (k, row), 1)
+    assert per_row[:2].min() >= 1 and per_row[:2].max() <= 3
+    assert np.all(per_row[2:] == 1)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_z_terms_are_the_dense_conjugated_z(n):
+    dec = SedDecomposition(n)
+    k, row, col, val = dec.z_terms
+    vp = dec.vprime
+    for kk, signs in enumerate(z_signs(n)):
+        sparse = np.zeros((2**n, 2**n), dtype=complex)
+        sel = k == kk
+        sparse[row[sel], col[sel]] = val[sel]
+        assert np.max(np.abs(sparse - (vp * signs) @ dagger(vp))) <= 1e-14
+
+
+def test_z_terms_are_built_on_the_first_read():
+    dec = sed_decomposition(select_witness("ghz", 3))
+    assert "z_terms" not in vars(dec)
+    sed_measure(np.eye(8) / 8, ghz_entangler_matrix(3), dec)
+    assert "z_terms" in vars(dec) and "vprime" not in vars(dec)
 
 
 def test_sed_measure_zero_state_trial():

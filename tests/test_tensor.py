@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dense_oracle import (
+    conjugated_diagonal,
     embed_gate,
     kron,
     min_eigenvalue_hermitian,
@@ -25,7 +26,7 @@ from sedwitness.tensor import (
     SWAP,
     X,
     Z,
-    conjugated_diagonal,
+    checked_operand,
     dagger,
     haar_unitary,
     is_unitary,
@@ -280,6 +281,21 @@ def test_conjugated_diagonal_matches_dense_product(n):
     d = conjugated_diagonal(rho, u)
     assert d.dtype == float
     assert np.max(np.abs(d - np.diag(dagger(u) @ rho @ u).real)) <= 1e-12
+
+
+def test_checked_operand_accepts_a_huge_finite_operand():
+    # the sum overflows to inf; only then is each entry tested, and it passes
+    m = np.full((2, 2), 1e308 + 0j)
+    assert checked_operand(m, 2, "operand") is m
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 0)):
+        for fill in (0.0, 1e308):
+            m = np.full((2, 2), fill, dtype=complex)
+            m[1, 0] = bad
+            with pytest.raises(ValueError, match="^operand has non-finite entries$"):
+                checked_operand(m, 2, "operand")
+    m = np.array([[np.inf, 0], [0, -np.inf]])  # the sum is nan
+    with pytest.raises(ValueError, match="non-finite"):
+        checked_operand(m, 2, "operand")
 
 
 def test_is_unitary_2x2_closed_form_matches_dense_formula():
