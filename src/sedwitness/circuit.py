@@ -16,7 +16,7 @@ from itertools import compress
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, H, SWAP, X, _integer, dagger, is_unitary
+from .tensor import ATOL_ALGEBRA, H, SWAP, X, _integer, _option, dagger, is_unitary
 
 
 # text labels of the named bases with 0, 1 and >= 2 controls
@@ -162,11 +162,13 @@ def w_entangler(n: int) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
+# the target families that have an entangler circuit
+ENTANGLER_KINDS = ("ghz", "w")
+
+
 def select_entangler(kind: str, n: int) -> Circuit:
     """Entangler circuit of a witness target family: ghz or w."""
-    kind = kind.lower()
-    if kind not in ("ghz", "w"):
-        raise ValueError(f"unknown entangler kind {kind!r}")
+    kind = _option(kind, ENTANGLER_KINDS, "entangler kind")
     return ghz_entangler(n) if kind == "ghz" else w_entangler(n)
 
 

@@ -16,14 +16,15 @@ the identity on the gate's qubits (Tr_t of a traceless factor is 0) and
 R_g is the real 4**k x 4**k Pauli transfer matrix of O -> U^dag O U.  R_g
 does not depend on h, so one backward walk over the gate list pulls an
 observable back for a whole chunk of h values at once.  The walk follows a
-plan, a pure function of the gate list: consecutive gates, last to first,
-form blocks of at most 3 qubits (a wider gate is a block of its own), and
-each block applies the product of its gates' maps M_g = R_g D_g by one
-matmul on its own axes.  The block maps are built per walk, once for each
-distinct block (the same bases, polarities and local qubit positions), and
-each is dropped after its last use, so none outlives the walk.  The damping
-stays per gate; only the order of rounding differs from a walk gate by
-gate.
+plan, an immutable record built from the gate list alone: consecutive
+gates, last to first, form blocks of at most 3 qubits (a wider gate is a
+block of its own), each block applies the product of its gates' maps
+M_g = R_g D_g by one matmul on its own axes, and the plan owns the R_g of
+each distinct gate.  The block maps depend on h, so they are built per walk,
+once for each distinct block (the same bases, polarities and local qubit
+positions), and each is dropped after its last use, so none outlives the
+walk.  The damping stays per gate; only the order of rounding differs from
+a walk gate by gate.
 
 The sweep prepares a thermal product state, runs the noisy entangler, then
 compares the conventional witness (noiseless direct trace) with the
@@ -34,19 +35,26 @@ V'_n^dag exactly under the paper's precondition that V^dag rho V be
 diagonal; for n >= 4 it has fewer noisy gates than the exact expansion.
 Both observables are pulled back to the thermal input.  It is diagonal, so
 every p reads only the I/Z strings: Tr(rho_0(p) P_z) = (2p - 1)**|z|.
+
+What a sweep needs apart from its grid depends only on (kind, n, mode): the
+witness constant, the Pauli coefficients of the target projector and of the
+readout, and the plans of the two walks, whose gate lists hold the expanded
+measurement circuit.  `_sweep_model` builds that once per process for each
+checked (kind, n, mode), the package's one cache; each call then walks the
+cached plans for its own grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
-from .circuit import Circuit, dagger_circuit, sed_measurement_circuit, select_entangler
+from .circuit import ENTANGLER_KINDS, Circuit, dagger_circuit, sed_measurement_circuit, select_entangler
 from .sed import sed_decomposition
-from .tensor import ATOL_ALGEBRA, ATOL_GRID, n_qubits, pauli_coefficients, pauli_strings
+from .tensor import ATOL_ALGEBRA, ATOL_GRID, _integer, _option, n_qubits, pauli_coefficients, pauli_strings
 from .witness import select_witness
 
 
@@ -58,7 +66,6 @@ class SweepRecord:
     value_sed: float
 
 
-@lru_cache(maxsize=4096)
 def _adjoint_transfer(raw: bytes, dim: int, polarities: tuple) -> np.ndarray:
     """Read-only Pauli transfer matrix R[a, b] = Tr(P_a U^dag P_b U) / 2**k
     of O -> U^dag O U, for the gate whose base has bytes `raw` and whose
@@ -94,9 +101,9 @@ class _Step:
     support lists the block's qubits in the order of its map's axes; axes is
     the transpose of the (h, coefficients) array that brings them first, None
     when they already lead.  key holds, for the block's gates in walk order,
-    the _adjoint_transfer arguments of each with the positions of its qubits
-    in support, so equal keys have equal maps.  The first step with a key
-    builds its map and the last one drops it."""
+    the index of each gate's transfer matrix in the plan with the positions
+    of its qubits in support, so equal keys have equal maps.  The first step
+    with a key builds its map and the last one drops it."""
 
     support: tuple[int, ...]
     axes: tuple[int, ...] | None
@@ -105,9 +112,20 @@ class _Step:
     last: bool
 
 
-def _walk_plan(c: Circuit) -> tuple[list[_Step], tuple[int, ...]]:
-    """The steps of a walk over c's gates, and the transpose that puts the
-    qubits back in order after the last step.
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """A walk over one gate list: its steps, the transpose that puts the
+    qubits back in order after the last step, and the read-only Pauli
+    transfer matrix of each distinct gate (the same base, dimension and
+    control polarities), which the steps' keys index."""
+
+    steps: tuple[_Step, ...]
+    restore: tuple[int, ...]
+    transfers: tuple[np.ndarray, ...]
+
+
+def _walk_plan(c: Circuit) -> _Plan:
+    """The plan of a walk over c's gates.
 
     Gates join the current block, last to first, while the joint support
     stays within _BLOCK_WIDTH qubits.  A block takes its qubits in the order
@@ -115,7 +133,7 @@ def _walk_plan(c: Circuit) -> tuple[list[_Step], tuple[int, ...]]:
     transpose, else in the order its gates first name them.
     """
     qubits = {g: g.qubits() for g in set(c.gates)}
-    transfer = {g: (g.base.tobytes(), len(g.base), tuple(pol for _, pol in g.controls)) for g in qubits}
+    args = {g: (g.base.tobytes(), len(g.base), tuple(pol for _, pol in g.controls)) for g in qubits}
     blocks = []  # (support, gates) per block, in walk order
     support = []
     for g in reversed(c.gates):
@@ -127,6 +145,7 @@ def _walk_plan(c: Circuit) -> tuple[list[_Step], tuple[int, ...]]:
             support += joint
             gates.append(g)
     order = list(range(1, c.n + 1))  # order[i] is the qubit on axis i + 1 of the array
+    index = {}  # _adjoint_transfer arguments -> position in transfers, in walk order
     placed = []  # (support, axes, key) per block
     for support, gates in blocks:
         axes = None
@@ -137,12 +156,13 @@ def _walk_plan(c: Circuit) -> tuple[list[_Step], tuple[int, ...]]:
             axes = tuple([0] + [order.index(q) + 1 for q in new])
             order = new
         local = {q: i for i, q in enumerate(support)}
-        key = tuple((transfer[g], tuple(map(local.__getitem__, qubits[g]))) for g in gates)
+        key = tuple((index.setdefault(args[g], len(index)), tuple(map(local.__getitem__, qubits[g]))) for g in gates)
         placed.append((tuple(support), axes, key))
     first = {key: i for i, (_, _, key) in reversed(list(enumerate(placed)))}
     last = {key: i for i, (_, _, key) in enumerate(placed)}
-    steps = [_Step(*block, first[block[2]] == i, last[block[2]] == i) for i, block in enumerate(placed)]
-    return steps, tuple([0] + [order.index(q) + 1 for q in range(1, c.n + 1)])
+    steps = tuple(_Step(*block, first[block[2]] == i, last[block[2]] == i) for i, block in enumerate(placed))
+    restore = tuple([0] + [order.index(q) + 1 for q in range(1, c.n + 1)])
+    return _Plan(steps, restore, tuple(_adjoint_transfer(*a) for a in index))
 
 
 def _block_map(key, gate_maps: dict, m: int) -> np.ndarray:
@@ -173,39 +193,42 @@ def pull_back(c: Circuit, coeffs: np.ndarray, grid_h) -> np.ndarray:
     follows _walk_plan: the gates, last to first, fall into blocks of at most
     3 qubits, and each block applies the product M_B of its gates' maps by
     one matmul on its own axes.  A block's map is built once per walk for
-    each distinct key (the bases and control polarities of its gates and
-    their positions in the block) and dropped after the last step that uses
-    it, so no map outlives the call.  One walk covers as many h values as
-    fit _WALK_COEFFS.
+    each distinct key (the transfer matrices of its gates and their
+    positions in the block) and dropped after the last step that uses it,
+    so no map outlives the call.  One walk covers as many h values as fit
+    _WALK_COEFFS.
     """
-    n = c.n
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (4,) * n:
-        raise ValueError(f"coefficients of shape {coeffs.shape} do not fit {n} qubits")
+    if coeffs.shape != (4,) * c.n:
+        raise ValueError(f"coefficients of shape {coeffs.shape} do not fit {c.n} qubits")
+    return _pull_back(_walk_plan(c), coeffs, grid_h)
+
+
+def _pull_back(plan: _Plan, coeffs: np.ndarray, grid_h) -> np.ndarray:
+    """pull_back along a plan: each h is checked, and the grid is walked in
+    chunks of as many h values as fit _WALK_COEFFS."""
     grid_h = [float(h) for h in grid_h]
     for h in grid_h:
         if not 0.0 <= h <= 1.0:
             raise ValueError(f"h {h} out of [0, 1]")
     out = np.empty((len(grid_h),) + coeffs.shape)
-    plan = _walk_plan(c)
-    per_walk = max(1, _WALK_COEFFS // 4**n)
+    per_walk = max(1, _WALK_COEFFS // coeffs.size)
     for i in range(0, len(grid_h), per_walk):
         out[i : i + per_walk] = _walk(plan, coeffs, grid_h[i : i + per_walk])
     return out
 
 
-def _walk(plan, coeffs: np.ndarray, grid_h: list[float]) -> np.ndarray:
+def _walk(plan: _Plan, coeffs: np.ndarray, grid_h: list[float]) -> np.ndarray:
     """One walk of pull_back over its plan, for all of grid_h at once."""
-    steps, restore = plan
-    widths = {t: len(pos) for s in steps if s.first for t, pos in s.key}
-    gate_maps = {}  # M_g per h, by the _adjoint_transfer arguments of g
+    widths = {t: len(pos) for s in plan.steps if s.first for t, pos in s.key}
+    gate_maps = {}  # M_g per h, by the index of g's transfer matrix in the plan
     for t, k in widths.items():
         damp = np.ones((len(grid_h), 1, 4**k))
         damp[:, :, 1:] = np.array([h**k for h in grid_h])[:, None, None]  # p_s per h
-        gate_maps[t] = _adjoint_transfer(*t) * damp
+        gate_maps[t] = plan.transfers[t] * damp
     maps = {}  # each block map, from the first step with its key to the last
     out = np.repeat(coeffs[None], len(grid_h), axis=0)
-    for s in steps:
+    for s in plan.steps:
         if s.axes is not None:
             out = out.transpose(s.axes)
         if s.first:
@@ -213,7 +236,7 @@ def _walk(plan, coeffs: np.ndarray, grid_h: list[float]) -> np.ndarray:
         block = maps.pop(s.key) if s.last else maps[s.key]
         out = block @ out.reshape(len(grid_h), 4 ** len(s.support), -1)
         out = out.reshape((len(grid_h),) + coeffs.shape)
-    return out.transpose(restore)
+    return out.transpose(plan.restore)
 
 
 def thermal_readout(coeffs: np.ndarray, grid_p) -> np.ndarray:
@@ -235,6 +258,39 @@ def thermal_readout(coeffs: np.ndarray, grid_p) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class _SweepModel:
+    """What a sweep computes from (kind, n, mode) alone: the witness constant
+    c and the readout's a0, the read-only Pauli coefficients of the target
+    projector and of the readout sum_k a_k Z_k, and the plans of the walks
+    that pull them back, the prep and the prep then the measurement circuit."""
+
+    c: float
+    a0: float
+    projector: np.ndarray
+    readout: np.ndarray
+    prep: _Plan
+    measured: _Plan
+
+
+@cache
+def _sweep_model(kind: str, n: int, mode: str) -> _SweepModel:
+    """The sweep's model for a checked, normalized (kind, n, mode), built
+    once per process: the expanded measurement circuit, the transfer
+    matrices and the projector's coefficients do not depend on the grid."""
+    entangler = select_entangler(kind, n)
+    w = select_witness(kind, n)
+    dec = sed_decomposition(w)
+    readout = np.zeros((4,) * n)  # sum_k a_k Z on tensor slot n-k+1
+    for k, a_k in enumerate(dec.a, 1):
+        readout[(0,) * (n - k) + (3,) + (0,) * (k - 1)] = a_k
+    projector = pauli_coefficients(w.target.density())
+    readout.flags.writeable = projector.flags.writeable = False
+    prep = entangler if mode == "witness" else Circuit(n, ())
+    measurement = dagger_circuit(entangler).then(sed_measurement_circuit(n))
+    return _SweepModel(w.c, dec.a0, projector, readout, _walk_plan(prep), _walk_plan(prep.then(measurement)))
+
+
 def sweep(
     n: int,
     grid_p,
@@ -248,6 +304,7 @@ def sweep(
     entangler; "identity" skips preparation (the register stays in the
     separable thermal state) while the measurement circuit is unchanged.
     """
+    n = _integer(n, "n")
     grid_p = [float(p) for p in grid_p]
     grid_h = [float(h) for h in grid_h]
     for p in grid_p:
@@ -255,21 +312,13 @@ def sweep(
             raise ValueError(f"p {p} out of [0, 1]")
     if entangler_mode not in ("witness", "identity"):
         raise ValueError(f"unknown entangler mode {entangler_mode!r}")
-    entangler = select_entangler(witness_kind, n)
-    w = select_witness(witness_kind, n)
-    dec = sed_decomposition(w)
-    readout = np.zeros((4,) * n)  # sum_k a_k Z on tensor slot n-k+1
-    for k, a_k in enumerate(dec.a, 1):
-        readout[(0,) * (n - k) + (3,) + (0,) * (k - 1)] = a_k
-    prep = entangler if entangler_mode == "witness" else Circuit(n, ())
-    measurement = dagger_circuit(entangler).then(sed_measurement_circuit(n))
+    model = _sweep_model(_option(witness_kind, ENTANGLER_KINDS, "entangler kind"), n, entangler_mode)
     # per h and p: the observables pulled back to the thermal input, read there.
     # W = c 1 - |psi><psi| and every noisy gate adjoint leaves 1 alone, so c stays exact
-    projector = pauli_coefficients(w.target.density())
-    conv = w.c - thermal_readout(pull_back(prep, projector, grid_h), grid_p)
-    sed = thermal_readout(pull_back(prep.then(measurement), readout, grid_h), grid_p)
+    conv = model.c - thermal_readout(_pull_back(model.prep, model.projector, grid_h), grid_p)
+    sed = thermal_readout(_pull_back(model.measured, model.readout, grid_h), grid_p)
     return [
-        SweepRecord(p, h, float(conv[j, i]), dec.a0 + float(sed[j, i]))
+        SweepRecord(p, h, float(conv[j, i]), model.a0 + float(sed[j, i]))
         for i, p in enumerate(grid_p)
         for j, h in enumerate(grid_h)
     ]

@@ -85,6 +85,15 @@ def _integer(v, what: str) -> int:
         raise ValueError(f"{what} {v!r} is not an integer") from None
 
 
+def _option(v, options: tuple[str, ...], what: str) -> str:
+    """v.lower() when v is a string naming one of options, case-blind; any
+    other v, a string or not, is a ValueError that names it (lower-cased)."""
+    name = v.lower() if isinstance(v, str) else v
+    if not isinstance(v, str) or name not in options:
+        raise ValueError(f"unknown {what} {name!r}")
+    return name
+
+
 def _check_qubits(qubits, n, what):
     qubits = [_integer(q, f"{what} qubit") for q in qubits]
     if len(set(qubits)) != len(qubits):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,12 @@ def test_entangler_errors():
         select_entangler("generic", 3)
     assert circuit_to_text(select_entangler("W", 4)) == circuit_to_text(w_entangler(4))
     assert circuit_to_text(select_entangler("ghz", 4)) == circuit_to_text(ghz_entangler(4))
+
+
+@pytest.mark.parametrize("kind", [None, ["ghz"], 3, b"ghz"], ids=["none", "list", "int", "bytes"])
+def test_entangler_kind_that_is_not_a_string_is_named(kind):
+    with pytest.raises(ValueError, match=re.escape(f"unknown entangler kind {kind!r}")):
+        select_entangler(kind, 3)
 
 
 def test_vprime_dagger_circuit_matches_matrices():

@@ -10,6 +10,8 @@ from sedwitness.circuit import Circuit, Gate, circuit_unitary, ghz_entangler
 from sedwitness.cli import main
 from sedwitness.noise import (
     SweepRecord,
+    _sweep_model,
+    _walk,
     grid_values,
     pull_back,
     sweep,
@@ -235,6 +237,84 @@ def test_sweep_validation():
     # a step that divides the range only up to rounding is accepted
     grid = grid_values(0.8, 1.0, (1.0 - 0.8) / 3)
     assert len(grid) == 4 and grid[0] == 0.8 and grid[-1] == 1.0
+
+
+# bad sweep calls and their messages; the grid, the mode, the kind and n
+# are checked on every call, with or without a cached model
+SWEEP_ERRORS = [
+    ((3, [1.5], [1.0], "ghz"), "p 1.5 out of [0, 1]"),
+    ((3, [1.0], [1.5], "ghz"), "h 1.5 out of [0, 1]"),
+    ((3, [1.0], [1.5], "ghz", "identity"), "h 1.5 out of [0, 1]"),
+    ((3, [1.0], [1.0], "ghz", "Witness"), "unknown entangler mode 'Witness'"),
+    ((3, [1.0], [1.0], "nope"), "unknown entangler kind 'nope'"),
+    ((3, [1.0], [1.0], "generic"), "unknown entangler kind 'generic'"),
+    ((3, [1.0], [1.0], None), "unknown entangler kind None"),
+    ((3, [1.0], [1.0], ["ghz"]), "unknown entangler kind ['ghz']"),
+    ((3.0, [1.0], [1.0], "ghz"), "n 3.0 is not an integer"),
+    (("3", [1.0], [1.0], "ghz"), "n '3' is not an integer"),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("args, message", SWEEP_ERRORS, ids=[m for _, m in SWEEP_ERRORS])
+def test_sweep_errors_hold_with_the_model_cached(warm, args, message):
+    # hash(3.0) == hash(3): a float n must fail before and after a good call
+    _sweep_model.cache_clear()
+    if warm:
+        sweep(3, [1.0], [1.0], "ghz")
+        sweep(3, [1.0], [1.0], "ghz", "identity")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep(*args)
+
+
+@pytest.mark.parametrize("kind", ["ghz", "w"])
+@pytest.mark.parametrize("mode", ["witness", "identity"])
+def test_cold_and_warm_sweeps_write_the_same_bytes(kind, mode):
+    grid = grid_values(0.5, 1.0, 0.1)
+    _sweep_model.cache_clear()
+    cold = sweep_csv(sweep(5, grid, grid, kind, mode))
+    sweep(5, [0.9], [0.3, 0.8], kind, mode)
+    warm = sweep_csv(sweep(5, grid, grid, kind, mode))
+    info = _sweep_model.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert cold == warm
+
+
+def test_sweep_model_is_read_only():
+    model = _sweep_model("w", 4, "witness")
+    arrays = [model.projector, model.readout, *model.prep.transfers, *model.measured.transfers]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        model.readout[0, 0, 0, 3] = 1.0
+    assert all(isinstance(x, tuple) for x in (model.measured.steps, model.measured.restore, model.measured.transfers))
+
+
+def test_walk_leaves_the_plan_unchanged():
+    plan = _sweep_model("ghz", 5, "witness").measured
+    transfers = [r.copy() for r in plan.transfers]
+    coeffs = np.random.default_rng(2).standard_normal((4,) * 5)
+    first = _walk(plan, coeffs, [0.7, 1.0])
+    assert len(plan.transfers) == len(transfers)
+    assert all(np.array_equal(a, b) for a, b in zip(plan.transfers, transfers))
+    assert np.array_equal(_walk(plan, coeffs, [0.7, 1.0]), first)
+
+
+def test_kind_and_n_spellings_share_one_model():
+    _sweep_model.cache_clear()
+    assert sweep(3, [1.0], [0.9], "GHZ") == sweep(3, [1.0], [0.9], "ghz") == sweep(np.int64(3), [1.0], [0.9], "Ghz")
+    info = _sweep_model.cache_info()
+    assert (info.currsize, info.hits) == (1, 2)
+
+
+def test_sweep_at_n10_reads_the_witness_at_h1():
+    # the CLI's largest n: through noiseless gates the single-run readout is
+    # the conventional value at every p, and the pure target reads c - 1.
+    # ghz only: each n = 10 sweep takes about 2.5 s of the suite
+    records = sweep(10, [0.5, 1.0], [1.0], "ghz")
+    assert [(r.p, r.h) for r in records] == [(0.5, 1.0), (1.0, 1.0)]
+    for r in records:
+        assert abs(r.value_sed - r.value_conv) <= 1e-10
+    assert abs(records[-1].value_conv - (select_witness("ghz", 10).c - 1)) <= 1e-12
 
 
 def test_w_kind_sweep_smoke():

@@ -209,7 +209,7 @@ def test_block_maps_are_keyed_by_gate_and_position():
     layouts = (v23, p12, v46, p45) * 2
     swapped = (p12, spacer, p21, spacer, p45, spacer, p12, w, spacer, p21, spacer, p45)
     c = Circuit(6, layouts + swapped)
-    steps, _ = _walk_plan(c)
+    steps = _walk_plan(c).steps
     assert {s.support for s in steps} >= {(1, 2, 3), (4, 5, 6), (2, 1)}
     assert any(s.support == (2, 1) and s.key[0][1] == (1, 0) for s in steps), "no gate at swapped positions"
     assert sum(s.first for s in steps) < len(steps), "no block map is reused"

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -42,6 +43,12 @@ def test_class_constants():
     assert (upper.c, upper.label, upper.target.amplitudes.tolist()) == (0.75, "GHZ-class", ghz3)
     with pytest.raises(ValueError, match="unknown witness kind 'bell'"):
         select_witness("Bell", 3)
+
+
+@pytest.mark.parametrize("kind", [None, ["ghz"], 3, b"ghz"], ids=["none", "list", "int", "bytes"])
+def test_witness_kind_that_is_not_a_string_is_named(kind):
+    with pytest.raises(ValueError, match=re.escape(f"unknown witness kind {kind!r}")):
+        select_witness(kind, 3)
 
 
 def test_biseparable_c_values():
