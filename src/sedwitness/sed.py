@@ -10,12 +10,12 @@ explicit 4x4 solution:
 
 where U_p swaps the first and last qubits and U_bd = diag(I, H, ..., H).
 The induction is realized gate by gate by circuit.vprime_dagger_circuit,
-whose unitary gives the dense V'.  The readout applies V'^dag after V^dag
-and reads every z_k at once, so z_k = Tr(O_k rho_out) with rho_out =
-V^dag rho V and O_k = V' Z_k V'^dag, an observable of n alone.  Each O_k is
-sparse, at most 3 nonzeros per row for k = 1, 2 and one for k >= 3, so
-(n+3) 2**n terms in all; they are conjugated through the gate list, not
-read off the dense V'.  Coefficients halve at each induction
+the one definition of V' in the package; no dense V' is formed.  The
+readout applies V'^dag after V^dag and reads every z_k at once, so
+z_k = Tr(O_k rho_out) with rho_out = V^dag rho V and O_k = V' Z_k V'^dag,
+an observable of n alone.  Each O_k is sparse, at most 3 nonzeros per row
+for k = 1, 2 and one for k >= 3, so (n+3) 2**n terms in all, conjugated
+through the gate list.  Coefficients halve at each induction
 step and the new leading coefficient is -1/2, giving the closed forms
 b = -2**-n, a_1 = a_2 = 3 * 2**-(n+1) and a_k = -2**(k-n-1) for k >= 3.
 
@@ -31,22 +31,23 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuit import Gate, circuit_unitary, vprime_dagger_circuit
+from .circuit import Gate, vprime_dagger_circuit
 from .states import PureState
-from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, checked_operand, dagger, haar_unitary, z_signs
+from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, _integer, checked_operand, dagger, haar_unitary, z_signs
 from .witness import Witness, expectation, generic_witness
 
 
 @dataclass(frozen=True, eq=False)
 class SedDecomposition:
-    """V'_n, its coefficients and the sparse readout observables O_k, all
-    derived from n on read (V' and the O_k on first use); c is attached from
-    the associated witness."""
+    """The coefficients of V'_n and its sparse readout observables O_k, all
+    derived from n on read (the O_k on first use); c is attached from the
+    associated witness."""
 
     n: int
     c: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "SED decomposition n"))
         if self.n < 2:
             raise ValueError("SED decomposition needs n >= 2")
         if self.c is not None and not math.isfinite(self.c):
@@ -61,11 +62,6 @@ class SedDecomposition:
         """a[k-1] = a_k: a_1 = a_2 = 3 * 2**-(n+1), a_k = -2**(k-n-1) for k >= 3."""
         n = self.n
         return np.array([3 * 2.0 ** -(n + 1)] * 2 + [-(2.0 ** (k - n - 1)) for k in range(3, n + 1)])
-
-    @cached_property
-    def vprime(self) -> np.ndarray:
-        """Dense V'_n, the dagger of the unitary of its gate circuit."""
-        return dagger(circuit_unitary(vprime_dagger_circuit(self.n)))
 
     @cached_property
     def z_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -159,16 +155,6 @@ def sed_decomposition(w: Witness) -> SedDecomposition:
     return SedDecomposition(w.n, w.c)
 
 
-def weighted_z_sum(n: int, b: float, a: np.ndarray) -> np.ndarray:
-    """b * identity + sum_k a_k Z placed on tensor slot n-k+1."""
-    return np.diag(b + np.asarray(a) @ z_signs(n)).astype(complex)
-
-
-def conjugated_observable(dec: SedDecomposition) -> np.ndarray:
-    """V' (b + sum_k a_k Z_k) V'^dag; diagonal should be (-1, 0, ..., 0)."""
-    return dec.vprime @ weighted_z_sum(dec.n, dec.b, dec.a) @ dagger(dec.vprime)
-
-
 def sed_measure(rho_in: np.ndarray, v_entangler: np.ndarray, dec: SedDecomposition) -> SedMeasurementResult:
     """Simulate the single-run readout: apply U = V'^dag V^dag, read all z_k.
 
@@ -197,14 +183,20 @@ def verify_equality(n: int, trials: int = 100, seed: int = 0) -> dict:
     Haar-random entangler V, sets rho_in = V rho_out V^dag, and compares the
     SED readout with Tr(W rho_in) for the witness of the target V|0>.  The
     witness constant cancels in the comparison; a fixed c = 1/2 is used.
+    The diagonal is b + sum_k a_k O_k[j, j], read from the row == col terms
+    of z_terms; the tests check it a second, independent way, through the
+    dense V' that circuit_unitary makes of the gate list.
     `passed` requires both deviations within ATOL_PHYSICS.
     """
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:
         raise ValueError(f"verify_equality needs trials >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"verify_equality needs seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     c = 0.5
     dec = SedDecomposition(n, c)
-    dim = 2**n
+    dim = 2**dec.n
     max_dev = 0.0
     for _ in range(trials):
         diag = rng.dirichlet(np.ones(dim))
@@ -215,11 +207,13 @@ def verify_equality(n: int, trials: int = 100, seed: int = 0) -> dict:
         max_dev = max(max_dev, abs(res.value - conv))
         if not res.diagonal_ok:
             raise AssertionError("rho_out unexpectedly non-diagonal in verify_equality")
-    target = np.zeros(dim)
-    target[0] = -1.0
-    diag_dev = float(np.max(np.abs(np.diag(conjugated_observable(dec)).real - target)))
+    k, row, col, val = dec.z_terms
+    on = row == col
+    obs_diag = dec.b + np.bincount(row[on], weights=dec.a[k[on]] * val[on].real, minlength=dim)
+    obs_diag[0] += 1.0  # the target is (-1, 0, ..., 0)
+    diag_dev = float(np.max(np.abs(obs_diag)))
     return {
-        "n": n,
+        "n": dec.n,
         "trials": trials,
         "seed": seed,
         "max_deviation": max_dev,

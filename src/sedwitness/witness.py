@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .states import PureState, make_ghz, make_w
-from .tensor import ATOL_PHYSICS, _option, checked_operand, max_schmidt_sq
+from .tensor import ATOL_PHYSICS, _integer, _option, checked_operand, max_schmidt_sq
 
 # class-boundary constants for the two inequivalent tripartite classes
 GHZ_CLASS_C = 3.0 / 4.0
@@ -62,7 +62,7 @@ def select_witness(kind: str, n: int) -> Witness:
     n = 3 (c = 3/4 for the GHZ class, 1/4 for the W class), otherwise the
     biseparable_c value in closed form: 1/2 for the GHZ target (ghz, generic)
     and (n-1)/n, from a one-qubit cut, for the W target (w)."""
-    kind = _option(kind, ("ghz", "w", "generic"), "witness kind")
+    kind, n = _option(kind, ("ghz", "w", "generic"), "witness kind"), _integer(n, "n")
     if kind == "ghz" and n == 3:
         return Witness(GHZ_CLASS_C, make_ghz(3), "GHZ-class")
     if kind == "w" and n == 3:

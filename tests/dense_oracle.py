@@ -1,10 +1,12 @@
 """Dense 2**n x 2**n reference constructions for the tests.
 
-The package builds V'_n only from its gate circuit, applies every gate on
-its own axes of a tensor view and runs gate noise only as the Pauli
-pull-back of an observable.  The constructions below are independent of
-that code and are what the tests compare it with: the full-matrix gate
-embedding and the matrix recursion of V'_n; a circuit applied gate by gate
+The package builds V'_n only from its gate circuit and reads the readout
+observables as sparse terms, applies every gate on its own axes of a tensor
+view and runs gate noise only as the Pauli pull-back of an observable.  The
+constructions below are independent of that code and are what the tests
+compare it with: the full-matrix gate embedding and the matrix recursion of
+V'_n; the dense V'_n as the dagger of its circuit's unitary, and the dense
+V' (b + sum_k a_k Z_k) V'^dag built on it; a circuit applied gate by gate
 to a state vector, for registers too large for a 4**n unitary; the
 noisy-gate channel on density matrices, the only Schroedinger-picture
 reference; the Pauli pull-back one gate at a time, built on the package's
@@ -16,11 +18,13 @@ random and thermal density matrices, the partial-transpose test, separable
 sampling, the dense witness matrix and comparison up to a global phase).
 """
 
+from functools import cache
+
 import numpy as np
 
-from sedwitness.circuit import vprime2
+from sedwitness.circuit import circuit_unitary, vprime2, vprime_dagger_circuit
 from sedwitness.noise import _adjoint_transfer
-from sedwitness.tensor import ATOL_PHYSICS, H, I2, SWAP, _check_qubits, dagger, n_qubits, pauli_strings
+from sedwitness.tensor import ATOL_PHYSICS, H, I2, SWAP, _check_qubits, dagger, n_qubits, pauli_strings, z_signs
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -203,6 +207,27 @@ def vprime_recursion(n):
     for m in range(3, n + 1):
         v = blockdiag_ubd(m) @ permutation_up(m) @ np.kron(I2, v)
     return v
+
+
+@cache
+def dense_vprime(n):
+    """Dense V'_n, the dagger of the unitary of its gate circuit (read-only,
+    built once per n)."""
+    v = dagger(circuit_unitary(vprime_dagger_circuit(n)))
+    v.flags.writeable = False
+    return v
+
+
+def weighted_z_sum(n, b, a):
+    """b * identity + sum_k a_k Z placed on tensor slot n-k+1."""
+    return np.diag(b + np.asarray(a) @ z_signs(n)).astype(complex)
+
+
+def conjugated_observable(dec):
+    """V' (b + sum_k a_k Z_k) V'^dag of a SedDecomposition, with the dense V';
+    its diagonal should be (-1, 0, ..., 0)."""
+    v = dense_vprime(dec.n)
+    return v @ weighted_z_sum(dec.n, dec.b, dec.a) @ dagger(v)
 
 
 def dense_gate(g, n):

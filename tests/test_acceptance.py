@@ -9,6 +9,8 @@ as stated rather than loosened.
 import numpy as np
 
 from dense_oracle import (
+    conjugated_observable,
+    dense_vprime,
     kron,
     phase_insensitive_equal,
     random_density_matrix,
@@ -26,7 +28,7 @@ from sedwitness.circuit import (
     vprime_dagger_circuit,
 )
 from sedwitness.noise import grid_values, sweep, zero_crossing_h
-from sedwitness.sed import SedDecomposition, conjugated_observable, verify_equality
+from sedwitness.sed import SedDecomposition, verify_equality
 from sedwitness.states import make_ghz
 from sedwitness.tensor import I2, Z, dagger, haar_unitary
 from sedwitness.witness import (
@@ -69,7 +71,7 @@ def test_criterion_3_recursive_construction():
     for n in range(2, 8):
         dec = SedDecomposition(n)
         dim = 2**n
-        unit = np.max(np.abs(dec.vprime @ dagger(dec.vprime) - np.eye(dim)))
+        unit = np.max(np.abs(dense_vprime(n) @ dagger(dense_vprime(n)) - np.eye(dim)))
         assert unit <= 1e-12
         target = np.zeros(dim)
         target[0] = -1.0

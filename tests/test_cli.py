@@ -189,6 +189,7 @@ def test_usage_errors_exit_2(capsys):
         ["ancilla", "--epsilon", "-0.1"],
         ["sed-verify", "--n", "3", "--trials", "0"],
         ["sed-verify", "--n", "3", "--trials", "-4"],
+        ["sed-verify", "--n", "3", "--seed", "-1"],
         ["nosuchcommand"],
         ["witness", "--epsilon", "nan"],
         ["ancilla", "--epsilon", "nan"],
@@ -203,6 +204,13 @@ def test_usage_errors_exit_2(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error: " in err and err.split("error: ", 1)[1].strip(), (argv, err)
+
+
+def test_negative_seed_error_names_the_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sed-verify", "--n", "3", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "error: verify_equality needs seed >= 0, got -1" in capsys.readouterr().err
 
 
 def _stdout_golden():

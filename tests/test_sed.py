@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 from functools import cache
 
@@ -9,21 +10,23 @@ from hypothesis import strategies as st
 from dense_oracle import (
     blockdiag_ubd,
     conjugated_diagonal,
+    conjugated_observable,
+    dense_vprime,
     embed_gate,
     kron,
     permutation_up,
     random_density_matrix,
+    weighted_z_sum,
     witness_matrix,
 )
 from sedwitness.circuit import vprime2
+from sedwitness.cli import main
 from sedwitness.sed import (
     SedDecomposition,
     SedMeasurementResult,
-    conjugated_observable,
     sed_decomposition,
     sed_measure,
     verify_equality,
-    weighted_z_sum,
 )
 from sedwitness.states import make_ghz, pseudopure_matrix
 from sedwitness.tensor import H, I2, X, Z, dagger, haar_unitary, z_signs
@@ -82,7 +85,7 @@ def test_vprime2_conjugation_reproduces_fixture():
 
 def test_sed_decomposition_matches_fixture_at_n2():
     dec = SedDecomposition(2)
-    assert np.max(np.abs(dec.vprime - VPRIME2_EXPECTED)) == 0.0
+    assert np.max(np.abs(dense_vprime(2) - VPRIME2_EXPECTED)) == 0.0
     assert dec.b == -0.25
 
 
@@ -105,7 +108,7 @@ def test_unitarity_and_diagonal_for_all_n():
     for n in range(2, 11):
         dec = SedDecomposition(n)
         dim = 2**n
-        assert np.max(np.abs(dec.vprime @ dagger(dec.vprime) - np.eye(dim))) <= 1e-12
+        assert np.max(np.abs(dense_vprime(n) @ dagger(dense_vprime(n)) - np.eye(dim))) <= 1e-12
         diag = np.diag(conjugated_observable(dec))
         target = np.zeros(dim)
         target[0] = -1.0
@@ -114,8 +117,8 @@ def test_unitarity_and_diagonal_for_all_n():
 
 def test_recursion_consistency():
     for n in range(2, 7):
-        lhs = SedDecomposition(n + 1).vprime
-        rhs = blockdiag_ubd(n + 1) @ permutation_up(n + 1) @ kron(I2, SedDecomposition(n).vprime)
+        lhs = dense_vprime(n + 1)
+        rhs = blockdiag_ubd(n + 1) @ permutation_up(n + 1) @ kron(I2, dense_vprime(n))
         assert np.max(np.abs(lhs - rhs)) <= 1e-13
 
 
@@ -265,7 +268,7 @@ def sed_cases(draw):
 @given(sed_cases())
 def test_sed_measure_matches_dense_diagonal_read(case):
     rho, v, dec = case
-    z = z_signs(dec.n) @ conjugated_diagonal(dagger(v) @ rho @ v, dec.vprime)
+    z = z_signs(dec.n) @ conjugated_diagonal(dagger(v) @ rho @ v, dense_vprime(dec.n))
     res = sed_measure(rho, v, dec)
     assert res.z.shape == (dec.n,)
     assert np.max(np.abs(res.z - z)) <= 1e-13
@@ -288,7 +291,7 @@ def test_z_terms_structure(n):
 def test_z_terms_are_the_dense_conjugated_z(n):
     dec = SedDecomposition(n)
     k, row, col, val = dec.z_terms
-    vp = dec.vprime
+    vp = dense_vprime(n)
     for kk, signs in enumerate(z_signs(n)):
         sparse = np.zeros((2**n, 2**n), dtype=complex)
         sel = k == kk
@@ -300,7 +303,7 @@ def test_z_terms_are_built_on_the_first_read():
     dec = sed_decomposition(select_witness("ghz", 3))
     assert "z_terms" not in vars(dec)
     sed_measure(np.eye(8) / 8, ghz_entangler_matrix(3), dec)
-    assert "z_terms" in vars(dec) and "vprime" not in vars(dec)
+    assert "z_terms" in vars(dec) and not hasattr(SedDecomposition, "vprime")
 
 
 def test_sed_measure_zero_state_trial():
@@ -334,6 +337,47 @@ def test_verify_equality_needs_a_trial(trials):
         verify_equality(3, trials=trials)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"seed": -1}, "seed >= 0, got -1"),
+        ({"trials": 2.5}, "trials 2.5 is not an integer"),
+        ({"seed": 1.5}, "seed 1.5 is not an integer"),
+        ({"seed": "0"}, "seed '0' is not an integer"),
+    ],
+)
+def test_verify_equality_names_a_bad_trials_or_seed(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_equality(3, **kwargs)
+
+
+def test_verify_equality_reads_numpy_integers():
+    report = verify_equality(np.int64(2), trials=np.int64(3), seed=np.int64(4))
+    assert report == verify_equality(2, trials=3, seed=4)
+    assert [type(report[key]) for key in ("n", "trials", "seed")] == [int, int, int]
+
+
+def _broken_coefficients(monkeypatch):
+    # reversed a_k: a_n takes the place of a_1, so V' (b + sum_k a_k Z_k) V'^dag
+    # no longer has the diagonal (-1, 0, ..., 0) at n = 3
+    a = SedDecomposition.a
+    monkeypatch.setattr(SedDecomposition, "a", property(lambda dec: a.fget(dec)[::-1]))
+
+
+def test_verify_equality_fails_on_a_broken_diagonal(monkeypatch):
+    _broken_coefficients(monkeypatch)
+    assert np.array_equal(SedDecomposition(3).a, [-0.5, 3 / 16, 3 / 16])
+    report = verify_equality(3, trials=5)
+    assert report["passed"] is False
+    assert report["diag_deviation"] > report["diag_tolerance"]
+
+
+def test_sed_verify_exits_1_on_a_broken_diagonal(monkeypatch, capsys):
+    _broken_coefficients(monkeypatch)
+    assert main(["sed-verify", "--n", "3", "--trials", "5"]) == 1
+    assert "passed = False" in capsys.readouterr().out.splitlines()
+
+
 def test_weighted_z_sum_slots():
     # a_k multiplies Z on slot n-k+1: a_n acts on qubit 1
     n = 3
@@ -351,6 +395,9 @@ def test_sed_decomposition_attaches_witness_constant():
 def test_sed_decomposition_errors():
     with pytest.raises(ValueError):
         SedDecomposition(1)
+    for bad in ("3", 2.5):
+        with pytest.raises(ValueError, match=re.escape(f"SED decomposition n {bad!r} is not an integer")):
+            SedDecomposition(bad)
     with pytest.raises(ValueError):
         SedDecomposition(2).a0  # no witness constant attached
     for bad in (np.nan, np.inf):

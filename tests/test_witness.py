@@ -51,6 +51,13 @@ def test_witness_kind_that_is_not_a_string_is_named(kind):
         select_witness(kind, 3)
 
 
+@pytest.mark.parametrize("kind, n", [("w", 4.0), ("ghz", 3.0), ("ghz", "3"), ("generic", 2.5)])
+def test_select_witness_n_that_is_not_an_integer_is_named(kind, n):
+    # a float 3.0 must not pass for 3 and pick the GHZ-class witness
+    with pytest.raises(ValueError, match=re.escape(f"n {n!r} is not an integer")):
+        select_witness(kind, n)
+
+
 def test_biseparable_c_values():
     assert biseparable_c(make_ghz(3)) == pytest.approx(0.5, abs=1e-12)
     assert biseparable_c(make_w(3)) == pytest.approx(2 / 3, abs=1e-12)
