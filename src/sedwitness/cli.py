@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -191,8 +192,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call, not at import.  Parsing
+    leaves it unchanged: each call gets a fresh namespace, and no argument
+    has a mutable default or an action that accumulates."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "n", None) is not None and not 2 <= args.n <= 10:

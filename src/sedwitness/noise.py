@@ -24,7 +24,9 @@ each distinct gate.  The block maps depend on h, so they are built per walk,
 once for each distinct block (the same bases, polarities and local qubit
 positions), and each is dropped after its last use, so none outlives the
 walk.  The damping stays per gate; only the order of rounding differs from
-a walk gate by gate.
+a walk gate by gate.  A walk allocates its two coefficient buffers once:
+each step writes its transpose and its matmul into the idle one, so no step
+allocates an array of the register's size.
 
 The sweep prepares a thermal product state, runs the noisy entangler, then
 compares the conventional witness (noiseless direct trace) with the
@@ -40,8 +42,8 @@ What a sweep needs apart from its grid depends only on (kind, n, mode): the
 witness constant, the Pauli coefficients of the target projector and of the
 readout, and the plans of the two walks, whose gate lists hold the expanded
 measurement circuit.  `_sweep_model` builds that once per process for each
-checked (kind, n, mode), the package's one cache; each call then walks the
-cached plans for its own grid.
+checked (kind, n, mode), the package's one cache of computed results; each
+call then walks the cached plans for its own grid.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import numpy as np
 
 from .circuit import ENTANGLER_KINDS, Circuit, dagger_circuit, sed_measurement_circuit, select_entangler
 from .sed import sed_decomposition
-from .tensor import ATOL_ALGEBRA, ATOL_GRID, _integer, _option, n_qubits, pauli_coefficients, pauli_strings
+from .tensor import ATOL_ALGEBRA, ATOL_GRID, MAX_GRID_POINTS, _integer, _option, n_qubits, pauli_coefficients, pauli_strings
 from .witness import select_witness
 
 
@@ -77,8 +79,9 @@ def _adjoint_transfer(raw: bytes, dim: int, polarities: tuple) -> np.ndarray:
     u = np.eye(2**k, dtype=complex)
     u[start : start + dim, start : start + dim] = np.frombuffer(raw, dtype=complex).reshape(dim, dim)
     strings = pauli_strings(k)
-    pulled = np.einsum("ji,bjk,kl->bil", u.conj(), strings, u)  # U^dag P_b U
-    r = np.einsum("aij,bji->ab", strings, pulled).real / 2**k
+    pulled = u.conj().T @ strings @ u  # U^dag P_b U, one matmul per b
+    # R[a, b] = sum_ij P_a[i, j] (U^dag P_b U)[j, i], one 4**k x 4**k product
+    r = (strings.reshape(4**k, -1) @ pulled.transpose(2, 1, 0).reshape(-1, 4**k)).real / 2**k
     r.flags.writeable = False
     return r
 
@@ -219,7 +222,13 @@ def _pull_back(plan: _Plan, coeffs: np.ndarray, grid_h) -> np.ndarray:
 
 
 def _walk(plan: _Plan, coeffs: np.ndarray, grid_h: list[float]) -> np.ndarray:
-    """One walk of pull_back over its plan, for all of grid_h at once."""
+    """One walk of pull_back over its plan, for all of grid_h at once.
+
+    The coefficients live in one of two (len(grid_h),) + coeffs.shape
+    buffers allocated here: a step that needs a transpose copies it into the
+    idle buffer, and the block's matmul writes into the idle buffer, so no
+    step allocates coefficients.  The buffers belong to this call; the result
+    is a view of one of them."""
     widths = {t: len(pos) for s in plan.steps if s.first for t, pos in s.key}
     gate_maps = {}  # M_g per h, by the index of g's transfer matrix in the plan
     for t, k in widths.items():
@@ -227,16 +236,19 @@ def _walk(plan: _Plan, coeffs: np.ndarray, grid_h: list[float]) -> np.ndarray:
         damp[:, :, 1:] = np.array([h**k for h in grid_h])[:, None, None]  # p_s per h
         gate_maps[t] = plan.transfers[t] * damp
     maps = {}  # each block map, from the first step with its key to the last
-    out = np.repeat(coeffs[None], len(grid_h), axis=0)
+    x, y = np.empty((2, len(grid_h)) + coeffs.shape)  # x holds the coefficients, y is idle
+    x[...] = coeffs
     for s in plan.steps:
         if s.axes is not None:
-            out = out.transpose(s.axes)
+            np.copyto(y, x.transpose(s.axes))
+            x, y = y, x
         if s.first:
             maps[s.key] = _block_map(s.key, gate_maps, len(s.support))
         block = maps.pop(s.key) if s.last else maps[s.key]
-        out = block @ out.reshape(len(grid_h), 4 ** len(s.support), -1)
-        out = out.reshape((len(grid_h),) + coeffs.shape)
-    return out.transpose(plan.restore)
+        rows = (len(grid_h), 4 ** len(s.support), -1)
+        np.matmul(block, x.reshape(rows), out=y.reshape(rows))
+        x, y = y, x
+    return x.transpose(plan.restore)
 
 
 def thermal_readout(coeffs: np.ndarray, grid_p) -> np.ndarray:
@@ -341,6 +353,8 @@ def grid_values(lo: float, hi: float, step: float) -> list[float]:
     if not math.isfinite(intervals):
         raise ValueError(f"step {step:g} is too small for the range [{lo:g}, {hi:g}]")
     count = round(intervals) + 1
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"step {step:g} gives {count} points in the range [{lo:g}, {hi:g}], more than {MAX_GRID_POINTS}")
     if abs(intervals - (count - 1)) > ATOL_GRID or (count == 1 and hi > lo):
         raise ValueError(f"step {step:g} does not divide the range [{lo:g}, {hi:g}]")
     return [float(v) for v in np.linspace(lo, hi, count)]

@@ -21,6 +21,12 @@ ATOL_ALGEBRA = 1e-12
 ATOL_PHYSICS = 1e-10
 ATOL_GRID = 1e-9
 
+# most points in one sweep grid axis, so that a step too fine for any sweep
+# is refused before the axis is allocated.  The default axis has 11 points;
+# a sweep at n = 3 over 10**5 h values by the default 11 p values takes
+# about a minute and 0.5 GB
+MAX_GRID_POINTS = 10**5
+
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from sedwitness import cli
 from sedwitness.cli import main
 from sedwitness.witness import select_witness
 
@@ -198,12 +199,46 @@ def test_usage_errors_exit_2(capsys):
         ["gatecount", "--n-min", "5", "--n-max", "4"],
         ["gatecount", "--n-max", "13"],
         ["sweep", "--n", "3", "--h-min", "nan", "--out", "x.csv"],
+        ["sweep", "--n", "3", "--h-step", "1e-13", "--out", "x.csv"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error: " in err and err.split("error: ", 1)[1].strip(), (argv, err)
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path, monkeypatch):
+    # main parses with one parser per process: every call must read as a
+    # fresh parser would, whatever the calls before it set or failed on
+    parser, seen = cli._parser(), []
+    parse = parser.parse_args
+
+    def recorded(*args, **kwargs):
+        seen.append(parse(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(parser, "parse_args", recorded)
+    json_path, csv_path = tmp_path / "grid.json", tmp_path / "grid.csv"
+    grid = ["--n", "3", "--p-step", "0.25", "--h-step", "0.25"]
+    calls = [
+        (["sweep", *grid, "--format", "json", "--out", str(json_path)], 0),
+        (["sweep", "--n", "11", "--out", str(csv_path)], 2),
+        (["witness", "--kind", "w", "--n", "4", "--epsilon", "0.3"], 0),
+        (["sweep", *grid, "--out", str(csv_path)], 0),
+    ]
+    for argv, code in calls:
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        else:
+            assert main(argv) == 0
+        assert vars(seen[-1]) == vars(cli.build_parser().parse_args(argv))
+    assert len(seen) == len(calls)
+    assert len(json.loads(json_path.read_text())) == 9
+    assert csv_path.read_text().startswith("p,h,value_conv,value_sed\n")
+    capsys.readouterr()
 
 
 def test_negative_seed_error_names_the_seed(capsys):

@@ -20,7 +20,7 @@ from sedwitness.noise import (
     zero_crossing_h,
 )
 from sedwitness.states import make_ghz
-from sedwitness.tensor import SWAP, H, X, dagger, haar_unitary, pauli_coefficients
+from sedwitness.tensor import MAX_GRID_POINTS, SWAP, H, X, dagger, haar_unitary, pauli_coefficients
 from sedwitness.witness import select_witness
 
 DATA = Path(__file__).with_name("data")
@@ -234,6 +234,13 @@ def test_sweep_validation():
     for lo, hi, step in ((0.5, 1.0, float("nan")), (0.5, float("inf"), 0.1), (float("-inf"), 1.0, 0.1)):
         with pytest.raises(ValueError, match=re.escape(f"step {step:g} and range [{lo:g}, {hi:g}] must be finite")):
             grid_values(lo, hi, step)
+    # a step so fine that the axis would pass MAX_GRID_POINTS is refused
+    # before the axis is allocated, with the step, the range and the count
+    with pytest.raises(ValueError, match=re.escape("step 1e-13 gives 5000000000001 points in the range [0.5, 1]")):
+        grid_values(0.5, 1.0, 1e-13)
+    assert len(grid_values(0.0, 1.0, 1 / (MAX_GRID_POINTS - 1))) == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match=f"gives {MAX_GRID_POINTS + 1} points"):
+        grid_values(0.0, 1.0, 1 / MAX_GRID_POINTS)
     # a step that divides the range only up to rounding is accepted
     grid = grid_values(0.8, 1.0, (1.0 - 0.8) / 3)
     assert len(grid) == 4 and grid[0] == 0.8 and grid[-1] == 1.0
@@ -315,6 +322,16 @@ def test_sweep_at_n10_reads_the_witness_at_h1():
     for r in records:
         assert abs(r.value_sed - r.value_conv) <= 1e-10
     assert abs(records[-1].value_conv - (select_witness("ghz", 10).c - 1)) <= 1e-12
+
+
+def test_w_sweep_at_n10_reads_the_witness_at_h1():
+    # the same check for w, whose entangler and witness differ from ghz's:
+    # c = (n - 1) / n, so the noiseless pure target reads c - 1 = -0.1
+    records = sweep(10, [0.5, 1.0], [1.0], "w")
+    assert [(r.p, r.h) for r in records] == [(0.5, 1.0), (1.0, 1.0)]
+    for r in records:
+        assert abs(r.value_sed - r.value_conv) <= 1e-10
+    assert abs(records[-1].value_conv + 0.1) <= 1e-12
 
 
 def test_w_kind_sweep_smoke():

@@ -39,7 +39,7 @@ from sedwitness.circuit import (
     select_entangler,
     vprime_dagger_circuit,
 )
-from sedwitness.noise import _walk_plan, pull_back, sweep, thermal_readout
+from sedwitness.noise import _walk, _walk_plan, pull_back, sweep, thermal_readout
 from sedwitness.sed import SedDecomposition
 from sedwitness.tensor import SWAP, H, X, Z, haar_unitary, pauli_coefficients
 from sedwitness.witness import select_witness
@@ -216,6 +216,31 @@ def test_block_maps_are_keyed_by_gate_and_position():
     coeffs = rng.standard_normal((4,) * 6)
     grid_h = [0.0, 0.6, 1.0]
     assert np.max(np.abs(pull_back(c, coeffs, grid_h) - per_gate_pull_back(c, coeffs, grid_h))) <= 1e-12
+
+
+def test_walk_buffers_belong_to_one_call():
+    # each walk allocates its own two buffers and never writes the caller's
+    # coefficients.  In `leading` the first block's qubits already lead the
+    # array, so its first step is a matmul with no transpose; `moved` needs a
+    # transpose into the idle buffer
+    leading = Circuit(4, (Gate(H, (3,)), Gate(X, (2,), ((1, 1),))))
+    moved = Circuit(4, (Gate(H, (1,)), Gate(X, (4,), ((2, 1),)), Gate(H, (3,))))
+    assert _walk_plan(leading).steps[0].axes is None
+    assert _walk_plan(moved).steps[0].axes is not None
+    rng = np.random.default_rng(5)
+    grid_h = [0.0, 0.6, 1.0]
+    for c in (leading, moved):
+        coeffs = rng.standard_normal((4,) * 4)
+        kept = coeffs.copy()
+        plan = _walk_plan(c)
+        walks = _walk(plan, coeffs, grid_h), _walk(plan, coeffs, grid_h)
+        pulled = pull_back(c, coeffs, grid_h), pull_back(c, coeffs, grid_h)
+        assert np.array_equal(coeffs, kept)
+        for first, second in (walks, pulled):
+            assert not np.shares_memory(first, second) and not np.shares_memory(first, coeffs)
+            assert np.array_equal(first, second)
+        assert np.array_equal(walks[0], pulled[0])
+        assert np.max(np.abs(pulled[0] - per_gate_pull_back(c, coeffs, grid_h))) <= 1e-12
 
 
 def _on_qubits(c, qubits, n):
