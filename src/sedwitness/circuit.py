@@ -24,6 +24,13 @@ _LABELS = ((X, ("X", "CNOT", "CnNOT")), (H, ("H", "CnH", "CnH")), (SWAP, ("SWAP"
 _NAMED_BASE = {name: base for base, names in _LABELS for name in names if name}
 
 
+def _all_pairs(items) -> bool:
+    try:
+        return all(len(item) == 2 for item in items)
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True, eq=False)
 class Gate:
     """Controlled unitary: the 2**len(targets) unitary `base` acts on
@@ -36,8 +43,18 @@ class Gate:
     controls: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(_integer(t, "qubit") for t in self.targets))
-        controls = tuple((_integer(q, "qubit"), _integer(p, "polarity")) for q, p in self.controls)
+        # a malformed field is named from the except clauses, which cost nothing otherwise
+        try:
+            targets = tuple(_integer(t, "qubit") for t in self.targets)
+        except TypeError:
+            raise ValueError(f"targets must be a sequence of qubits, got {self.targets!r}") from None
+        object.__setattr__(self, "targets", targets)
+        try:
+            controls = tuple((_integer(q, "qubit"), _integer(p, "polarity")) for q, p in self.controls)
+        except (TypeError, ValueError):
+            if _all_pairs(self.controls):
+                raise  # a qubit or polarity that is not an integer names itself
+            raise ValueError(f"controls must be (qubit, polarity) pairs, got {self.controls!r}") from None
         object.__setattr__(self, "controls", controls)
         ctrl_qubits = [q for q, _ in self.controls]
         if any(q < 1 for q in ctrl_qubits + list(self.targets)):
@@ -48,7 +65,10 @@ class Gate:
             raise ValueError("repeated qubit in gate")
         if any(p not in (0, 1) for _, p in self.controls):
             raise ValueError("control polarity must be 0 or 1")
-        base = np.asarray(self.base, dtype=complex)  # the shared constants stay themselves
+        try:
+            base = np.asarray(self.base, dtype=complex)  # the shared constants stay themselves
+        except (TypeError, ValueError):
+            raise ValueError(f"base must be a complex matrix, got {self.base!r}") from None
         object.__setattr__(self, "base", base)
         d = 2 ** len(self.targets)
         if base.shape != (d, d):
@@ -81,11 +101,20 @@ class Circuit:
     def __post_init__(self):
         if _integer(self.n, "register size") < 0:
             raise ValueError(f"register size {self.n} is negative")
-        object.__setattr__(self, "gates", tuple(self.gates))
+        try:
+            object.__setattr__(self, "gates", tuple(self.gates))
+        except TypeError:
+            raise ValueError(f"gates must be a sequence of Gate, got {self.gates!r}") from None
         # Gate holds distinct qubits numbered from 1, and a repeated Gate is checked once;
         # only a failing check walks the list for the first bad position
-        if max((max(g.qubits(), default=0) for g in set(self.gates)), default=0) > self.n:
+        try:
+            top = max((max(g.qubits(), default=0) for g in set(self.gates)), default=0)
+        except (AttributeError, TypeError):
+            top = None  # an entry that is not a Gate
+        if top is None or top > self.n:
             for i, g in enumerate(self.gates):
+                if not isinstance(g, Gate):
+                    raise ValueError(f"gate {i}: expected a Gate, got {g!r}")
                 for q in g.qubits():
                     if q > self.n:
                         raise ValueError(f"gate {i}: qubit {q} out of range 1..{self.n}")
@@ -219,7 +248,9 @@ def vprime_dagger_circuit(n: int) -> Circuit:
 # when enough spares exist; with a single spare the gate splits into two
 # half-sized pieces run twice.  A full-width gate peels one control,
 # which costs two multi-controlled X sandwiches plus a recursion on the
-# square root of the base.
+# square root of the base.  What repeats is smaller than a sub-network: the
+# same square roots and the same leaf gates come back under other controls,
+# so one expansion call makes each of them once (_Peel).
 # ---------------------------------------------------------------------------
 
 
@@ -228,14 +259,45 @@ def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
     return v @ np.diag(np.sqrt(w.astype(complex))) @ np.linalg.inv(v)
 
 
-def _lambda(u: np.ndarray, controls: list[int], target: int, n: int) -> list[Gate]:
+class _Peel:
+    """The memo of one expansion call: per distinct base the square root and
+    its dagger, per distinct (base, target, controls) the leaf Gate.
+
+    A base is keyed by id(), never by its entries, so a named constant (X, H)
+    and an OPAQUE array with the same bytes stay apart: the label comes from
+    identity.  Each entry holds its base, so no id is reused while the memo
+    lives, and the memo lives only as long as the call that made it."""
+
+    def __init__(self):
+        self.roots: dict[int, tuple] = {}
+        self.leaves: dict[tuple, tuple] = {}
+
+    def root(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hit = self.roots.get(id(u))
+        if hit is None:
+            v = _unitary_sqrt(u)
+            hit = self.roots[id(u)] = (u, v, dagger(v))
+        return hit[1], hit[2]
+
+    def leaf(self, u: np.ndarray, target: int, controls: tuple) -> Gate:
+        key = (id(u), target, controls)
+        hit = self.leaves.get(key)
+        if hit is None:
+            hit = self.leaves[key] = (u, Gate(u, (target,), controls))
+        return hit[1]
+
+
+def _lambda(u: np.ndarray, controls: list[int], target: int, n: int, memo: _Peel) -> list[Gate]:
     """1/2-qubit gates for u on `target` controlled (all polarity 1) by `controls`.
 
-    A sub-network that recurs is built once and its list reused; Gate is
-    frozen, so the output may hold one Gate object several times."""
+    A sub-network that recurs within one level (the two control flips of a
+    peel, the two passes of a one-borrow split, the rungs of the chain) is
+    built once and its list reused.  Across levels and gates, `memo` makes
+    each square root and each leaf Gate once per distinct input, so the
+    output may hold one frozen Gate object several times."""
     m = len(controls)
     if m <= 1:
-        return [Gate(u, (target,), tuple((q, 1) for q in controls))]
+        return [memo.leaf(u, target, tuple((q, 1) for q in controls))]
     if m > 2 and np.max(np.abs(u @ u - np.eye(2))) <= ATOL_ALGEBRA:
         used = set(controls) | {target}
         free = [q for q in range(1, n + 1) if q not in used]
@@ -243,10 +305,10 @@ def _lambda(u: np.ndarray, controls: list[int], target: int, n: int) -> list[Gat
             # borrowed-qubit chain: 4(m-2) two-controlled gates, dirty borrows
             # are restored and the double pass cancels their unknown values
             dirty = free[: m - 2]
-            chain = [_lambda(u, [controls[-1], dirty[-1]], target, n)]
+            chain = [_lambda(u, [controls[-1], dirty[-1]], target, n, memo)]
             for i in range(m - 3, 0, -1):
-                chain.append(_lambda(X, [controls[i + 1], dirty[i - 1]], dirty[i], n))
-            chain.append(_lambda(X, [controls[0], controls[1]], dirty[0], n))
+                chain.append(_lambda(X, [controls[i + 1], dirty[i - 1]], dirty[i], n, memo))
+            chain.append(_lambda(X, [controls[0], controls[1]], dirty[0], n, memo))
             ladder = chain[1:-1][::-1]
             return [g for rung in chain + ladder + [chain[0]] + chain[1:] + ladder for g in rung]
         if free:
@@ -254,32 +316,35 @@ def _lambda(u: np.ndarray, controls: list[int], target: int, n: int) -> list[Gat
             borrow = free[0]
             m1 = (m + 1) // 2
             grp_a, grp_b = controls[:m1], controls[m1:]
-            half = _lambda(u, grp_b + [borrow], target, n) + _lambda(X, grp_a, borrow, n)
+            half = _lambda(u, grp_b + [borrow], target, n, memo) + _lambda(X, grp_a, borrow, n, memo)
             return half + half
     # two controls, no spare qubit, or a base that is not self-inverse: peel the last control
-    v = _unitary_sqrt(u)
+    v, v_dag = memo.root(u)
     head, last = controls[:-1], controls[-1]
-    flip = _lambda(X, head, last, n)
+    flip = _lambda(X, head, last, n, memo)
     return (
-        [Gate(v, (target,), ((last, 1),))]
+        [memo.leaf(v, target, ((last, 1),))]
         + flip
-        + [Gate(dagger(v), (target,), ((last, 1),))]
+        + [memo.leaf(v_dag, target, ((last, 1),))]
         + flip
-        + _lambda(v, head, target, n)
+        + _lambda(v, head, target, n, memo)
     )
 
 
 def expand_multicontrolled(c: Circuit) -> Circuit:
     """Replace every single-target gate with two or more controls by a
-    network of one- and two-qubit gates; the unitary is preserved exactly."""
+    network of one- and two-qubit gates; the unitary is preserved exactly.
+    Each square root and each leaf Gate is made once per distinct input
+    within the call."""
+    memo = _Peel()
     out: list[Gate] = []
     for g in c.gates:
         if len(g.targets) != 1 or len(g.controls) < 2:
             out.append(g)
             continue
-        sandwiches = [Gate(X, (q,)) for q, pol in g.controls if pol == 0]
+        sandwiches = [memo.leaf(X, q, ()) for q, pol in g.controls if pol == 0]
         out.extend(sandwiches)
-        out.extend(_lambda(g.base, [q for q, _ in g.controls], g.targets[0], c.n))
+        out.extend(_lambda(g.base, [q for q, _ in g.controls], g.targets[0], c.n, memo))
         out.extend(sandwiches)
     return Circuit(c.n, tuple(out))
 
@@ -315,9 +380,10 @@ def sed_measurement_circuit(n: int) -> Circuit:
         return expand_multicontrolled(circ)
     (target,) = first.targets
     *head, last = [q for q, _ in first.controls]
-    a, b, c = (Gate(u, (target,), ((last, 1),)) for u in _ABC_MINUS_IH)
-    flip = _lambda(X, head, target, n)
-    sandwiches = [Gate(X, (q,)) for q, pol in first.controls if pol == 0]
+    memo = _Peel()
+    a, b, c = (memo.leaf(u, target, ((last, 1),)) for u in _ABC_MINUS_IH)
+    flip = _lambda(X, head, target, n, memo)
+    sandwiches = [memo.leaf(X, q, ()) for q, pol in first.controls if pol == 0]
     gates = sandwiches + [c] + flip + [b] + flip + [a] + sandwiches
     return Circuit(n, tuple(gates) + expand_multicontrolled(Circuit(n, rest)).gates)
 

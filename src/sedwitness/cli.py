@@ -19,7 +19,15 @@ import json
 import sys
 
 from .ancilla import AncillaConfig, intermediate_identities, readout_value
-from .circuit import circuit_unitary, gate_count_G, gate_count_exponent, select_entangler
+from .circuit import (
+    Circuit,
+    circuit_unitary,
+    expand_multicontrolled,
+    gate_count_G,
+    gate_count_exponent,
+    select_entangler,
+    vprime_dagger_circuit,
+)
 from .noise import grid_values, sweep, sweep_csv, zero_crossing_h
 from .sed import verify_equality
 from .states import pseudopure_matrix
@@ -111,7 +119,12 @@ def cmd_gatecount(args) -> int:
     counts = [gate_count_G(n) for n in ns]
     for n, g in zip(ns, counts):
         print(f"G({n}) = {g}")
-    report = {"n_min": args.n_min, "n_max": args.n_max, "counts": counts}
+    # per n, the expanded size of each gate of V'_n^dag on its own; the JSON alone carries it
+    per_gate = [
+        [len(expand_multicontrolled(Circuit(n, (g,))).gates) for g in vprime_dagger_circuit(n).gates]
+        for n in ns
+    ]
+    report = {"n_min": args.n_min, "n_max": args.n_max, "counts": counts, "per_gate": per_gate}
     if len(ns) >= 2:
         exponent = gate_count_exponent(ns, counts)
         report["fit_exponent"] = exponent

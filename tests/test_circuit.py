@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import apply_circuit, phase_insensitive_equal, vprime_recursion
+from sedwitness import circuit
 from sedwitness.circuit import (
     Circuit,
     Gate,
@@ -211,6 +212,24 @@ def test_gate_validation():
         Circuit(2, (Gate(X, (1,)), Gate(X, (3,))))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Gate(X, (1,), (2,)), r"^controls must be \(qubit, polarity\) pairs, got \(2,\)$"),
+        (lambda: Gate(X, (1,), ((2, 1, 0),)), r"^controls must be \(qubit, polarity\) pairs, got \(\(2, 1, 0\),\)$"),
+        (lambda: Gate(X, (1,), 2), r"^controls must be \(qubit, polarity\) pairs, got 2$"),
+        (lambda: Gate(X, 1), r"^targets must be a sequence of qubits, got 1$"),
+        (lambda: Gate("ab", (1,)), r"^base must be a complex matrix, got 'ab'$"),
+        (lambda: Circuit(2, [1, 2]), r"^gate 0: expected a Gate, got 1$"),
+        (lambda: Circuit(2, [Gate(X, (1,)), [1]]), r"^gate 1: expected a Gate, got \[1\]$"),
+        (lambda: Circuit(2, 5), r"^gates must be a sequence of Gate, got 5$"),
+    ],
+)
+def test_malformed_fields_are_named(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_serialization_roundtrip():
     rng = np.random.default_rng(15)
     circ = Circuit(
@@ -358,6 +377,55 @@ def test_expanded_vprime_text_is_pinned(n):
     parsed = circuit_from_text(text)
     assert hashlib.sha256(circuit_to_text(parsed).encode()).hexdigest() == EXPANDED_VPRIME_SHA256[n]
     assert len(set(parsed.gates)) <= len(set(text.splitlines()[1:]))
+
+
+# sha256 of circuit_to_text(sed_measurement_circuit(n)), n = 4..12; for n = 2, 3
+# the text is the exact expansion's
+SED_CIRCUIT_SHA256 = {
+    4: "1ee87aae4e1334e570d6d624aad71c11a53915ddfe75456c753a8d86197884b8",
+    5: "135e5a066dea0f7f4bf0e0883f0c9d2274d09cd3a30d2070fa6e92b6c3bd64c3",
+    6: "2b960be1bc197ebb9fc36c15f55ef172931ae0f84c7cf085182a91c2a0f6a763",
+    7: "d364a655d1d1cee5747ae731a740de09c77f3ba2209752255c11a00e292ee22c",
+    8: "92ab2d9a3de152f7018784791d353bf10c10650a7485779615c75a8928ed0564",
+    9: "ed76bf2ae6afcfbecf035be9a065756cc87a3bc69a7de1fc5625764d9bc29b13",
+    10: "65b81b06c91d0eed7071862fc6951d988f6a9f4c36616dd780524e47b7f30110",
+    11: "fb80ab2a5b0bdb856630a060059197ae030daead3d89187e088a651728f94089",
+    12: "9457c7b643b2a1abc8f10385b656ed16581d2a393de91432e4c48af116d3b8cc",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SED_CIRCUIT_SHA256))
+def test_sed_measurement_circuit_text_is_pinned(n):
+    text = circuit_to_text(sed_measurement_circuit(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == SED_CIRCUIT_SHA256[n]
+
+
+def test_expansion_makes_each_root_and_leaf_once_per_call(monkeypatch):
+    calls = []
+    sqrt = circuit._unitary_sqrt
+    monkeypatch.setattr(circuit, "_unitary_sqrt", lambda u: calls.append(u) or sqrt(u))
+    c = vprime_dagger_circuit(12)
+    # the chain H, H^(1/2), ..., H^(1/512) and the root of X: 11 distinct inputs
+    out = expand_multicontrolled(c)
+    assert len(calls) == 11
+    assert len(set(out.gates)) <= 270
+    # a second call starts from an empty memo: nothing outlives the call
+    expand_multicontrolled(c)
+    assert len(calls) == 22
+
+
+def test_expansion_text_is_the_per_gate_expansions_joined():
+    # one call over all gates reads as the expansions of each gate on its own,
+    # and a named X never meets an OPAQUE array with the same entries
+    n = 8
+    gates = vprime_dagger_circuit(n).gates + (
+        Gate(X, (n,), tuple((q, 1) for q in range(1, n))),
+        Gate(X.copy(), (n,), tuple((q, 1) for q in range(1, n))),
+        Gate(H.copy(), (1,), ((2, 0), (3, 1))),
+    )
+    whole = circuit_to_text(expand_multicontrolled(Circuit(n, gates)))
+    alone = [circuit_to_text(expand_multicontrolled(Circuit(n, (g,)))).split("\n", 1)[1] for g in gates]
+    assert whole == f"qubits {n}\n" + "".join(alone)
 
 
 LABELS = ("X", "CNOT", "CnNOT", "H", "CnH", "SWAP", "OPAQUE")

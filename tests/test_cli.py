@@ -99,6 +99,17 @@ def test_gatecount_table(capsys):
     assert "fit_exponent" in out
 
 
+def test_gatecount_json_lists_each_gates_expanded_size(capsys, tmp_path):
+    path = tmp_path / "gatecount.json"
+    code, out = run_cli(capsys, ["gatecount", "--n-min", "2", "--n-max", "12", "--json", str(path)])
+    assert code == 0
+    report = json.loads(path.read_text())
+    assert [sum(sizes) for sizes in report["per_gate"]] == report["counts"]
+    assert [len(sizes) for sizes in report["per_gate"]] == [3 * n - 5 for n in range(2, 13)]
+    assert report["per_gate"][-1][0] == 2215
+    assert "per_gate" not in out
+
+
 def test_gatecount_single_row(capsys):
     code, out = run_cli(capsys, ["gatecount", "--n-min", "5", "--n-max", "5"])
     assert code == 0
