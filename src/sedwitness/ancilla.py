@@ -30,11 +30,12 @@ state, applies the dense CnNOT, takes the partial trace and un-computes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, checked_operand, is_unitary
+from .tensor import ATOL_ALGEBRA, _integer, checked_operand, is_unitary
 
 ILL_CONDITIONED_P = 1e-6  # guard: 1/(2p-1) amplification stays below 5e5
 
@@ -45,10 +46,13 @@ class AncillaConfig:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.p, numbers.Real):
+            raise ValueError(f"p {self.p!r} is not a real number")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p {self.p} out of [0, 1]")
         if abs(2 * self.p - 1) <= ILL_CONDITIONED_P:
             raise ValueError("ancilla polarization too close to 1/2; readout ill-conditioned")
+        object.__setattr__(self, "n", _integer(self.n, "register size"))
         if self.n < 1:
             raise ValueError("register needs at least one qubit")
 

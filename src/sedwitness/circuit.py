@@ -167,6 +167,7 @@ def dagger_circuit(c: Circuit) -> Circuit:
 
 def ghz_entangler(n: int) -> Circuit:
     """One Hadamard and n-1 CNOTs mapping |0...0> to the n-qubit GHZ state."""
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError("entangler needs n >= 2")
     gates = [Gate(H, (1,))]
@@ -181,6 +182,7 @@ def _ry(theta: float) -> np.ndarray:
 
 def w_entangler(n: int) -> Circuit:
     """Cascade of controlled rotations and CNOTs mapping |0...0> to the W state."""
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError("entangler needs n >= 2")
     gates = [Gate(X, (1,))]
@@ -227,6 +229,7 @@ def vprime_dagger_circuit(n: int) -> Circuit:
     All pieces except the core are self-inverse, so daggering only reverses
     the order.
     """
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError("needs n >= 2")
     gates = []

@@ -26,7 +26,8 @@ positions), and each is dropped after its last use, so none outlives the
 walk.  The damping stays per gate; only the order of rounding differs from
 a walk gate by gate.  A walk allocates its two coefficient buffers once:
 each step writes its transpose and its matmul into the idle one, so no step
-allocates an array of the register's size.
+allocates an array of the register's size.  A long h grid is walked in
+chunks whose coefficients and block maps each stay within the cache.
 
 The sweep prepares a thermal product state, runs the noisy entangler, then
 compares the conventional witness (noiseless direct trace) with the
@@ -86,10 +87,10 @@ def _adjoint_transfer(raw: bytes, dim: int, polarities: tuple) -> np.ndarray:
     return r
 
 
-# coefficients in one walk over the gates: past about 2**18 (2 MB) the
-# arrays leave the cache and each h costs more than in a walk of its own
-# (measured for the block walk at n = 8, 9 and 10), so larger h grids are
-# walked in chunks
+# entries in a walk's largest array, its coefficients or its widest block's
+# map, over all its h values: past about 2**18 (2 MB) the arrays leave the
+# cache and each h costs more than in a walk of its own (measured for the
+# block walk at n = 8, 9 and 10), so larger h grids are walked in chunks
 _WALK_COEFFS = 2**18
 
 # most qubits in one block of the walk plan; a wider gate is a block of its own
@@ -101,15 +102,16 @@ class _Step:
     """One block of the walk plan: gates that run one after another, last to
     first, on at most _BLOCK_WIDTH qubits together.
 
-    support lists the block's qubits in the order of its map's axes; axes is
-    the transpose of the (h, coefficients) array that brings them first, None
-    when they already lead.  key holds, for the block's gates in walk order,
-    the index of each gate's transfer matrix in the plan with the positions
-    of its qubits in support, so equal keys have equal maps.  The first step
+    support lists the block's qubits in the order its gates first name them,
+    the order of its map's axes; axes is the transpose of the (h,
+    coefficients) array that brings them first.  key holds, for the block's
+    gates in walk order, the index of each gate's transfer matrix in the plan
+    with the positions of its qubits in support, so equal keys have equal
+    maps.  The first step
     with a key builds its map and the last one drops it."""
 
     support: tuple[int, ...]
-    axes: tuple[int, ...] | None
+    axes: tuple[int, ...]
     key: tuple
     first: bool
     last: bool
@@ -132,8 +134,7 @@ def _walk_plan(c: Circuit) -> _Plan:
 
     Gates join the current block, last to first, while the joint support
     stays within _BLOCK_WIDTH qubits.  A block takes its qubits in the order
-    they lead the coefficient array when they already do, which saves the
-    transpose, else in the order its gates first name them.
+    its gates first name them, and each step transposes them to the front.
     """
     qubits = {g: g.qubits() for g in set(c.gates)}
     args = {g: (g.base.tobytes(), len(g.base), tuple(pol for _, pol in g.controls)) for g in qubits}
@@ -151,13 +152,9 @@ def _walk_plan(c: Circuit) -> _Plan:
     index = {}  # _adjoint_transfer arguments -> position in transfers, in walk order
     placed = []  # (support, axes, key) per block
     for support, gates in blocks:
-        axes = None
-        if set(order[: len(support)]) == set(support):
-            support = order[: len(support)]
-        else:
-            new = support + [q for q in order if q not in support]
-            axes = tuple([0] + [order.index(q) + 1 for q in new])
-            order = new
+        new = support + [q for q in order if q not in support]
+        axes = tuple([0] + [order.index(q) + 1 for q in new])
+        order = new
         local = {q: i for i, q in enumerate(support)}
         key = tuple((index.setdefault(args[g], len(index)), tuple(map(local.__getitem__, qubits[g]))) for g in gates)
         placed.append((tuple(support), axes, key))
@@ -168,13 +165,10 @@ def _walk_plan(c: Circuit) -> _Plan:
     return _Plan(steps, restore, tuple(_adjoint_transfer(*a) for a in index))
 
 
-def _block_map(key, gate_maps: dict, m: int) -> np.ndarray:
+def _block_map(key, gate_maps: list, m: int) -> np.ndarray:
     """M_B = M_wj ... M_w1, one 4**m x 4**m matrix per h of gate_maps, of the
     block on m qubits whose gates in walk order and their local positions
     are key: each gate's map acts on its own row axes of the running product."""
-    (t, pos), *rest = key
-    if not rest and pos == tuple(range(m)):
-        return gate_maps[t]  # one gate on its own qubits, in order
     a = np.eye(4**m)[None]
     order = list(range(m))  # order[i] is the local qubit on row axis i + 1 of a
     for t, pos in key:
@@ -198,8 +192,9 @@ def pull_back(c: Circuit, coeffs: np.ndarray, grid_h) -> np.ndarray:
     one matmul on its own axes.  A block's map is built once per walk for
     each distinct key (the transfer matrices of its gates and their
     positions in the block) and dropped after the last step that uses it,
-    so no map outlives the call.  One walk covers as many h values as fit
-    _WALK_COEFFS.
+    so no map outlives the call.  One walk covers as many h values as keep
+    its largest array, the coefficients or the map of its widest block,
+    within _WALK_COEFFS entries.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (4,) * c.n:
@@ -209,13 +204,14 @@ def pull_back(c: Circuit, coeffs: np.ndarray, grid_h) -> np.ndarray:
 
 def _pull_back(plan: _Plan, coeffs: np.ndarray, grid_h) -> np.ndarray:
     """pull_back along a plan: each h is checked, and the grid is walked in
-    chunks of as many h values as fit _WALK_COEFFS."""
+    chunks that keep each walk's largest array within _WALK_COEFFS entries."""
     grid_h = [float(h) for h in grid_h]
     for h in grid_h:
         if not 0.0 <= h <= 1.0:
             raise ValueError(f"h {h} out of [0, 1]")
     out = np.empty((len(grid_h),) + coeffs.shape)
-    per_walk = max(1, _WALK_COEFFS // coeffs.size)
+    widest = max((len(s.support) for s in plan.steps), default=0)
+    per_walk = max(1, _WALK_COEFFS // max(coeffs.size, 16**widest))
     for i in range(0, len(grid_h), per_walk):
         out[i : i + per_walk] = _walk(plan, coeffs, grid_h[i : i + per_walk])
     return out
@@ -225,23 +221,22 @@ def _walk(plan: _Plan, coeffs: np.ndarray, grid_h: list[float]) -> np.ndarray:
     """One walk of pull_back over its plan, for all of grid_h at once.
 
     The coefficients live in one of two (len(grid_h),) + coeffs.shape
-    buffers allocated here: a step that needs a transpose copies it into the
-    idle buffer, and the block's matmul writes into the idle buffer, so no
-    step allocates coefficients.  The buffers belong to this call; the result
+    buffers allocated here: each step copies its transpose into the idle
+    buffer, and the block's matmul writes into the other one, so no step
+    allocates coefficients.  The buffers belong to this call; the result
     is a view of one of them."""
-    widths = {t: len(pos) for s in plan.steps if s.first for t, pos in s.key}
-    gate_maps = {}  # M_g per h, by the index of g's transfer matrix in the plan
-    for t, k in widths.items():
-        damp = np.ones((len(grid_h), 1, 4**k))
+    gate_maps = []  # M_g per h, by the index of g's transfer matrix in the plan
+    for r in plan.transfers:
+        k = n_qubits(len(r)) // 2  # R_g is 4**k x 4**k
+        damp = np.ones((len(grid_h), 1, len(r)))
         damp[:, :, 1:] = np.array([h**k for h in grid_h])[:, None, None]  # p_s per h
-        gate_maps[t] = plan.transfers[t] * damp
+        gate_maps.append(r * damp)
     maps = {}  # each block map, from the first step with its key to the last
     x, y = np.empty((2, len(grid_h)) + coeffs.shape)  # x holds the coefficients, y is idle
     x[...] = coeffs
     for s in plan.steps:
-        if s.axes is not None:
-            np.copyto(y, x.transpose(s.axes))
-            x, y = y, x
+        np.copyto(y, x.transpose(s.axes))
+        x, y = y, x
         if s.first:
             maps[s.key] = _block_map(s.key, gate_maps, len(s.support))
         block = maps.pop(s.key) if s.last else maps[s.key]

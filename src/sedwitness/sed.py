@@ -136,18 +136,10 @@ def _conjugated_terms(key: np.ndarray, val: np.ndarray, g: Gate, n: int) -> tupl
     key = ((key & ~((tbits << n) | tbits))[:, None] | pair_bits[pair]).ravel()
     val = (val[:, None] * pair_wts[pair]).ravel()
     if r > 1:  # a base with one nonzero per row maps distinct keys to distinct keys
-        # sort the keys with their positions in the low bits, cheaper than an argsort;
-        # both fit in 63 bits up to n = 16, past any 2**n x 2**n rho that fits in memory
-        shift = (len(key) - 1).bit_length()
-        packed = np.sort((key << shift) | np.arange(len(key)))
-        key = packed >> shift
-        first = np.ones(len(key), dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        group = np.empty(len(key), dtype=np.int64)
-        group[packed & ((1 << shift) - 1)] = np.cumsum(first) - 1
+        key, group = np.unique(key, return_inverse=True)
         val = np.bincount(group, val.real) + 1j * np.bincount(group, val.imag)
         keep = np.abs(val) > ATOL_ALGEBRA
-        key, val = key[first][keep], val[keep]
+        key, val = key[keep], val[keep]
     return np.concatenate([key, kept[0]]), np.concatenate([val, kept[1]])
 
 

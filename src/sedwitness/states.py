@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, n_qubits
+from .tensor import ATOL_ALGEBRA, _integer, n_qubits
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,6 +31,7 @@ class PureState:
 
 
 def basis_state(n: int, index: int = 0) -> PureState:
+    n = _integer(n, "n")
     if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
         raise ValueError(f"basis index {index!r} is not an integer")
     if not 0 <= index < 2**n:
@@ -42,6 +43,7 @@ def basis_state(n: int, index: int = 0) -> PureState:
 
 def make_ghz(n: int) -> PureState:
     """(|0...0> + |1...1>) / sqrt(2)."""
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError("GHZ state needs n >= 2")
     amps = np.zeros(2**n, dtype=complex)
@@ -51,6 +53,7 @@ def make_ghz(n: int) -> PureState:
 
 def make_w(n: int) -> PureState:
     """Equal superposition of all single-excitation basis states."""
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError("W state needs n >= 2")
     amps = np.zeros(2**n, dtype=complex)

@@ -24,7 +24,7 @@ ATOL_GRID = 1e-9
 # most points in one sweep grid axis, so that a step too fine for any sweep
 # is refused before the axis is allocated.  The default axis has 11 points;
 # a sweep at n = 3 over 10**5 h values by the default 11 p values takes
-# about a minute and 0.5 GB
+# about half a minute and 0.25 GB, most of it the 1.1 million records
 MAX_GRID_POINTS = 10**5
 
 I2 = np.eye(2, dtype=complex)

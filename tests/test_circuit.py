@@ -25,7 +25,8 @@ from sedwitness.circuit import (
     vprime_dagger_circuit,
     w_entangler,
 )
-from sedwitness.states import make_ghz, make_w
+from sedwitness.ancilla import AncillaConfig
+from sedwitness.states import basis_state, make_ghz, make_w
 from sedwitness.tensor import SWAP, H, X, dagger, haar_unitary
 from sedwitness.witness import select_witness
 
@@ -208,6 +209,22 @@ def test_gate_validation():
     for n in (-1, 2.0, "2", None):
         with pytest.raises(ValueError, match="^register size "):
             Circuit(n)
+
+
+_SIZED = [make_ghz, make_w, basis_state, ghz_entangler, w_entangler, vprime_dagger_circuit, gate_count_G, sed_measurement_circuit]
+
+
+@pytest.mark.parametrize(
+    "build, bad, message",
+    [(f, n, f"n {n!r} is not an integer") for f in _SIZED for n in (2.5, "3", None)]
+    + [(lambda n: AncillaConfig(p=0.9, n=n), n, f"register size {n!r} is not an integer") for n in (2.5, "3", None)]
+    + [(lambda p: AncillaConfig(p=p, n=3), p, f"p {p!r} is not a real number") for p in ("0.9", None)],
+)
+def test_register_sizes_are_integers(build, bad, message):
+    # a register size is read as an integer and p as a real number, so a bad
+    # one is a ValueError that names it, never a TypeError from deeper in
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(bad)
     with pytest.raises(ValueError, match=r"^gate 1: qubit 3 out of range 1\.\.2$"):
         Circuit(2, (Gate(X, (1,)), Gate(X, (3,))))
 

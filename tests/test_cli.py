@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from sedwitness import cli
+from sedwitness.circuit import gate_count_G
 from sedwitness.cli import main
 from sedwitness.witness import select_witness
 
@@ -105,6 +106,8 @@ def test_gatecount_json_lists_each_gates_expanded_size(capsys, tmp_path):
     assert code == 0
     report = json.loads(path.read_text())
     assert [sum(sizes) for sizes in report["per_gate"]] == report["counts"]
+    # the counts come from the per-gate expansions; the whole-circuit expansion agrees
+    assert report["counts"] == [gate_count_G(n) for n in range(2, 13)]
     assert [len(sizes) for sizes in report["per_gate"]] == [3 * n - 5 for n in range(2, 13)]
     assert report["per_gate"][-1][0] == 2215
     assert "per_gate" not in out

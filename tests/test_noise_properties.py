@@ -13,6 +13,8 @@ is the implementation the Heisenberg sweep replaced; it is kept as an
 oracle.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -39,7 +41,7 @@ from sedwitness.circuit import (
     select_entangler,
     vprime_dagger_circuit,
 )
-from sedwitness.noise import _walk, _walk_plan, pull_back, sweep, thermal_readout
+from sedwitness.noise import _walk, _walk_plan, grid_values, pull_back, sweep, thermal_readout
 from sedwitness.sed import SedDecomposition
 from sedwitness.tensor import SWAP, H, X, Z, haar_unitary, pauli_coefficients
 from sedwitness.witness import select_witness
@@ -195,23 +197,27 @@ def test_fused_walk_matches_per_gate_walk(case):
 def test_block_maps_are_keyed_by_gate_and_position():
     # blocks share a map only when their gates have the same bases and
     # polarities at the same local positions.  The bases u and v form blocks
-    # on qubits (1, 2, 3) and (4, 5, 6) with different layouts; u alone runs
-    # on (1, 2), (2, 1) and (4, 5), and after the four-qubit gate w the block
-    # of p12 takes the leading order (2, 1), so the same Gate object sits at
-    # swapped positions.  A map shared across positions, or dropped before
-    # its last use, fails
+    # on qubits (1, 2, 3) and (4, 5, 6) with different layouts.  A block
+    # takes its qubits in the order its gates first name them, last to
+    # first, so where z acts on qubit 2 after p12 the block is (2, 1) and the
+    # same Gate object p12 sits at swapped positions; beside it z1 then p12
+    # holds the same bases in the same order on (1, 2), and p21 alone shares
+    # its map with p12 alone.  The three-qubit gate s on (4, 5, 6) and the
+    # four-qubit gate w end the blocks between them.  A map shared across
+    # positions, or dropped before its last use, fails
     rng = np.random.default_rng(11)
-    u, v = haar_unitary(4, rng), haar_unitary(4, rng)
+    u, v, z = haar_unitary(4, rng), haar_unitary(4, rng), haar_unitary(2, rng)
     p12, p21, p45 = Gate(u, (1, 2)), Gate(u, (2, 1)), Gate(u, (4, 5))
     v23, v46 = Gate(v, (2, 3)), Gate(v, (4, 6))
-    spacer = Gate(haar_unitary(2, rng), (6,), ((3, 1),))
+    z1, z2 = Gate(z, (1,)), Gate(z, (2,))
+    s = Gate(X, (6,), ((4, 1), (5, 0)))
     w = Gate(X, (4,), ((2, 1), (1, 0), (3, 1)))
     layouts = (v23, p12, v46, p45) * 2
-    swapped = (p12, spacer, p21, spacer, p45, spacer, p12, w, spacer, p21, spacer, p45)
+    swapped = (p12, z2, s, p12, z1, s, z2, p12, s, p21, s, p12, w, p45)
     c = Circuit(6, layouts + swapped)
     steps = _walk_plan(c).steps
-    assert {s.support for s in steps} >= {(1, 2, 3), (4, 5, 6), (2, 1)}
-    assert any(s.support == (2, 1) and s.key[0][1] == (1, 0) for s in steps), "no gate at swapped positions"
+    assert {s.support for s in steps} >= {(1, 2, 3), (4, 5, 6), (2, 1), (1, 2)}
+    assert any(s.support == (2, 1) and len(s.key) > 1 and s.key[-1][1] == (1, 0) for s in steps), "no gate at swapped positions"
     assert sum(s.first for s in steps) < len(steps), "no block map is reused"
     coeffs = rng.standard_normal((4,) * 6)
     grid_h = [0.0, 0.6, 1.0]
@@ -220,13 +226,9 @@ def test_block_maps_are_keyed_by_gate_and_position():
 
 def test_walk_buffers_belong_to_one_call():
     # each walk allocates its own two buffers and never writes the caller's
-    # coefficients.  In `leading` the first block's qubits already lead the
-    # array, so its first step is a matmul with no transpose; `moved` needs a
-    # transpose into the idle buffer
+    # coefficients, whether or not a block's qubits already lead the array
     leading = Circuit(4, (Gate(H, (3,)), Gate(X, (2,), ((1, 1),))))
     moved = Circuit(4, (Gate(H, (1,)), Gate(X, (4,), ((2, 1),)), Gate(H, (3,))))
-    assert _walk_plan(leading).steps[0].axes is None
-    assert _walk_plan(moved).steps[0].axes is not None
     rng = np.random.default_rng(5)
     grid_h = [0.0, 0.6, 1.0]
     for c in (leading, moved):
@@ -271,6 +273,20 @@ def test_pull_back_walks_a_large_h_grid_in_chunks():
             assert np.max(np.abs(row - pull_back(c, coeffs, [h])[0])) <= 1e-12
         assert pull_back(c, coeffs, []).shape == (0,) + (4,) * n
     assert np.max(np.abs(got[[0, 9, 16]] - per_gate_pull_back(repeated, coeffs, grid_h[[0, 9, 16]]))) <= 1e-12
+
+
+def test_fine_h_grid_at_small_n_stays_small():
+    # at n = 3 the whole register is one block of 64 coefficients, so a
+    # block map (64 x 64 per h) is the walk's largest array and the chunk
+    # must bound it: 1000 h values in one walk would hold 33 MB of maps
+    tracemalloc.start()
+    try:
+        records = sweep(3, [1.0], grid_values(0.001, 1.0, 0.001), "w")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 1000
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 @given(st.integers(1, 5), st.lists(st.floats(0.0, 1.0), max_size=3), st.integers(0, 2**32 - 1))
