@@ -29,13 +29,11 @@ state, applies the dense CnNOT, takes the partial trace and un-computes.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, _integer, checked_operand, is_unitary
+from .tensor import ATOL_ALGEBRA, _integer, _probability, _witness_constant, checked_operand, is_unitary
 
 ILL_CONDITIONED_P = 1e-6  # guard: 1/(2p-1) amplification stays below 5e5
 
@@ -46,10 +44,7 @@ class AncillaConfig:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.p, numbers.Real):
-            raise ValueError(f"p {self.p!r} is not a real number")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p {self.p} out of [0, 1]")
+        object.__setattr__(self, "p", _probability(self.p, "p"))
         if abs(2 * self.p - 1) <= ILL_CONDITIONED_P:
             raise ValueError("ancilla polarization too close to 1/2; readout ill-conditioned")
         object.__setattr__(self, "n", _integer(self.n, "register size"))
@@ -110,9 +105,7 @@ def _checked_entangler(v, n: int) -> np.ndarray:
 
 def readout_value(c: float, trz: float, p: float) -> float:
     """Witness value c - 1/2 + Tr(rho_a Z) / (2 (2p - 1)) from the ancilla polarization."""
-    if not math.isfinite(c):
-        raise ValueError(f"witness constant c = {c} is non-finite")
-    return c - 0.5 + trz / (2 * (2 * p - 1))
+    return _witness_constant(c) - 0.5 + trz / (2 * (2 * p - 1))
 
 
 def ancilla_readout(rho_in: np.ndarray, v: np.ndarray, c: float, cfg: AncillaConfig) -> float:

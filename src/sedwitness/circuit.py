@@ -99,7 +99,8 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        if _integer(self.n, "register size") < 0:
+        object.__setattr__(self, "n", _integer(self.n, "register size"))
+        if self.n < 0:
             raise ValueError(f"register size {self.n} is negative")
         try:
             object.__setattr__(self, "gates", tuple(self.gates))
@@ -295,9 +296,8 @@ def _lambda(u: np.ndarray, controls: list[int], target: int, n: int, memo: _Peel
 
     A sub-network that recurs within one level (the two control flips of a
     peel, the two passes of a one-borrow split, the rungs of the chain) is
-    built once and its list reused.  Across levels and gates, `memo` makes
-    each square root and each leaf Gate once per distinct input, so the
-    output may hold one frozen Gate object several times."""
+    built once and its list reused; `memo` shares the rest across levels and
+    gates, so the output may hold one frozen Gate object several times."""
     m = len(controls)
     if m <= 1:
         return [memo.leaf(u, target, tuple((q, 1) for q in controls))]
@@ -372,7 +372,8 @@ def sed_measurement_circuit(n: int) -> Circuit:
     C(n-1)(-iH) takes linear size: under the X sandwiches of the zero
     controls, C, C(n-2)X, B, C(n-2)X, A in temporal order, with A, B and C
     controlled by qubit n-1 and each C(n-2)X on controls 1..n-2 and target n
-    borrowing qubit n-1 dirty.  Dropping D leaves a circuit equal to
+    borrowing qubit n-1 dirty; one expansion call takes that head and the
+    rest of V'_n^dag together.  Dropping D leaves a circuit equal to
     V'_n^dag D^dag, a diagonal that acts first: its readout is that of
     V'_n^dag whenever the state it measures is diagonal, the paper's
     precondition.  For n <= 3 it is the exact expansion, gate for gate.
@@ -381,14 +382,11 @@ def sed_measurement_circuit(n: int) -> Circuit:
     first, rest = circ.gates[0], circ.gates[1:]
     if len(first.controls) < 3:
         return expand_multicontrolled(circ)
-    (target,) = first.targets
-    *head, last = [q for q, _ in first.controls]
-    memo = _Peel()
-    a, b, c = (memo.leaf(u, target, ((last, 1),)) for u in _ABC_MINUS_IH)
-    flip = _lambda(X, head, target, n, memo)
-    sandwiches = [memo.leaf(X, q, ()) for q, pol in first.controls if pol == 0]
-    gates = sandwiches + [c] + flip + [b] + flip + [a] + sandwiches
-    return Circuit(n, tuple(gates) + expand_multicontrolled(Circuit(n, rest)).gates)
+    (target,), (*head, last) = first.targets, [q for q, _ in first.controls]
+    a, b, c = (Gate(u, (target,), ((last, 1),)) for u in _ABC_MINUS_IH)
+    flip = Gate(X, (target,), tuple((q, 1) for q in head))
+    sandwiches = tuple(Gate(X, (q,)) for q, pol in first.controls if pol == 0)
+    return expand_multicontrolled(Circuit(n, sandwiches + (c, flip, b, flip, a) + sandwiches + rest))
 
 
 def gate_count_G(n: int) -> int:

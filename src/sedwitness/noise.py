@@ -17,10 +17,10 @@ R_g is the real 4**k x 4**k Pauli transfer matrix of O -> U^dag O U.  R_g
 does not depend on h, so one backward walk over the gate list pulls an
 observable back for a whole chunk of h values at once.  The walk follows a
 plan, an immutable record built from the gate list alone: consecutive
-gates, last to first, form blocks of at most 3 qubits (a wider gate is a
-block of its own), each block applies the product of its gates' maps
-M_g = R_g D_g by one matmul on its own axes, and the plan owns the R_g of
-each distinct gate.  The block maps depend on h, so they are built per walk,
+gates, last to first, form blocks of at most 3 qubits (a gate on 4 is a
+block of its own, and a wider one is refused), each block applies the
+product of its gates' maps M_g = R_g D_g by one matmul on its own axes, and
+the plan owns the R_g of each distinct gate.  The block maps depend on h, so they are built per walk,
 once for each distinct block (the same bases, polarities and local qubit
 positions), and each is dropped after its last use, so none outlives the
 walk.  The damping stays per gate; only the order of rounding differs from
@@ -57,7 +57,7 @@ import numpy as np
 
 from .circuit import ENTANGLER_KINDS, Circuit, dagger_circuit, sed_measurement_circuit, select_entangler
 from .sed import sed_decomposition
-from .tensor import ATOL_ALGEBRA, ATOL_GRID, MAX_GRID_POINTS, _integer, _option, n_qubits, pauli_coefficients, pauli_strings
+from .tensor import ATOL_ALGEBRA, ATOL_GRID, MAX_GRID_POINTS, _integer, _option, _probability, n_qubits, pauli_coefficients, pauli_strings
 from .witness import select_witness
 
 
@@ -107,8 +107,7 @@ class _Step:
     coefficients) array that brings them first.  key holds, for the block's
     gates in walk order, the index of each gate's transfer matrix in the plan
     with the positions of its qubits in support, so equal keys have equal
-    maps.  The first step
-    with a key builds its map and the last one drops it."""
+    maps.  The first step with a key builds its map and the last one drops it."""
 
     support: tuple[int, ...]
     axes: tuple[int, ...]
@@ -135,8 +134,13 @@ def _walk_plan(c: Circuit) -> _Plan:
     Gates join the current block, last to first, while the joint support
     stays within _BLOCK_WIDTH qubits.  A block takes its qubits in the order
     its gates first name them, and each step transposes them to the front.
+    A gate on k qubits has a transfer matrix and a block map of 16**k entries
+    each, so one with more than _WALK_COEFFS (k >= 5) is refused first.
     """
     qubits = {g: g.qubits() for g in set(c.gates)}
+    for i, g in enumerate(c.gates):
+        if 16 ** len(qubits[g]) > _WALK_COEFFS:
+            raise ValueError(f"gate {i} on {len(qubits[g])} qubits is too wide for the walk; use expand_multicontrolled")
     args = {g: (g.base.tobytes(), len(g.base), tuple(pol for _, pol in g.controls)) for g in qubits}
     blocks = []  # (support, gates) per block, in walk order
     support = []
@@ -186,29 +190,18 @@ def pull_back(c: Circuit, coeffs: np.ndarray, grid_h) -> np.ndarray:
 
     coeffs holds the real Pauli coefficients of O, shape (4,)*c.n; the
     result has one more, leading axis over grid_h.  Gate g's noisy adjoint is
-    M_g = R_g diag(1, p_s, ..., p_s), one 4**k x 4**k matrix per h.  The walk
-    follows _walk_plan: the gates, last to first, fall into blocks of at most
-    3 qubits, and each block applies the product M_B of its gates' maps by
-    one matmul on its own axes.  A block's map is built once per walk for
-    each distinct key (the transfer matrices of its gates and their
-    positions in the block) and dropped after the last step that uses it,
-    so no map outlives the call.  One walk covers as many h values as keep
-    its largest array, the coefficients or the map of its widest block,
-    within _WALK_COEFFS entries.
+    M_g = R_g diag(1, p_s, ..., p_s), one 4**k x 4**k matrix per h, and the
+    maps are applied block by block along the plan of _walk_plan, which
+    refuses a gate on 5 or more qubits.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (4,) * c.n:
         raise ValueError(f"coefficients of shape {coeffs.shape} do not fit {c.n} qubits")
-    return _pull_back(_walk_plan(c), coeffs, grid_h)
+    return _pull_back(_walk_plan(c), coeffs, [_probability(h, "h") for h in grid_h])
 
 
 def _pull_back(plan: _Plan, coeffs: np.ndarray, grid_h) -> np.ndarray:
-    """pull_back along a plan: each h is checked, and the grid is walked in
-    chunks that keep each walk's largest array within _WALK_COEFFS entries."""
-    grid_h = [float(h) for h in grid_h]
-    for h in grid_h:
-        if not 0.0 <= h <= 1.0:
-            raise ValueError(f"h {h} out of [0, 1]")
+    """pull_back along a plan for checked h values, in walks of _WALK_COEFFS entries at most."""
     out = np.empty((len(grid_h),) + coeffs.shape)
     widest = max((len(s.support) for s in plan.steps), default=0)
     per_walk = max(1, _WALK_COEFFS // max(coeffs.size, 16**widest))
@@ -218,13 +211,9 @@ def _pull_back(plan: _Plan, coeffs: np.ndarray, grid_h) -> np.ndarray:
 
 
 def _walk(plan: _Plan, coeffs: np.ndarray, grid_h: list[float]) -> np.ndarray:
-    """One walk of pull_back over its plan, for all of grid_h at once.
-
-    The coefficients live in one of two (len(grid_h),) + coeffs.shape
-    buffers allocated here: each step copies its transpose into the idle
-    buffer, and the block's matmul writes into the other one, so no step
-    allocates coefficients.  The buffers belong to this call; the result
-    is a view of one of them."""
+    """One walk of pull_back over its plan, for all of grid_h at once, in the
+    two coefficient buffers of the module docstring, which belong to this
+    call; the result is a view of one of them."""
     gate_maps = []  # M_g per h, by the index of g's transfer matrix in the plan
     for r in plan.transfers:
         k = n_qubits(len(r)) // 2  # R_g is 4**k x 4**k
@@ -312,11 +301,8 @@ def sweep(
     separable thermal state) while the measurement circuit is unchanged.
     """
     n = _integer(n, "n")
-    grid_p = [float(p) for p in grid_p]
-    grid_h = [float(h) for h in grid_h]
-    for p in grid_p:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p {p} out of [0, 1]")
+    grid_p = [_probability(p, "p") for p in grid_p]
+    grid_h = [_probability(h, "h") for h in grid_h]
     if entangler_mode not in ("witness", "identity"):
         raise ValueError(f"unknown entangler mode {entangler_mode!r}")
     model = _sweep_model(_option(witness_kind, ENTANGLER_KINDS, "entangler kind"), n, entangler_mode)

@@ -25,7 +25,6 @@ from the left, so a_1 sits on the last qubit and a_n on the first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from .circuit import Gate, vprime_dagger_circuit
 from .states import PureState
-from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, _integer, checked_operand, dagger, haar_unitary, z_signs
+from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, _integer, _witness_constant, checked_operand, dagger, haar_unitary, z_signs
 from .witness import Witness, expectation, generic_witness
 
 
@@ -50,8 +49,8 @@ class SedDecomposition:
         object.__setattr__(self, "n", _integer(self.n, "SED decomposition n"))
         if self.n < 2:
             raise ValueError("SED decomposition needs n >= 2")
-        if self.c is not None and not math.isfinite(self.c):
-            raise ValueError(f"witness constant c = {self.c} is non-finite")
+        if self.c is not None:
+            object.__setattr__(self, "c", _witness_constant(self.c))
 
     @property
     def b(self) -> float:

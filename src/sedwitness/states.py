@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, _integer, n_qubits
+from .tensor import ATOL_ALGEBRA, _integer, _probability, n_qubits
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,9 +31,7 @@ class PureState:
 
 
 def basis_state(n: int, index: int = 0) -> PureState:
-    n = _integer(n, "n")
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-        raise ValueError(f"basis index {index!r} is not an integer")
+    n, index = _integer(n, "n"), _integer(index, "basis index")
     if not 0 <= index < 2**n:
         raise ValueError(f"basis index {index} out of 0..{2**n - 1}")
     amps = np.zeros(2**n, dtype=complex)
@@ -64,7 +62,6 @@ def make_w(n: int) -> PureState:
 
 def pseudopure_matrix(core: PureState, epsilon: float) -> np.ndarray:
     """Mixture (1-eps) * identity/2**n + eps * |core><core|."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon {epsilon} out of [0, 1]")
+    epsilon = _probability(epsilon, "epsilon")
     dim = 2**core.n
     return (1 - epsilon) * np.eye(dim, dtype=complex) / dim + epsilon * core.density()

@@ -11,6 +11,8 @@ qubit 1 first.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 
 import numpy as np
@@ -84,11 +86,36 @@ def checked_operand(m, dim: int, what: str) -> np.ndarray:
 
 
 def _integer(v, what: str) -> int:
-    """v as an int through operator.index, so a float or a string is a ValueError."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise ValueError(f"{what} {v!r} is not an integer") from None
+    """v as an int through operator.index, so a float, a string or a bool is a ValueError."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {v!r} is not an integer")
+
+
+def _real(v, what: str) -> float:
+    """v as a float when it is a real number other than a bool, else a ValueError naming it."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{what} {v!r} is not a real number")
+    return float(v)
+
+
+def _probability(v, what: str) -> float:
+    """v as a float in [0, 1], else a ValueError that names it; nan is refused."""
+    x = _real(v, what)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{what} {v} out of [0, 1]")
+    return x
+
+
+def _witness_constant(c) -> float:
+    """A witness constant c as a finite float, else a ValueError that names it."""
+    x = _real(c, "witness constant c")
+    if not math.isfinite(x):
+        raise ValueError(f"witness constant c = {c} is non-finite")
+    return x
 
 
 def _option(v, options: tuple[str, ...], what: str) -> str:

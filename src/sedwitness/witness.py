@@ -8,14 +8,13 @@ squared Schmidt coefficient over all bipartitions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .states import PureState, make_ghz, make_w
-from .tensor import ATOL_PHYSICS, _integer, _option, checked_operand, max_schmidt_sq
+from .tensor import ATOL_PHYSICS, _integer, _option, _witness_constant, checked_operand, max_schmidt_sq
 
 # class-boundary constants for the two inequivalent tripartite classes
 GHZ_CLASS_C = 3.0 / 4.0
@@ -29,8 +28,7 @@ class Witness:
     label: str
 
     def __post_init__(self):
-        if not math.isfinite(self.c):
-            raise ValueError(f"witness constant c = {self.c} is non-finite")
+        object.__setattr__(self, "c", _witness_constant(self.c))
 
     @property
     def n(self) -> int:

@@ -24,7 +24,7 @@ import numpy as np
 
 from sedwitness.circuit import circuit_unitary, vprime2, vprime_dagger_circuit
 from sedwitness.noise import _adjoint_transfer
-from sedwitness.tensor import ATOL_PHYSICS, H, I2, SWAP, _check_qubits, dagger, n_qubits, pauli_strings, z_signs
+from sedwitness.tensor import ATOL_PHYSICS, H, I2, SWAP, _check_qubits, _probability, dagger, n_qubits, pauli_strings, z_signs
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -101,8 +101,7 @@ def random_density_matrix(dim, rng):
 
 def thermal_matrix(n, p):
     """[p|0><0| + (1-p)|1><1|]^(tensor n), a diagonal product state."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p {p} out of [0, 1]")
+    p = _probability(p, "p")
     diag = np.array([1.0])
     for _ in range(n):
         diag = np.kron(diag, np.array([p, 1 - p]))

@@ -6,6 +6,8 @@ full joint-state reference for the closed-form read
 Tr(rho_a Z) = (2p - 1) (Tr rho - 2 <v0|rho|v0>); it is kept here as the oracle.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -314,12 +316,18 @@ def test_stage_validation():
         ConcatSpec((Stage(np.zeros((0, 0)), 0.5, "empty"),))
     spec = ConcatSpec((Stage([[1, 0], [0, 1]], 0.5),))
     assert spec.stages[0].v.dtype == complex and spec.stages[0].v.shape == (2, 2)
-    # a non-finite witness constant is named, not read out as nan or inf
+    # a witness constant that is non-finite or not a real number is named,
+    # not read out as nan or inf or left to a TypeError
     cfg = AncillaConfig(p=0.9, n=1)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="non-finite"):
+    for bad, message in (
+        (np.nan, "= nan is non-finite"),
+        (np.inf, "= inf is non-finite"),
+        ("x", "'x' is not a real number"),
+        (True, "True is not a real number"),
+    ):
+        with pytest.raises(ValueError, match=f"^witness constant c {re.escape(message)}$"):
             run_concatenated(np.eye(2) / 2, ConcatSpec((Stage(np.eye(2), bad),)), cfg)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=f"^witness constant c {re.escape(message)}$"):
             ancilla_readout(np.eye(2) / 2, np.eye(2), bad, cfg)
     # stage entanglers of another register size are named before the read
     with pytest.raises(ValueError, match="stage entanglers do not match the 1-qubit register"):

@@ -216,13 +216,15 @@ _SIZED = [make_ghz, make_w, basis_state, ghz_entangler, w_entangler, vprime_dagg
 
 @pytest.mark.parametrize(
     "build, bad, message",
-    [(f, n, f"n {n!r} is not an integer") for f in _SIZED for n in (2.5, "3", None)]
-    + [(lambda n: AncillaConfig(p=0.9, n=n), n, f"register size {n!r} is not an integer") for n in (2.5, "3", None)]
-    + [(lambda p: AncillaConfig(p=p, n=3), p, f"p {p!r} is not a real number") for p in ("0.9", None)],
+    [(f, n, f"n {n!r} is not an integer") for f in _SIZED for n in (2.5, "3", None, True)]
+    + [(lambda n: AncillaConfig(p=0.9, n=n), n, f"register size {n!r} is not an integer") for n in (2.5, "3", None, True)]
+    + [(Circuit, True, "register size True is not an integer")]
+    + [(lambda p: AncillaConfig(p=p, n=3), p, f"p {p!r} is not a real number") for p in ("0.9", None, True)],
 )
 def test_register_sizes_are_integers(build, bad, message):
     # a register size is read as an integer and p as a real number, so a bad
-    # one is a ValueError that names it, never a TypeError from deeper in
+    # one, a bool included, is a ValueError that names it, never a TypeError
+    # from deeper in
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(bad)
     with pytest.raises(ValueError, match=r"^gate 1: qubit 3 out of range 1\.\.2$"):
@@ -611,6 +613,9 @@ def test_sed_measurement_circuit_gate_counts():
     # G_sed(n) for n = 4..12; n = 2, 3 are the exact expansion, gate for gate
     counts = [len(sed_measurement_circuit(n).gates) for n in range(4, 13)]
     assert counts == [33, 93, 215, 359, 575, 813, 1113, 1415, 1799]
+    # the relative-phase head and the rest are expanded by one call, so they
+    # share one memo of leaf Gates
+    assert len(set(sed_measurement_circuit(12).gates)) < 180
     for n in (2, 3):
         exact = expand_multicontrolled(vprime_dagger_circuit(n))
         assert circuit_to_text(sed_measurement_circuit(n)) == circuit_to_text(exact)

@@ -219,6 +219,10 @@ def test_sweep_validation():
         sweep(3, [1.5], [1.0], "ghz")
     with pytest.raises(ValueError, match=re.escape("h 1.5 out of [0, 1]")):
         sweep(3, [1.0], [1.5], "ghz")
+    # a grid value that is not a real number, a bool or a string, is named
+    for bad in ("0.5", True):
+        with pytest.raises(ValueError, match=f"^p {re.escape(repr(bad))} is not a real number$"):
+            sweep(3, [bad], [1.0])
     with pytest.raises(ValueError):
         sweep(3, [1.0], [1.0], "nope")
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ is the implementation the Heisenberg sweep replaced; it is kept as an
 oracle.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -273,6 +274,25 @@ def test_pull_back_walks_a_large_h_grid_in_chunks():
             assert np.max(np.abs(row - pull_back(c, coeffs, [h])[0])) <= 1e-12
         assert pull_back(c, coeffs, []).shape == (0,) + (4,) * n
     assert np.max(np.abs(got[[0, 9, 16]] - per_gate_pull_back(repeated, coeffs, grid_h[[0, 9, 16]]))) <= 1e-12
+
+
+def test_gate_too_wide_for_the_walk_is_refused_before_it_allocates():
+    # the unexpanded V'_7^dag opens with a 7-qubit gate: its transfer matrix
+    # would need pauli_strings(7), about 4.3 GB, so the plan refuses it first
+    c = vprime_dagger_circuit(7)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^gate 0 on 7 qubits is too wide for the walk; use expand_multicontrolled$"):
+            pull_back(c, np.zeros((4,) * 7), [1.0])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 16 * 2**20, f"{elapsed:.2f} s, peak {peak / 2**20:.1f} MB"
+    # the largest gate the walk takes has 4 qubits
+    wide = Gate(X, (4,), ((1, 0), (2, 1), (3, 0)))
+    assert pull_back(Circuit(4, (wide,)), np.ones((4,) * 4), [1.0]).shape == (1,) + (4,) * 4
 
 
 def test_fine_h_grid_at_small_n_stays_small():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -49,10 +50,10 @@ def test_state_errors():
     for index in (-1, 8):
         with pytest.raises(ValueError, match=rf"basis index {index} out of 0\.\.7"):
             basis_state(3, index)
-    # so is an index that is not an integer; a numpy integer is one
-    for index in (2.5, True):
-        with pytest.raises(ValueError, match=rf"basis index {index!r} is not an integer"):
-            basis_state(3, index)
+    # so is an index or a size that is not an integer; a numpy integer is one
+    for n, index, name in ((3, 2.5, "basis index 2.5"), (3, True, "basis index True"), (True, 0, "n True")):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} is not an integer$"):
+            basis_state(n, index)
     assert basis_state(3, np.int64(3)).amplitudes[3] == 1
 
 

@@ -16,9 +16,19 @@ from dense_oracle import (
     partial_transpose,
     random_density_matrix,
 )
-from sedwitness.ancilla import AncillaConfig, ConcatSpec, Stage, ancilla_readout, intermediate_identities, run_concatenated
-from sedwitness.sed import sed_decomposition, sed_measure
-from sedwitness.states import make_ghz, make_w
+from sedwitness.ancilla import (
+    AncillaConfig,
+    ConcatSpec,
+    Stage,
+    ancilla_readout,
+    intermediate_identities,
+    readout_value,
+    run_concatenated,
+)
+from sedwitness.circuit import Circuit
+from sedwitness.noise import pull_back
+from sedwitness.sed import SedDecomposition, sed_decomposition, sed_measure
+from sedwitness.states import make_ghz, make_w, pseudopure_matrix
 from sedwitness.tensor import (
     ATOL_ALGEBRA,
     H,
@@ -35,7 +45,7 @@ from sedwitness.tensor import (
     pauli_strings,
     z_signs,
 )
-from sedwitness.witness import expectation, select_witness
+from sedwitness.witness import Witness, expectation, select_witness
 
 
 def test_kron_identities():
@@ -272,6 +282,35 @@ def test_every_dense_readout_names_its_bad_operand(call, name):
     # one check for every (rho, V): a ValueError naming the operand, never a TypeError or a nan
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} has (shape .*, expected .*|non-finite entries)$"):
         call()
+
+
+# the scalar inputs that no other test's table covers, by the name each
+# reader gives them; sizes, p and sweep grids are covered in test_circuit.py,
+# test_states.py and test_noise.py
+_SCALAR_READS = {
+    "pull_back": (lambda v: pull_back(Circuit(1, ()), np.zeros(4), [v]), "h"),
+    "pseudopure_matrix": (lambda v: pseudopure_matrix(make_ghz(2), v), "epsilon"),
+    "Witness": (lambda v: Witness(v, make_ghz(2), "x"), "witness constant c"),
+    "SedDecomposition": (lambda v: SedDecomposition(3, v), "witness constant c"),
+    "readout_value": (lambda v: readout_value(v, 0.1, 0.9), "witness constant c"),
+}
+
+
+@pytest.mark.parametrize("bad", ["0.5", True], ids=["str", "bool"])
+@pytest.mark.parametrize("call, what", list(_SCALAR_READS.values()), ids=list(_SCALAR_READS))
+def test_scalar_that_is_not_a_real_number_is_named(call, what, bad):
+    # a string is not read as a number nor a bool as 0 or 1: a ValueError names it
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} {re.escape(repr(bad))} is not a real number$"):
+        call(bad)
+
+
+def test_numpy_scalars_are_read_as_python_numbers():
+    assert type(Circuit(np.int64(3)).n) is int
+    cfg = AncillaConfig(p=np.float64(0.9), n=np.int64(3))
+    assert (type(cfg.p), type(cfg.n)) == (float, int)
+    assert type(Witness(np.float64(0.5), make_ghz(2), "x").c) is float
+    assert np.allclose(pseudopure_matrix(make_ghz(2), np.float64(0.5)), pseudopure_matrix(make_ghz(2), 0.5))
+    assert pull_back(Circuit(1, ()), np.ones(4), [np.float64(0.5)]).shape == (1, 4)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
