@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, _integer, _probability, _witness_constant, checked_operand, is_unitary
+from .tensor import ATOL_ALGEBRA, _probability, _size, _witness_constant, checked_operand, is_unitary
 
 ILL_CONDITIONED_P = 1e-6  # guard: 1/(2p-1) amplification stays below 5e5
 
@@ -47,9 +47,7 @@ class AncillaConfig:
         object.__setattr__(self, "p", _probability(self.p, "p"))
         if abs(2 * self.p - 1) <= ILL_CONDITIONED_P:
             raise ValueError("ancilla polarization too close to 1/2; readout ill-conditioned")
-        object.__setattr__(self, "n", _integer(self.n, "register size"))
-        if self.n < 1:
-            raise ValueError("register needs at least one qubit")
+        object.__setattr__(self, "n", _size(self.n, "register size", 1))
 
 
 @dataclass(frozen=True, eq=False)

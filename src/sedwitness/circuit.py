@@ -16,7 +16,7 @@ from itertools import compress
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, H, SWAP, X, _integer, _option, dagger, is_unitary
+from .tensor import ATOL_ALGEBRA, H, SWAP, X, _integer, _option, _size, dagger, is_unitary
 
 
 # text labels of the named bases with 0, 1 and >= 2 controls
@@ -99,9 +99,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "register size"))
-        if self.n < 0:
-            raise ValueError(f"register size {self.n} is negative")
+        object.__setattr__(self, "n", _size(self.n, "register size", 0))
         try:
             object.__setattr__(self, "gates", tuple(self.gates))
         except TypeError:
@@ -168,9 +166,7 @@ def dagger_circuit(c: Circuit) -> Circuit:
 
 def ghz_entangler(n: int) -> Circuit:
     """One Hadamard and n-1 CNOTs mapping |0...0> to the n-qubit GHZ state."""
-    n = _integer(n, "n")
-    if n < 2:
-        raise ValueError("entangler needs n >= 2")
+    n = _size(n, "n", 2)
     gates = [Gate(H, (1,))]
     gates += [Gate(X, (k,), ((1, 1),)) for k in range(2, n + 1)]
     return Circuit(n, tuple(gates))
@@ -183,9 +179,7 @@ def _ry(theta: float) -> np.ndarray:
 
 def w_entangler(n: int) -> Circuit:
     """Cascade of controlled rotations and CNOTs mapping |0...0> to the W state."""
-    n = _integer(n, "n")
-    if n < 2:
-        raise ValueError("entangler needs n >= 2")
+    n = _size(n, "n", 2)
     gates = [Gate(X, (1,))]
     for i in range(1, n):
         theta = 2 * np.arccos(np.sqrt(1.0 / (n - i + 1)))
@@ -230,9 +224,7 @@ def vprime_dagger_circuit(n: int) -> Circuit:
     All pieces except the core are self-inverse, so daggering only reverses
     the order.
     """
-    n = _integer(n, "n")
-    if n < 2:
-        raise ValueError("needs n >= 2")
+    n = _size(n, "n", 2)
     gates = []
     for k in range(n, 2, -1):
         first = n - k + 1

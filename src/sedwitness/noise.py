@@ -57,7 +57,7 @@ import numpy as np
 
 from .circuit import ENTANGLER_KINDS, Circuit, dagger_circuit, sed_measurement_circuit, select_entangler
 from .sed import sed_decomposition
-from .tensor import ATOL_ALGEBRA, ATOL_GRID, MAX_GRID_POINTS, _integer, _option, _probability, n_qubits, pauli_coefficients, pauli_strings
+from .tensor import ATOL_ALGEBRA, ATOL_GRID, MAX_GRID_POINTS, _integer, _option, _probability, _real, n_qubits, pauli_coefficients, pauli_strings
 from .witness import select_witness
 
 
@@ -326,6 +326,7 @@ def sweep_csv(records: list[SweepRecord]) -> str:
 
 def grid_values(lo: float, hi: float, step: float) -> list[float]:
     """Inclusive grid with exact endpoints; step must divide hi - lo."""
+    lo, hi, step = _real(lo, "lo"), _real(hi, "hi"), _real(step, "step")
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ValueError(f"step {step:g} and range [{lo:g}, {hi:g}] must be finite")
     if step <= 0 or hi < lo:

@@ -9,15 +9,21 @@ explicit 4x4 solution:
     V'_{n+1} = U_bd * U_p * (I (x) V'_n)
 
 where U_p swaps the first and last qubits and U_bd = diag(I, H, ..., H).
-The induction is realized gate by gate by circuit.vprime_dagger_circuit,
-the one definition of V' in the package; no dense V' is formed.  The
-readout applies V'^dag after V^dag and reads every z_k at once, so
-z_k = Tr(O_k rho_out) with rho_out = V^dag rho V and O_k = V' Z_k V'^dag,
-an observable of n alone.  Each O_k is sparse, at most 3 nonzeros per row
-for k = 1, 2 and one for k >= 3, so (n+3) 2**n terms in all, conjugated
-through the gate list.  Coefficients halve at each induction
-step and the new leading coefficient is -1/2, giving the closed forms
-b = -2**-n, a_1 = a_2 = 3 * 2**-(n+1) and a_k = -2**(k-n-1) for k >= 3.
+circuit.vprime_dagger_circuit realizes the induction gate by gate, the one
+circuit of V' in the package; no dense V' is formed.  The readout applies
+V'^dag after V^dag and reads every z_k at once, so z_k = Tr(O_k rho_out)
+with rho_out = V^dag rho V and O_k = V' Z_k V'^dag, an observable of n
+alone.  The induction gives the O_k in closed form.  The new Z_{n+1} enters
+on the first qubit, which I (x) V'_n leaves alone; U_p moves it to the last
+qubit, and U_bd turns it into P (x) Z + (1 - P) (x) X there, P the
+projector of the other qubits onto |0...0>.  Every older O_k has |0...0> as
+an eigenvector, so it commutes with U_bd, and I (x) and U_p only move it
+along the register.  So O_1 and O_2 are the 4x4 V'_2 (Z) V'_2^dag tiled
+over the other qubits, and each O_k with k >= 3 is a signed permutation,
+(n+3) 2**n nonzero terms in all; the tests check them against the gate
+list.  Coefficients halve at each induction step and the new leading
+coefficient is -1/2, giving the closed forms b = -2**-n,
+a_1 = a_2 = 3 * 2**-(n+1) and a_k = -2**(k-n-1) for k >= 3.
 
 Coefficient/slot pairing: a_k multiplies Z on tensor slot n-k+1 counted
 from the left, so a_1 sits on the last qubit and a_n on the first.
@@ -30,9 +36,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuit import Gate, vprime_dagger_circuit
+from .circuit import vprime2
 from .states import PureState
-from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, _integer, _witness_constant, checked_operand, dagger, haar_unitary, z_signs
+from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, I2, Z, _integer, _size, _witness_constant, checked_operand, dagger, haar_unitary
 from .witness import Witness, expectation, generic_witness
 
 
@@ -46,9 +52,7 @@ class SedDecomposition:
     c: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "SED decomposition n"))
-        if self.n < 2:
-            raise ValueError("SED decomposition needs n >= 2")
+        object.__setattr__(self, "n", _size(self.n, "SED decomposition n", 2))
         if self.c is not None:
             object.__setattr__(self, "c", _witness_constant(self.c))
 
@@ -65,15 +69,39 @@ class SedDecomposition:
     @cached_property
     def z_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Nonzero terms (k - 1, row, col, value) of O_k = V' Z_k V'^dag for
-        k = 1..n, Z_k on tensor slot n-k+1.  Each Z_k starts diagonal and is
-        conjugated by g^dag . g for the gates g of V'^dag, last gate first."""
+        k = 1..n, Z_k on tensor slot n-k+1, in the closed form of the
+        induction, k-major:
+
+        - O_1 = V'_2 (I (x) Z) V'_2^dag and O_2 = V'_2 (Z (x) I) V'_2^dag,
+          V'_2's first factor on qubit n-1 and its second on qubit n-2
+          (qubits 1 and 2 at n = 2), tiled over the other qubits;
+        - O_k = P_S (x) Z_t + (1 - P_S) (x) X_t for k >= 3, with P_S the
+          projector of the qubits S = {n-k+1, ..., n-1} onto |0...0> and
+          t = n-k (S = {1, ..., n-1} and t = n at k = n): one entry +-1 per
+          column.
+        """
         n = self.n
-        idx = np.arange(2**n)
-        key = ((np.arange(n)[:, None] << 2 * n) | (idx << n) | idx).ravel()
-        val = z_signs(n).ravel().astype(complex)
-        for g in reversed(vprime_dagger_circuit(n).gates):
-            key, val = _conjugated_terms(key, val, g, n)
-        return key >> 2 * n, (key >> n) & (2**n - 1), key & (2**n - 1), val
+        j = np.arange(2**n)
+        # qubit q is index bit n-q, so V'_2's factors sit on bits 1 and 2 mod n;
+        # place[a] puts the local index a on them
+        v = vprime2()
+        local = np.stack([v @ np.kron(I2, Z) @ dagger(v), v @ np.kron(Z, I2) @ dagger(v)])
+        k12, r, c = np.nonzero(np.abs(local) > ATOL_ALGEBRA)
+        place = np.array([0, 1 << 2 % n, 2, 2 | 1 << 2 % n])
+        rest = j[(j & place[3]) == 0]
+        row12, col12 = ((place[a][:, None] | rest).ravel() for a in (r, c))
+        # k >= 3: S is bits 1..k-1 and t is bit k mod n
+        k = np.arange(3, n + 1)[:, None]
+        t = 1 << k % n
+        held = (j & ((1 << k) - 2)) == 0
+        row = np.where(held, j, j ^ t)
+        val = np.where(held & (j & t > 0), -1.0, 1.0)
+        return (
+            np.concatenate([np.repeat(k12, len(rest)), np.repeat(k.ravel() - 1, 2**n)]),
+            np.concatenate([row12, row.ravel()]),
+            np.concatenate([col12, np.broadcast_to(j, row.shape).ravel()]),
+            np.concatenate([np.repeat(local[k12, r, c], len(rest)), val.ravel()]),
+        )
 
     @property
     def a0(self) -> float:
@@ -91,55 +119,6 @@ class SedMeasurementResult:
     @property
     def diagonal_ok(self) -> bool:
         return self.offdiag_max <= ATOL_PHYSICS
-
-
-def _local_index(idx: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    """The target bits of each register index as g's local basis index."""
-    t = np.zeros(len(idx), dtype=np.int64)
-    for q in g.targets:
-        t = (t << 1) | ((idx >> (n - q)) & 1)
-    return t
-
-
-def _conjugated_terms(key: np.ndarray, val: np.ndarray, g: Gate, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Terms of g^dag O g from the terms of O, keyed (k << 2n) | (row << n) | col.
-
-    (g^dag O g)[r', c'] = sum conj(g[r, r']) O[r, c] g[c, c'], and g moves
-    only the target bits of an index whose controls hold.  So a term spreads
-    over the nonzero entries of one row of the base on each side (of the
-    identity where the controls fail), and a term whose row and column both
-    fail them stays as it is.  Terms that land on one key are summed, and
-    residues below ATOL_ALGEBRA are dropped.
-    """
-    d = len(g.base)
-    cmask = sum(1 << (n - q) for q, _ in g.controls)
-    cval = sum(pol << (n - q) for q, pol in g.controls)
-    tbits = sum(1 << (n - q) for q in g.targets)
-    row, col = (key >> n) & (2**n - 1), key & (2**n - 1)
-    ok_r, ok_c = (row & cmask) == cval, (col & cmask) == cval
-    idle = ~(ok_r | ok_c)
-    kept = key[idle], val[idle]
-    key, val, row, col, ok_r, ok_c = (a[~idle] for a in (key, val, row, col, ok_r, ok_c))
-
-    # rows 0..d-1 of m are the base, rows d..2d-1 the identity of a failed control;
-    # each row lists its r nonzero columns (weight 0 pads a shorter row) as register bits
-    m = np.vstack([g.base, np.eye(d)])
-    r = int(np.count_nonzero(m, axis=1).max())
-    cols = np.argsort(m == 0, axis=1, kind="stable")[:, :r]
-    local_bits = sum(((np.arange(d) >> (len(g.targets) - 1 - i)) & 1) << (n - q) for i, q in enumerate(g.targets))
-    bits, wts = local_bits[cols], np.take_along_axis(m, cols, axis=1)
-    # one table over (row's m-row, column's m-row) pairs: r x r key offsets and weights
-    pair_bits = ((bits[:, None, :, None] << n) | bits[None, :, None, :]).reshape(4 * d * d, r * r)
-    pair_wts = (wts.conj()[:, None, :, None] * wts[None, :, None, :]).reshape(4 * d * d, r * r)
-    pair = (_local_index(row, g, n) + d * ~ok_r) * 2 * d + _local_index(col, g, n) + d * ~ok_c
-    key = ((key & ~((tbits << n) | tbits))[:, None] | pair_bits[pair]).ravel()
-    val = (val[:, None] * pair_wts[pair]).ravel()
-    if r > 1:  # a base with one nonzero per row maps distinct keys to distinct keys
-        key, group = np.unique(key, return_inverse=True)
-        val = np.bincount(group, val.real) + 1j * np.bincount(group, val.imag)
-        keep = np.abs(val) > ATOL_ALGEBRA
-        key, val = key[keep], val[keep]
-    return np.concatenate([key, kept[0]]), np.concatenate([val, kept[1]])
 
 
 def sed_decomposition(w: Witness) -> SedDecomposition:
@@ -175,8 +154,10 @@ def verify_equality(n: int, trials: int = 100, seed: int = 0) -> dict:
     SED readout with Tr(W rho_in) for the witness of the target V|0>.  The
     witness constant cancels in the comparison; a fixed c = 1/2 is used.
     The diagonal is b + sum_k a_k O_k[j, j], read from the row == col terms
-    of z_terms; the tests check it a second, independent way, through the
-    dense V' that circuit_unitary makes of the gate list.
+    of the closed-form z_terms, so it checks the coefficients against the
+    O_k.  That the gate list of V'_n gives these O_k is checked in the
+    tests, through the dense V' that circuit_unitary makes of it and
+    through a sparse conjugation gate by gate.
     `passed` requires both deviations within ATOL_PHYSICS.
     """
     trials, seed = _integer(trials, "trials"), _integer(seed, "seed")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ATOL_ALGEBRA, _integer, _probability, n_qubits
+from .tensor import ATOL_ALGEBRA, _integer, _probability, _size, n_qubits
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,7 +31,7 @@ class PureState:
 
 
 def basis_state(n: int, index: int = 0) -> PureState:
-    n, index = _integer(n, "n"), _integer(index, "basis index")
+    n, index = _size(n, "n", 0), _integer(index, "basis index")
     if not 0 <= index < 2**n:
         raise ValueError(f"basis index {index} out of 0..{2**n - 1}")
     amps = np.zeros(2**n, dtype=complex)
@@ -41,9 +41,7 @@ def basis_state(n: int, index: int = 0) -> PureState:
 
 def make_ghz(n: int) -> PureState:
     """(|0...0> + |1...1>) / sqrt(2)."""
-    n = _integer(n, "n")
-    if n < 2:
-        raise ValueError("GHZ state needs n >= 2")
+    n = _size(n, "n", 2)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1 / np.sqrt(2.0)
     return PureState(amps)
@@ -51,9 +49,7 @@ def make_ghz(n: int) -> PureState:
 
 def make_w(n: int) -> PureState:
     """Equal superposition of all single-excitation basis states."""
-    n = _integer(n, "n")
-    if n < 2:
-        raise ValueError("W state needs n >= 2")
+    n = _size(n, "n", 2)
     amps = np.zeros(2**n, dtype=complex)
     for k in range(n):
         amps[2**k] = 1 / np.sqrt(n)

@@ -95,11 +95,22 @@ def _integer(v, what: str) -> int:
     raise ValueError(f"{what} {v!r} is not an integer")
 
 
+def _size(v, what: str, least: int) -> int:
+    """A register size: v read by _integer, and a ValueError naming it and least when below least."""
+    n = _integer(v, what)
+    if n < least:
+        raise ValueError(f"{what} {n} is less than {least}")
+    return n
+
+
 def _real(v, what: str) -> float:
     """v as a float when it is a real number other than a bool, else a ValueError naming it."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ValueError(f"{what} {v!r} is not a real number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # no repr of v: one past 4300 digits cannot be printed
+        raise ValueError(f"{what} is out of the float range") from None
 
 
 def _probability(v, what: str) -> float:
@@ -135,13 +146,6 @@ def _check_qubits(qubits, n, what):
         if not 1 <= q <= n:
             raise ValueError(f"{what} qubit {q} out of range 1..{n}")
     return qubits
-
-
-def z_signs(n: int) -> np.ndarray:
-    """Z eigenvalues read off the basis: row k-1 holds, for every basis index,
-    the +-1 of Z on tensor slot n-k+1 (bit k-1 counted from the right)."""
-    bits = (np.arange(2**n)[None, :] >> np.arange(n)[:, None]) & 1
-    return (1 - 2 * bits).astype(float)
 
 
 def pauli_strings(k: int) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Dense 2**n x 2**n reference constructions for the tests.
 
 The package builds V'_n only from its gate circuit and reads the readout
-observables as sparse terms, applies every gate on its own axes of a tensor
-view and runs gate noise only as the Pauli pull-back of an observable.  The
-constructions below are independent of that code and are what the tests
-compare it with: the full-matrix gate embedding and the matrix recursion of
-V'_n; the dense V'_n as the dagger of its circuit's unitary, and the dense
-V' (b + sum_k a_k Z_k) V'^dag built on it; a circuit applied gate by gate
+observables as sparse terms in closed form, applies every gate on its own
+axes of a tensor view and runs gate noise only as the Pauli pull-back of an
+observable.  The constructions below are independent of that code and are
+what the tests compare it with: the full-matrix gate embedding and the
+matrix recursion of V'_n; the dense V'_n as the dagger of its circuit's
+unitary, and the dense V' (b + sum_k a_k Z_k) V'^dag built on it; the
+readout observables V' Z_k V'^dag conjugated in sparse form through the
+gate list, and the Z signs they start from; a circuit applied gate by gate
 to a state vector, for registers too large for a 4**n unitary; the
 noisy-gate channel on density matrices, the only Schroedinger-picture
 reference; the Pauli pull-back one gate at a time, built on the package's
@@ -24,7 +26,7 @@ import numpy as np
 
 from sedwitness.circuit import circuit_unitary, vprime2, vprime_dagger_circuit
 from sedwitness.noise import _adjoint_transfer
-from sedwitness.tensor import ATOL_PHYSICS, H, I2, SWAP, _check_qubits, _probability, dagger, n_qubits, pauli_strings, z_signs
+from sedwitness.tensor import ATOL_ALGEBRA, ATOL_PHYSICS, H, I2, SWAP, _check_qubits, _probability, dagger, n_qubits, pauli_strings
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -215,6 +217,76 @@ def dense_vprime(n):
     v = dagger(circuit_unitary(vprime_dagger_circuit(n)))
     v.flags.writeable = False
     return v
+
+
+def z_signs(n):
+    """Z eigenvalues read off the basis: row k-1 holds, for every basis index,
+    the +-1 of Z on tensor slot n-k+1 (bit k-1 counted from the right)."""
+    bits = (np.arange(2**n)[None, :] >> np.arange(n)[:, None]) & 1
+    return (1 - 2 * bits).astype(float)
+
+
+def _local_index(idx, g, n):
+    """The target bits of each register index as g's local basis index."""
+    t = np.zeros(len(idx), dtype=np.int64)
+    for q in g.targets:
+        t = (t << 1) | ((idx >> (n - q)) & 1)
+    return t
+
+
+def conjugated_terms(key, val, g, n):
+    """Terms of g^dag O g from the terms of O, keyed (k << 2n) | (row << n) | col.
+
+    (g^dag O g)[r', c'] = sum conj(g[r, r']) O[r, c] g[c, c'], and g moves
+    only the target bits of an index whose controls hold.  So a term spreads
+    over the nonzero entries of one row of the base on each side (of the
+    identity where the controls fail), and a term whose row and column both
+    fail them stays as it is.  Terms that land on one key are summed, and
+    residues below ATOL_ALGEBRA are dropped.
+    """
+    d = len(g.base)
+    cmask = sum(1 << (n - q) for q, _ in g.controls)
+    cval = sum(pol << (n - q) for q, pol in g.controls)
+    tbits = sum(1 << (n - q) for q in g.targets)
+    row, col = (key >> n) & (2**n - 1), key & (2**n - 1)
+    ok_r, ok_c = (row & cmask) == cval, (col & cmask) == cval
+    idle = ~(ok_r | ok_c)
+    kept = key[idle], val[idle]
+    key, val, row, col, ok_r, ok_c = (a[~idle] for a in (key, val, row, col, ok_r, ok_c))
+
+    # rows 0..d-1 of m are the base, rows d..2d-1 the identity of a failed control;
+    # each row lists its r nonzero columns (weight 0 pads a shorter row) as register bits
+    m = np.vstack([g.base, np.eye(d)])
+    r = int(np.count_nonzero(m, axis=1).max())
+    cols = np.argsort(m == 0, axis=1, kind="stable")[:, :r]
+    local_bits = sum(((np.arange(d) >> (len(g.targets) - 1 - i)) & 1) << (n - q) for i, q in enumerate(g.targets))
+    bits, wts = local_bits[cols], np.take_along_axis(m, cols, axis=1)
+    # one table over (row's m-row, column's m-row) pairs: r x r key offsets and weights
+    pair_bits = ((bits[:, None, :, None] << n) | bits[None, :, None, :]).reshape(4 * d * d, r * r)
+    pair_wts = (wts.conj()[:, None, :, None] * wts[None, :, None, :]).reshape(4 * d * d, r * r)
+    pair = (_local_index(row, g, n) + d * ~ok_r) * 2 * d + _local_index(col, g, n) + d * ~ok_c
+    key = ((key & ~((tbits << n) | tbits))[:, None] | pair_bits[pair]).ravel()
+    val = (val[:, None] * pair_wts[pair]).ravel()
+    if r > 1:  # a base with one nonzero per row maps distinct keys to distinct keys
+        key, group = np.unique(key, return_inverse=True)
+        val = np.bincount(group, val.real) + 1j * np.bincount(group, val.imag)
+        keep = np.abs(val) > ATOL_ALGEBRA
+        key, val = key[keep], val[keep]
+    return np.concatenate([key, kept[0]]), np.concatenate([val, kept[1]])
+
+
+def sparse_z_terms(n):
+    """The sparse oracle of SedDecomposition(n).z_terms: each Z_k, diagonal,
+    conjugated by g^dag . g for the gates g of vprime_dagger_circuit(n), last
+    gate first; terms (k - 1, row, col, value) sorted by (k, row, col)."""
+    idx = np.arange(2**n)
+    key = ((np.arange(n)[:, None] << 2 * n) | (idx << n) | idx).ravel()
+    val = z_signs(n).ravel().astype(complex)
+    for g in reversed(vprime_dagger_circuit(n).gates):
+        key, val = conjugated_terms(key, val, g, n)
+    order = np.argsort(key)
+    key, val = key[order], val[order]
+    return key >> 2 * n, (key >> n) & (2**n - 1), key & (2**n - 1), val
 
 
 def weighted_z_sum(n, b, a):

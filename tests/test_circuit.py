@@ -26,6 +26,7 @@ from sedwitness.circuit import (
     w_entangler,
 )
 from sedwitness.ancilla import AncillaConfig
+from sedwitness.sed import SedDecomposition
 from sedwitness.states import basis_state, make_ghz, make_w
 from sedwitness.tensor import SWAP, H, X, dagger, haar_unitary
 from sedwitness.witness import select_witness
@@ -229,6 +230,28 @@ def test_register_sizes_are_integers(build, bad, message):
         build(bad)
     with pytest.raises(ValueError, match=r"^gate 1: qubit 3 out of range 1\.\.2$"):
         Circuit(2, (Gate(X, (1,)), Gate(X, (3,))))
+
+
+@pytest.mark.parametrize(
+    "build, what, least",
+    [
+        (make_ghz, "n", 2),
+        (make_w, "n", 2),
+        (basis_state, "n", 0),
+        (ghz_entangler, "n", 2),
+        (w_entangler, "n", 2),
+        (vprime_dagger_circuit, "n", 2),
+        (SedDecomposition, "SED decomposition n", 2),
+        (lambda n: AncillaConfig(p=0.9, n=n), "register size", 1),
+        (Circuit, "register size", 0),
+    ],
+    ids=["make_ghz", "make_w", "basis_state", "ghz_entangler", "w_entangler", "vprime_dagger_circuit", "SedDecomposition", "AncillaConfig", "Circuit"],
+)
+def test_register_size_below_its_bound_is_named(build, what, least):
+    # one rule for every minimum register size: the message names the input and the bound
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} {least - 1} is less than {least}$"):
+        build(least - 1)
+    build(least)
 
 
 @pytest.mark.parametrize(

@@ -231,6 +231,9 @@ def test_sweep_validation():
         with pytest.raises(ValueError, match=re.escape(f"step {step:g} does not divide the range [0.5, 1]")):
             grid_values(0.5, 1.0, step)
     assert grid_values(0.7, 0.7, 1e10) == [0.7]
+    # integers and numpy floats are real numbers, read as floats
+    assert grid_values(0, 1, 1) == [0.0, 1.0]
+    assert grid_values(np.float64(0.5), 1.0, np.float64(0.25)) == [0.5, 0.75, 1.0]
     # a step too small for the range, or any value that is not finite, is named
     tiny = 1e-320  # (hi - lo) / tiny overflows to inf
     with pytest.raises(ValueError, match=re.escape(f"step {tiny:g} is too small for the range [0.5, 1]")):
@@ -248,6 +251,24 @@ def test_sweep_validation():
     # a step that divides the range only up to rounding is accepted
     grid = grid_values(0.8, 1.0, (1.0 - 0.8) / 3)
     assert len(grid) == 4 and grid[0] == 0.8 and grid[-1] == 1.0
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step, message",
+    [
+        (True, 1.0, 0.5, "lo True is not a real number"),
+        ("0.5", 1.0, 0.1, "lo '0.5' is not a real number"),
+        (0.5, None, 0.1, "hi None is not a real number"),
+        (0.5, 1.0, "0.1", "step '0.1' is not a real number"),
+        (0.5, 1.0, -(10**5000), "step is out of the float range"),
+    ],
+    ids=["lo-bool", "lo-str", "hi-None", "step-str", "step-overflow"],
+)
+def test_grid_bound_that_is_not_a_real_number_is_named(lo, hi, step, message):
+    # each bound is read as a real number first, so a bool is not read as 1
+    # and a string is a ValueError that names it, not a TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        grid_values(lo, hi, step)
 
 
 # bad sweep calls and their messages; the grid, the mode, the kind and n

@@ -16,8 +16,10 @@ from dense_oracle import (
     kron,
     permutation_up,
     random_density_matrix,
+    sparse_z_terms,
     weighted_z_sum,
     witness_matrix,
+    z_signs,
 )
 from sedwitness.circuit import vprime2
 from sedwitness.cli import main
@@ -29,7 +31,7 @@ from sedwitness.sed import (
     verify_equality,
 )
 from sedwitness.states import make_ghz, pseudopure_matrix
-from sedwitness.tensor import H, I2, X, Z, dagger, haar_unitary, z_signs
+from sedwitness.tensor import H, I2, X, Z, dagger, haar_unitary
 from sedwitness.witness import select_witness
 
 W3 = np.exp(2j * np.pi / 3)
@@ -285,6 +287,20 @@ def test_z_terms_structure(n):
     np.add.at(per_row, (k, row), 1)
     assert per_row[:2].min() >= 1 and per_row[:2].max() <= 3
     assert np.all(per_row[2:] == 1)
+    assert np.isin(val[k >= 2], [1, -1]).all()  # a signed permutation, exactly
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_z_terms_are_the_sparse_conjugation_through_the_gate_list(n):
+    # the closed form against each Z_k conjugated gate by gate through
+    # vprime_dagger_circuit(n), at sizes the dense oracle cannot reach
+    k, row, col, val = SedDecomposition(n).z_terms
+    order = np.lexsort((col, row, k))
+    ok, orow, ocol, oval = sparse_z_terms(n)
+    assert len(oval) == len(val) == (n + 3) * 2**n
+    for mine, theirs in zip((k, row, col), (ok, orow, ocol)):
+        assert np.array_equal(mine[order], theirs)
+    assert np.max(np.abs(val[order] - oval)) <= 1e-14
 
 
 @pytest.mark.parametrize("n", range(2, 10))

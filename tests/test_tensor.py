@@ -15,6 +15,7 @@ from dense_oracle import (
     partial_trace,
     partial_transpose,
     random_density_matrix,
+    z_signs,
 )
 from sedwitness.ancilla import (
     AncillaConfig,
@@ -43,7 +44,6 @@ from sedwitness.tensor import (
     max_schmidt_sq,
     pauli_coefficients,
     pauli_strings,
-    z_signs,
 )
 from sedwitness.witness import Witness, expectation, select_witness
 
@@ -296,11 +296,16 @@ _SCALAR_READS = {
 }
 
 
-@pytest.mark.parametrize("bad", ["0.5", True], ids=["str", "bool"])
+@pytest.mark.parametrize(
+    "bad, why",
+    [("0.5", "'0.5' is not a real number"), (True, "True is not a real number"), (10**400, "is out of the float range")],
+    ids=["str", "bool", "overflow"],
+)
 @pytest.mark.parametrize("call, what", list(_SCALAR_READS.values()), ids=list(_SCALAR_READS))
-def test_scalar_that_is_not_a_real_number_is_named(call, what, bad):
-    # a string is not read as a number nor a bool as 0 or 1: a ValueError names it
-    with pytest.raises(ValueError, match=f"^{re.escape(what)} {re.escape(repr(bad))} is not a real number$"):
+def test_scalar_that_is_not_a_real_number_is_named(call, what, bad, why):
+    # a string is not read as a number nor a bool as 0 or 1, and an integer
+    # beyond the float range does not escape as OverflowError: a ValueError names it
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} {re.escape(why)}$"):
         call(bad)
 
 
