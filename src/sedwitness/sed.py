@@ -38,7 +38,7 @@ import numpy as np
 
 from .circuit import vprime2
 from .states import PureState
-from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, I2, Z, _integer, _size, _witness_constant, checked_operand, dagger, haar_unitary
+from .tensor import ATOL_ALGEBRA, ATOL_PHYSICS, I2, Z, _size, _witness_constant, checked_operand, dagger, haar_unitary
 from .witness import Witness, expectation, generic_witness
 
 
@@ -160,11 +160,7 @@ def verify_equality(n: int, trials: int = 100, seed: int = 0) -> dict:
     through a sparse conjugation gate by gate.
     `passed` requires both deviations within ATOL_PHYSICS.
     """
-    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
-    if trials < 1:
-        raise ValueError(f"verify_equality needs trials >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"verify_equality needs seed >= 0, got {seed}")
+    trials, seed = _size(trials, "trials", 1), _size(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     c = 0.5
     dec = SedDecomposition(n, c)

@@ -23,10 +23,11 @@ ATOL_ALGEBRA = 1e-12
 ATOL_PHYSICS = 1e-10
 ATOL_GRID = 1e-9
 
-# most points in one sweep grid axis, so that a step too fine for any sweep
-# is refused before the axis is allocated.  The default axis has 11 points;
-# a sweep at n = 3 over 10**5 h values by the default 11 p values takes
-# about half a minute and 0.25 GB, most of it the 1.1 million records
+# most points in one sweep grid, along one axis and in all: grid_values
+# refuses a step too fine for any sweep before it allocates the axis, and
+# sweep refuses a p by h grid of more points before it walks.  The default
+# grid has 11 x 11 points; one p by 10**5 h values at n = 3 takes about
+# half a minute and peaks at 34 MB, records and CSV included
 MAX_GRID_POINTS = 10**5
 
 I2 = np.eye(2, dtype=complex)
@@ -38,7 +39,13 @@ SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
 
-PAULI = np.stack([I2, X, Y, Z])  # Pauli index 0..3 = I, X, Y, Z
+# Pauli index 0..3 = I, Z, X, Y, the one order of every Pauli string and
+# coefficient array in the package.  The diagonal pair leads, so on each
+# qubit's axis the I/Z strings are the leading [:2] and the X/Y strings the
+# trailing [2:]: the thermal input reads only the first half, and a block of
+# the noisy walk that holds a qubit only as a control maps each half to
+# itself, so its map splits into two contiguous diagonal blocks (noise.py)
+PAULI = np.stack([I2, Z, X, Y])
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -162,8 +169,9 @@ def pauli_strings(k: int) -> np.ndarray:
 def pauli_coefficients(m: np.ndarray) -> np.ndarray:
     """Real coefficients c_s = Tr(P_s m) / 2**n of a Hermitian m, so that
     m = sum_s c_s P_s; shape (4,)*n, axis q-1 holding the Pauli index of
-    qubit q.  Each qubit maps its 2x2 blocks to their I/X/Y/Z coefficients
-    in turn, O(n 4**n) in all."""
+    qubit q in the order of PAULI, I, Z, X, Y, so the diagonal part of m
+    lies in the leading [:2] of every axis.  Each qubit maps its 2x2 blocks
+    to their I/Z/X/Y coefficients in turn, O(n 4**n) in all."""
     m = np.asarray(m, dtype=complex)
     n = n_qubits(m.shape[0])
     if not is_hermitian(m):
@@ -173,9 +181,9 @@ def pauli_coefficients(m: np.ndarray) -> np.ndarray:
     t = m.reshape((2,) * (2 * n)).transpose(pairs).reshape((4,) * n)
     for _ in range(n):
         # Tr(P B) / 2 of the blocks B = [[b00, b01], [b10, b11]] on the last
-        # axis, for P = I, X, Y, Z; that axis comes back first
+        # axis, for P = I, Z, X, Y; that axis comes back first
         b00, b01, b10, b11 = (t[..., i] for i in range(4))
-        t = np.stack([b00 + b11, b01 + b10, 1j * (b01 - b10), b00 - b11])
+        t = np.stack([b00 + b11, b00 - b11, b01 + b10, 1j * (b01 - b10)])
         t /= 2
     return t.real.copy()
 

@@ -222,6 +222,17 @@ def test_usage_errors_exit_2(capsys):
         assert "error: " in err and err.split("error: ", 1)[1].strip(), (argv, err)
 
 
+def test_sweep_grid_past_the_point_bound_exits_2(capsys, tmp_path):
+    # each axis is within MAX_GRID_POINTS, their product is not: 501 p by 201 h
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--n", "3", "--p-step", "0.001", "--h-step", "0.0025", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: grid of 501 p by 201 h values has 100701 points, more than 100000\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path, monkeypatch):
     # main parses with one parser per process: every call must read as a
     # fresh parser would, whatever the calls before it set or failed on
@@ -259,7 +270,7 @@ def test_negative_seed_error_names_the_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sed-verify", "--n", "3", "--seed", "-1"])
     assert exc.value.code == 2
-    assert "error: verify_equality needs seed >= 0, got -1" in capsys.readouterr().err
+    assert "error: seed -1 is less than 0" in capsys.readouterr().err
 
 
 def _stdout_golden():

@@ -284,6 +284,7 @@ SWEEP_ERRORS = [
     ((3, [1.0], [1.0], ["ghz"]), "unknown entangler kind ['ghz']"),
     ((3.0, [1.0], [1.0], "ghz"), "n 3.0 is not an integer"),
     (("3", [1.0], [1.0], "ghz"), "n '3' is not an integer"),
+    ((3, [1.0] * 400, [1.0] * 251, "ghz"), f"grid of 400 p by 251 h values has 100400 points, more than {MAX_GRID_POINTS}"),
 ]
 
 

@@ -42,7 +42,7 @@ from sedwitness.circuit import (
     select_entangler,
     vprime_dagger_circuit,
 )
-from sedwitness.noise import _walk, _walk_plan, grid_values, pull_back, sweep, thermal_readout
+from sedwitness.noise import _block_map, _gate_maps, _sweep_model, _walk, _walk_plan, grid_values, pull_back, sweep, thermal_readout
 from sedwitness.sed import SedDecomposition
 from sedwitness.tensor import SWAP, H, X, Z, haar_unitary, pauli_coefficients
 from sedwitness.witness import select_witness
@@ -309,6 +309,104 @@ def test_fine_h_grid_at_small_n_stays_small():
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def _sweep_circuits(kind, n):
+    """The gate lists of the sweep's four walks at (kind, n): the prep and
+    the prep then the measurement circuit, in witness and identity mode."""
+    entangler = select_entangler(kind, n)
+    measurement = dagger_circuit(entangler).then(sed_measurement_circuit(n))
+    return [entangler, entangler.then(measurement), Circuit(n, ()), measurement]
+
+
+def _held_only_as_control(q, gates):
+    """Whether every gate of gates that touches qubit q holds it as a control."""
+    return all(q in dict(g.controls) for g in gates if q in g.qubits())
+
+
+def _check_sectors(c):
+    """c's plan, whose every step has 2 sectors exactly when its leading
+    qubit is held only as a control by the block's gates, and 1 exactly when
+    none of its qubits is; a step covers the next len(key) gates, last to
+    first."""
+    walked = list(reversed(c.gates))
+    plan = _walk_plan(c)
+    for s in plan.steps:
+        block, walked = walked[: len(s.key)], walked[len(s.key) :]
+        assert set(s.support) == {q for g in block for q in g.qubits()}
+        held = [q for q in s.support if _held_only_as_control(q, block)]
+        assert s.sectors == (2 if _held_only_as_control(s.support[0], block) else 1)
+        assert s.sectors == (2 if held else 1)
+    assert not walked
+    return plan
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_sweep_block_maps_split_exactly(n):
+    # every split map of the 8 sweep plans at n has off-sector blocks that
+    # are exactly 0, and its two sectors are the full map's diagonal blocks
+    grid_h = [0.0, 0.37, 0.95, 1.0]
+    for kind in ("ghz", "w"):
+        for c in _sweep_circuits(kind, n):
+            plan = _check_sectors(c)
+            gate_maps = _gate_maps(plan, grid_h)
+            for s in plan.steps:
+                if s.first and s.sectors == 2:
+                    m = len(s.support)
+                    (full,) = _block_map(s.key, gate_maps, m, 1).transpose(1, 0, 2, 3)
+                    d = 4**m // 2
+                    assert not full[:, :d, d:].any() and not full[:, d:, :d].any()
+                    split = _block_map(s.key, gate_maps, m, 2)
+                    assert np.array_equal(split, np.stack([full[:, :d, :d], full[:, d:, d:]], axis=1))
+
+
+def test_step_splits_when_its_leading_qubit_is_only_a_control():
+    # qubit 1 is the control of one gate and the target of the next, and
+    # qubit 2 a target: the block stays dense.  Controls of polarity 0 split
+    # as those of polarity 1, and the qubit held only as a control leads the
+    # block even where a gate names another qubit first
+    mixed = Circuit(3, (Gate(X, (2,), ((1, 1),)), Gate(H, (1,))))
+    zero = Circuit(3, (Gate(X, (2,), ((1, 0),)), Gate(H, (3,), ((1, 0),)), Gate(H, (2,))))
+    ((dense,), (split,)) = (_check_sectors(c).steps for c in (mixed, zero))
+    assert dense.sectors == 1 and dense.support == (1, 2)
+    assert split.sectors == 2 and split.support == (1, 2, 3)
+    rng = np.random.default_rng(13)
+    for c in (mixed, zero):
+        coeffs = rng.standard_normal((4,) * 3)
+        grid_h = [0.0, 0.6, 1.0]
+        assert np.max(np.abs(pull_back(c, coeffs, grid_h) - per_gate_pull_back(c, coeffs, grid_h))) <= 1e-12
+
+
+@given(walk_cases())
+def test_steps_split_by_their_control_only_qubit(case):
+    _check_sectors(case[0])
+
+
+@pytest.mark.parametrize("kind", ["ghz", "w"])
+def test_split_walk_costs_at_most_0_65_of_dense(kind):
+    # a step on m qubits with s sectors does 4**m / s multiply-adds per
+    # coefficient; a change that stops the split fails here on any machine
+    steps = _sweep_model(kind, 7, "witness").measured.steps
+    split = sum(4 ** len(s.support) // s.sectors for s in steps)
+    dense = sum(4 ** len(s.support) for s in steps)
+    assert split <= 0.65 * dense, f"{split} of {dense}"
+
+
+def test_long_h_sweep_holds_one_walk_at_a_time():
+    # n = 7 walks 16 h values at a time, in two 2 MB coefficient buffers
+    # beside its block maps; the sweep keeps only each walk's thermal
+    # readout, so 201 h values, whose pulled-back coefficients would take
+    # 26 MB per column, stay within one walk's memory
+    grid_h = grid_values(0.0, 1.0, 0.005)
+    sweep(7, [1.0], [1.0], "w")  # the cached model is not counted
+    tracemalloc.start()
+    try:
+        records = sweep(7, grid_values(0.5, 1.0, 0.05), grid_h, "w")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 11 * 201
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 @given(st.integers(1, 5), st.lists(st.floats(0.0, 1.0), max_size=3), st.integers(0, 2**32 - 1))
 def test_thermal_readout_matches_trace(n, extra_p, seed):
     rng = np.random.default_rng(seed)
@@ -319,6 +417,17 @@ def test_thermal_readout_matches_trace(n, extra_p, seed):
     for row, o in zip(got, obs):
         for value, p in zip(row, grid_p):
             assert abs(value - np.trace(thermal_matrix(n, p) @ o).real) <= 1e-12
+
+
+def test_thermal_readout_of_a_long_p_grid_reads_each_p_alone():
+    # 2 rows at n = 8 take 512 p values per group, so 1200 p values are read
+    # in three groups; each p is read with the same arithmetic as on its own
+    rng = np.random.default_rng(17)
+    coeffs = rng.standard_normal((2,) + (4,) * 8)
+    grid_p = rng.uniform(0.0, 1.0, 1200)
+    got = thermal_readout(coeffs, grid_p)
+    assert got.shape == (2, 1200)
+    assert np.array_equal(got[:, [0, 511, 512, 1199]], np.hstack([thermal_readout(coeffs, [p]) for p in grid_p[[0, 511, 512, 1199]]]))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

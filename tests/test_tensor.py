@@ -209,9 +209,9 @@ def test_z_signs_is_diagonal_of_embedded_z():
 
 
 def literal_pauli_strings(n):
-    """Every n-qubit Pauli string by kron of the written-out I, X, Y, Z,
+    """Every n-qubit Pauli string by kron of the written-out I, Z, X, Y,
     qubit 1 the leftmost factor, in base-4 order of the indices."""
-    single = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+    single = [np.eye(2), np.diag([1, -1]), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])]
     out = []
     for idx in product(range(4), repeat=n):
         m = np.eye(1)
