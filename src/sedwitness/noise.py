@@ -20,14 +20,15 @@ plan, an immutable record built from the gate list alone: consecutive
 gates, last to first, form blocks of at most 3 qubits (a gate on 4 is a
 block of its own, and a wider one is refused), each block applies the
 product of its gates' maps M_g = R_g D_g by one matmul on its own axes, and
-the plan owns the R_g of each distinct gate.  The block maps depend on h, so they are built per walk,
-once for each distinct block (the same bases, polarities and local qubit
-positions), and each is dropped after its last use, so none outlives the
-walk.  The damping stays per gate; only the order of rounding differs from
-a walk gate by gate.  A walk allocates its two coefficient buffers once:
-each step writes its transpose and its matmul into the idle one, so no step
-allocates an array of the register's size.  A long h grid is walked in
-chunks whose coefficients and block maps each stay within the cache.
+the plan owns the R_g of each distinct gate.  The block maps depend on h,
+so they are built per walk, once for each distinct block (the same bases,
+polarities and local qubit positions), and each is dropped after its last
+use, so none outlives the walk.  The damping stays per gate; only the
+order of rounding differs from a walk gate by gate.  A walk allocates its
+two coefficient buffers once: each step writes its transpose and its matmul
+into the idle one, so no step allocates an array of the register's size.
+A long h grid is walked in chunks whose coefficients and block maps each
+stay within the cache.
 
 A qubit that every gate of a block touching it holds as a control, of
 either polarity, splits the block.  Such a gate is sum_b |b><b| (x) U_b on
@@ -58,7 +59,11 @@ coefficients and len(p) * len(h) values, however long its h grid.
 What a sweep needs apart from its grid depends only on (kind, n, mode): the
 witness constant, the Pauli coefficients of the target projector and of the
 readout, and the plans of the two walks, whose gate lists hold the expanded
-measurement circuit.  `_sweep_model` builds that once per process for each
+measurement circuit.  The projector |psi><psi| with psi = V|0...0> is
+itself a walk: |0...0><0...0| = prod_q (I + Z_q) / 2 holds 2**-n on every
+I/Z string, and its noiseless pull-back through V^dag is V|0...0><0...0|V^dag.
+So the walk is the one Pauli transform of the package, and no sweep forms a
+2**n x 2**n matrix.  `_sweep_model` builds that once per process for each
 checked (kind, n, mode), the package's one cache of computed results; each
 call then walks the cached plans for its own grid.
 """
@@ -73,7 +78,7 @@ import numpy as np
 
 from .circuit import ENTANGLER_KINDS, Circuit, dagger_circuit, sed_measurement_circuit, select_entangler
 from .sed import sed_decomposition
-from .tensor import ATOL_ALGEBRA, ATOL_GRID, MAX_GRID_POINTS, _integer, _option, _probability, _real, n_qubits, pauli_coefficients, pauli_strings
+from .tensor import ATOL_ALGEBRA, ATOL_GRID, MAX_GRID_POINTS, _integer, _option, _probability, _real, n_qubits, pauli_strings
 from .witness import select_witness
 
 
@@ -306,8 +311,10 @@ def thermal_readout(coeffs: np.ndarray, grid_p) -> np.ndarray:
 class _SweepModel:
     """What a sweep computes from (kind, n, mode) alone: the witness constant
     c and the readout's a0, the read-only Pauli coefficients of the target
-    projector and of the readout sum_k a_k Z_k, and the plans of the walks
-    that pull them back, the prep and the prep then the measurement circuit."""
+    projector |psi><psi| (walked from |0...0><0...0| through the noiseless
+    disentangler) and of the readout sum_k a_k Z_k, and the plans of the
+    walks that pull them back, the prep and the prep then the measurement
+    circuit."""
 
     c: float
     a0: float
@@ -321,18 +328,23 @@ class _SweepModel:
 def _sweep_model(kind: str, n: int, mode: str) -> _SweepModel:
     """The sweep's model for a checked, normalized (kind, n, mode), built
     once per process: the expanded measurement circuit, the transfer
-    matrices and the projector's coefficients do not depend on the grid."""
+    matrices and the projector's coefficients do not depend on the grid.
+    The projector is |0...0><0...0| pulled back at h = 1 through V^dag, the
+    dagger of the entangler V that prepares the witness target."""
     entangler = select_entangler(kind, n)
+    disentangler = dagger_circuit(entangler)
     w = select_witness(kind, n)
     dec = sed_decomposition(w)
     z = 1  # the Pauli index of Z in the order of tensor.PAULI
     readout = np.zeros((4,) * n)  # sum_k a_k Z on tensor slot n-k+1
     for k, a_k in enumerate(dec.a, 1):
         readout[(0,) * (n - k) + (z,) + (0,) * (k - 1)] = a_k
-    projector = pauli_coefficients(w.target.density())
+    zero = np.zeros((4,) * n)  # |0...0><0...0| = prod_q (I + Z_q) / 2
+    zero[(slice(2),) * n] = 2.0**-n
+    (projector,) = pull_back(disentangler, zero, [1.0])
     readout.flags.writeable = projector.flags.writeable = False
     prep = entangler if mode == "witness" else Circuit(n, ())
-    measurement = dagger_circuit(entangler).then(sed_measurement_circuit(n))
+    measurement = disentangler.then(sed_measurement_circuit(n))
     return _SweepModel(w.c, dec.a0, projector, readout, _walk_plan(prep), _walk_plan(prep.then(measurement)))
 
 

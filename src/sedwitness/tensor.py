@@ -1,6 +1,7 @@
-"""Qubit bookkeeping, tolerances and Pauli matrices; the operand check that
-every readout shares; Pauli-string coefficients of a Hermitian operator;
-Schmidt coefficients; Haar unitaries.
+"""Qubit bookkeeping, tolerances, Pauli matrices and Pauli strings; the
+operand check that every readout shares; Schmidt coefficients; Haar
+unitaries.  No dense matrix is turned into Pauli coefficients here: the
+package's one Pauli transform is the walk of noise.py.
 
 Qubit ordering convention used everywhere in this package: qubit 1 is the
 LEFTMOST tensor factor, i.e. the most significant bit of a computational
@@ -58,11 +59,6 @@ def n_qubits(dim: int) -> int:
     if dim <= 0 or 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
     return n
-
-
-def is_hermitian(m: np.ndarray) -> bool:
-    m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= ATOL_ALGEBRA
 
 
 def is_unitary(m: np.ndarray) -> bool:
@@ -164,28 +160,6 @@ def pauli_strings(k: int) -> np.ndarray:
         d = 2 * out.shape[1]
         out = np.einsum("aij,bkl->abikjl", out, PAULI).reshape(4 * len(out), d, d)
     return out
-
-
-def pauli_coefficients(m: np.ndarray) -> np.ndarray:
-    """Real coefficients c_s = Tr(P_s m) / 2**n of a Hermitian m, so that
-    m = sum_s c_s P_s; shape (4,)*n, axis q-1 holding the Pauli index of
-    qubit q in the order of PAULI, I, Z, X, Y, so the diagonal part of m
-    lies in the leading [:2] of every axis.  Each qubit maps its 2x2 blocks
-    to their I/Z/X/Y coefficients in turn, O(n 4**n) in all."""
-    m = np.asarray(m, dtype=complex)
-    n = n_qubits(m.shape[0])
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian")
-    # axes (row 1, column 1, row 2, column 2, ...): each qubit's block on one base-4 axis
-    pairs = [a for q in range(n) for a in (q, n + q)]
-    t = m.reshape((2,) * (2 * n)).transpose(pairs).reshape((4,) * n)
-    for _ in range(n):
-        # Tr(P B) / 2 of the blocks B = [[b00, b01], [b10, b11]] on the last
-        # axis, for P = I, Z, X, Y; that axis comes back first
-        b00, b01, b10, b11 = (t[..., i] for i in range(4))
-        t = np.stack([b00 + b11, b00 - b11, b01 + b10, 1j * (b01 - b10)])
-        t /= 2
-    return t.real.copy()
 
 
 def max_schmidt_sq(psi: np.ndarray, bipartition) -> float:

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .states import PureState, make_ghz, make_w
-from .tensor import ATOL_PHYSICS, _integer, _option, _witness_constant, checked_operand, max_schmidt_sq
+from .tensor import ATOL_PHYSICS, _integer, _option, _size, _witness_constant, checked_operand, max_schmidt_sq
 
 # class-boundary constants for the two inequivalent tripartite classes
 GHZ_CLASS_C = 3.0 / 4.0
@@ -36,8 +36,9 @@ class Witness:
 
 
 def biseparable_c(psi: PureState) -> float:
-    """Largest squared Schmidt coefficient over all bipartitions of psi."""
-    n = psi.n
+    """Largest squared Schmidt coefficient over all bipartitions of psi; a
+    register of fewer than 2 qubits has no bipartition and is refused."""
+    n = _size(psi.n, "n", 2)
     best = 0.0
     for size in range(1, n // 2 + 1):
         for part in combinations(range(1, n + 1), size):

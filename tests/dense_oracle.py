@@ -11,7 +11,9 @@ readout observables V' Z_k V'^dag conjugated in sparse form through the
 gate list, and the Z signs they start from; a circuit applied gate by gate
 to a state vector, for registers too large for a 4**n unitary; the
 noisy-gate channel on density matrices, the only Schroedinger-picture
-reference; the Pauli pull-back one gate at a time, built on the package's
+reference; the Pauli coefficients of a dense Hermitian matrix, one qubit at
+a time, the inverse of `pauli_operator`, against which every pull-back and
+the sweep's walked projector are checked; the Pauli pull-back one gate at a time, built on the package's
 own transfer matrices, against which the fused walk of `pull_back` is
 checked; the populations diag(U^dag rho U) by a dense product, against
 which the sparse SED read is checked; and the dense helpers those need or
@@ -134,6 +136,33 @@ def random_separable_density(n, rng):
 def witness_matrix(w):
     """The dense observable c*1 - |psi><psi| of a witness."""
     return w.c * np.eye(2**w.n, dtype=complex) - w.target.density()
+
+
+def is_hermitian(m):
+    m = np.asarray(m)
+    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= ATOL_ALGEBRA
+
+
+def pauli_coefficients(m):
+    """Real coefficients c_s = Tr(P_s m) / 2**n of a Hermitian m, so that
+    m = sum_s c_s P_s; shape (4,)*n, axis q-1 holding the Pauli index of
+    qubit q in the order of PAULI, I, Z, X, Y, so the diagonal part of m
+    lies in the leading [:2] of every axis.  Each qubit maps its 2x2 blocks
+    to their I/Z/X/Y coefficients in turn, O(n 4**n) in all."""
+    m = np.asarray(m, dtype=complex)
+    n = n_qubits(m.shape[0])
+    if not is_hermitian(m):
+        raise ValueError("matrix is not Hermitian")
+    # axes (row 1, column 1, row 2, column 2, ...): each qubit's block on one base-4 axis
+    pairs = [a for q in range(n) for a in (q, n + q)]
+    t = m.reshape((2,) * (2 * n)).transpose(pairs).reshape((4,) * n)
+    for _ in range(n):
+        # Tr(P B) / 2 of the blocks B = [[b00, b01], [b10, b11]] on the last
+        # axis, for P = I, Z, X, Y; that axis comes back first
+        b00, b01, b10, b11 = (t[..., i] for i in range(4))
+        t = np.stack([b00 + b11, b00 - b11, b01 + b10, 1j * (b01 - b10)])
+        t /= 2
+    return t.real.copy()
 
 
 def pauli_operator(coeffs):

@@ -74,8 +74,9 @@ def test_w_entangler_action():
 
 @pytest.mark.parametrize("kind", ["ghz", "w"])
 def test_entangler_prepares_the_witness_target(kind):
-    # sweep and ancilla prepare the state with the circuit and read it with
-    # the closed-form witness target, at every n the CLI accepts
+    # ancilla prepares the state with the circuit and reads it with the
+    # closed-form witness target, at every n the CLI accepts; sweep walks
+    # its projector through the circuit and forms no closed-form target
     for n in range(2, 11):
         psi = circuit_unitary(select_entangler(kind, n))[:, 0]
         assert np.max(np.abs(psi - select_witness(kind, n).target.amplitudes)) <= 1e-12

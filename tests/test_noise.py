@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dense_oracle import kron, pauli_operator, random_density_matrix, random_hermitian
+from dense_oracle import kron, pauli_coefficients, pauli_operator, random_density_matrix, random_hermitian
 from sedwitness.circuit import Circuit, Gate, circuit_unitary, ghz_entangler
 from sedwitness.cli import main
 from sedwitness.noise import (
@@ -20,7 +20,7 @@ from sedwitness.noise import (
     zero_crossing_h,
 )
 from sedwitness.states import make_ghz
-from sedwitness.tensor import MAX_GRID_POINTS, SWAP, H, X, dagger, haar_unitary, pauli_coefficients
+from sedwitness.tensor import MAX_GRID_POINTS, SWAP, H, X, dagger, haar_unitary
 from sedwitness.witness import select_witness
 
 DATA = Path(__file__).with_name("data")

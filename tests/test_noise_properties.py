@@ -26,6 +26,7 @@ from dense_oracle import (
     dense_noisy_gate,
     dense_noisy_run,
     embed_gate,
+    pauli_coefficients,
     pauli_operator,
     per_gate_pull_back,
     random_density_matrix,
@@ -44,7 +45,8 @@ from sedwitness.circuit import (
 )
 from sedwitness.noise import _block_map, _gate_maps, _sweep_model, _walk, _walk_plan, grid_values, pull_back, sweep, thermal_readout
 from sedwitness.sed import SedDecomposition
-from sedwitness.tensor import SWAP, H, X, Z, haar_unitary, pauli_coefficients
+from sedwitness.states import PureState
+from sedwitness.tensor import SWAP, H, X, Z, haar_unitary
 from sedwitness.witness import select_witness
 
 
@@ -405,6 +407,41 @@ def test_long_h_sweep_holds_one_walk_at_a_time():
         tracemalloc.stop()
     assert len(records) == 11 * 201
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("kind", ["ghz", "w"])
+def test_walked_projector_is_the_closed_form_target(kind):
+    # the sweep walks |0...0><0...0| back through V^dag; the oracle
+    # transforms the dense closed-form target, which the sweep never forms
+    for n in range(2, 11):
+        want = pauli_coefficients(select_witness(kind, n).target.density())
+        got = _sweep_model(kind, n, "witness").projector
+        assert np.max(np.abs(got - want)) <= 1e-15, n
+
+
+def test_cold_model_at_n10_stays_small():
+    # a dense 2**10 x 2**10 complex target is 16 MB and a transform of it
+    # holds several such arrays; the walk holds two 8 MB coefficient
+    # buffers beside the plans
+    _sweep_model.cache_clear()
+    tracemalloc.start()
+    try:
+        _sweep_model("w", 10, "witness")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_cold_sweep_forms_no_dense_target(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the sweep formed a dense target")
+
+    monkeypatch.setattr(PureState, "density", refuse)
+    _sweep_model.cache_clear()
+    for kind in ("ghz", "w"):
+        for mode in ("witness", "identity"):
+            assert len(sweep(4, [0.5, 1.0], [0.9, 1.0], kind, mode)) == 4
 
 
 @given(st.integers(1, 5), st.lists(st.floats(0.0, 1.0), max_size=3), st.integers(0, 2**32 - 1))

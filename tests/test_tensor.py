@@ -14,6 +14,7 @@ from dense_oracle import (
     min_eigenvalue_hermitian,
     partial_trace,
     partial_transpose,
+    pauli_coefficients,
     random_density_matrix,
     z_signs,
 )
@@ -42,7 +43,6 @@ from sedwitness.tensor import (
     haar_unitary,
     is_unitary,
     max_schmidt_sq,
-    pauli_coefficients,
     pauli_strings,
 )
 from sedwitness.witness import Witness, expectation, select_witness

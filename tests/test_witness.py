@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dense_oracle import (
+    is_hermitian,
     ppt_min_eig,
     random_density_matrix,
     random_product_state,
@@ -20,7 +21,6 @@ from sedwitness.states import (
     make_w,
     pseudopure_matrix,
 )
-from sedwitness.tensor import is_hermitian
 from sedwitness.witness import (
     Witness,
     biseparable_c,
@@ -62,6 +62,17 @@ def test_biseparable_c_values():
     assert biseparable_c(make_ghz(3)) == pytest.approx(0.5, abs=1e-12)
     assert biseparable_c(make_w(3)) == pytest.approx(2 / 3, abs=1e-12)
     assert biseparable_c(basis_state(3, 0)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_biseparable_c_refuses_a_register_without_a_bipartition(n):
+    # c = 0 here would make the witness "detect" a product state
+    target = basis_state(n, 0)
+    with pytest.raises(ValueError, match=f"n {n} is less than 2"):
+        biseparable_c(target)
+    with pytest.raises(ValueError, match=f"n {n} is less than 2"):
+        generic_witness(target)
+    assert generic_witness(target, c=0.5).c == 0.5
 
 
 @pytest.mark.parametrize("n", range(2, 11))
