@@ -26,23 +26,36 @@ polarities and local qubit positions), and each is dropped after its last
 use, so none outlives the walk.  The damping stays per gate; only the
 order of rounding differs from a walk gate by gate.  A walk allocates its
 two coefficient buffers once: each step writes its transpose and its matmul
-into the idle one, so no step allocates an array of the register's size.
-A long h grid is walked in chunks whose coefficients and block maps each
-stay within the cache.
+into the idle one.  A long h grid is walked in chunks whose coefficients
+and block maps each stay within the cache.
 
-A qubit that every gate of a block touching it holds as a control, of
-either polarity, splits the block.  Such a gate is sum_b |b><b| (x) U_b on
-that qubit, and its failure branch is diagonal on Pauli strings, so the
-block's map never takes the qubit's I/Z strings to its X/Y strings or back.
-The plan puts that qubit first among the block's axes, and I, Z lead every
-Pauli axis (tensor.PAULI), so the two sectors are the contiguous halves of
-the block's rows: the map is two diagonal blocks of 4**m / 2 rows, and the
-entries between them are exactly 0.0, each a sum of products with a zero
-factor.  The walk builds the whole map and keeps only those blocks.  Every
-step, split into s = 2 sectors or left whole as s = 1, runs one batched
-matmul (h, s, 4**m/s, 4**m/s) @ (h, s, 4**m/s, rest), so a split block
-costs half the multiply-adds of a whole one.  No order conversion is
-needed at either end of a walk.
+The coefficients are held as (h,) + (2,)*2n: a Pauli index is two bits, I
+= 00, Z = 01, X = 10, Y = 11 (tensor.PAULI), and qubit q has its high bit,
+the Z-sector (1 where the string anticommutes with Z_q), on axis 2q - 1
+and its low bit, the X-sector (1 where it anticommutes with X_q), on axis
+2q.  A gate whose unitary keeps sigma_q up to a sign, U^dag sigma_q U =
++-sigma_q for sigma = Z or X, maps the strings that commute with sigma_q to
+strings that commute with it, and so the anticommuting ones too; its
+failure branch is diagonal on strings.  So M_g never changes that bit of
+qubit q.  A control of either polarity and a diagonal base keep Z, a base
+that commutes with X (the X of a CNOT, its square roots) keeps X, and a
+bare X keeps both.  The plan tests each gate's R_g: a bit is kept where
+every entry between strings that differ in it is at most ATOL_SECTOR.
+For a control or a diagonal base those entries are exactly 0.0, each a sum
+of products with a zero factor; the square roots of X that the expansion
+computes carry up to 9.7e-17 of rounding there, which the split drops.  A
+block splits every bit that all of its gates touching that qubit keep: j
+split bits make its map 2**j diagonal blocks, one per sector, and each is
+built from the gates' maps restricted to that sector, so the entries
+between the sectors are never formed.  Each step transposes its split bits
+and then the block's other bits to the front, with no order conversion at
+either end of the walk, and runs one batched matmul (h, s, 4**m/s, 4**m/s)
+@ (h, s, 4**m/s, rest) for its s = 2**j sectors, 1/s of the multiply-adds
+of a whole map.  Two kinds of step skip the matmul.  A map of one string
+per sector is diagonal, and it scales the coefficients as the transpose
+copies them.  A map used once on fewer columns than it has rows (where the
+register is not much wider than the block) is not built: its gates act on
+the coefficients, in arrays of their size.
 
 The sweep prepares a thermal product state, runs the noisy entangler, then
 compares the conventional witness (noiseless direct trace) with the
@@ -78,7 +91,7 @@ import numpy as np
 
 from .circuit import ENTANGLER_KINDS, Circuit, dagger_circuit, sed_measurement_circuit, select_entangler
 from .sed import sed_decomposition
-from .tensor import ATOL_ALGEBRA, ATOL_GRID, MAX_GRID_POINTS, _integer, _option, _probability, _real, n_qubits, pauli_strings
+from .tensor import ATOL_ALGEBRA, ATOL_GRID, ATOL_SECTOR, MAX_GRID_POINTS, _integer, _option, _probability, _real, n_qubits, pauli_strings
 from .witness import select_witness
 
 
@@ -123,45 +136,103 @@ class _Step:
     """One block of the walk plan: gates that run one after another, last to
     first, on at most _BLOCK_WIDTH qubits together.
 
-    support lists the block's qubits, the order of its map's axes: a qubit
-    that every gate of the block touching it holds as a control comes first
-    and the step has 2 sectors, its map the two diagonal blocks of the I/Z
-    and the X/Y strings of that qubit; otherwise the step has 1 sector and
-    its qubits come in the order its gates first name them.  axes is the
-    transpose of the (h, coefficients) array that brings them first.  key
-    holds, for the block's gates in walk order, the index of each gate's
-    transfer matrix in the plan with the positions of its qubits in support,
-    so equal keys have equal maps and sectors.  The first step with a key
-    builds its map and the last one drops it."""
+    support lists the block's qubits in the order its gates first name them;
+    local bit 2i + b is bit b of the Pauli index of support[i] (b = 0 the
+    Z-sector bit, b = 1 the X-sector bit).  split holds, ascending, the local
+    bits that every gate of the block keeps (module docstring), so its map is
+    2**len(split) diagonal blocks, one per sector, each over the other bits
+    of the block in ascending order.  axes is the transpose of the (h, bits)
+    coefficient array that brings the split bits first and the block's other
+    bits after them.  key holds, for the block's gates in walk order, the
+    index of each gate's sector-restricted transfer matrix in the plan with
+    the positions of its qubits in support, so equal keys have equal maps
+    and splits.  schedule and rows are how _apply_block runs the block,
+    worked out from the key once: for each gate, its map's index, the
+    transpose of the running product that brings the gate's bits outside
+    the split to the front of the row axes (None where they lead) and the
+    shape of its map over the split bits, 1 for a qubit it does not touch;
+    then rows, the transpose that puts the row axes back in ascending order.
+    The first step with a key builds its map and the last one drops it."""
 
     support: tuple[int, ...]
     axes: tuple[int, ...]
     key: tuple
-    sectors: int
+    split: tuple[int, ...]
+    schedule: tuple
+    rows: tuple[int, ...]
     first: bool
     last: bool
+
+    @property
+    def sectors(self) -> int:
+        return 2 ** len(self.split)
 
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """A walk over one gate list: its steps, the transpose that puts the
-    qubits back in order after the last step, and the read-only Pauli
-    transfer matrix of each distinct gate (the same base, dimension and
-    control polarities), which the steps' keys index."""
+    bits back in order after the last step, and the read-only transfer
+    matrices that the steps' keys index.  Each is the Pauli transfer matrix
+    of a distinct gate (the same base, dimension and control polarities)
+    restricted to the sectors of the bits its block splits on the gate's
+    qubits: an array (2**j, 4**k / 2**j, 4**k / 2**j) of diagonal blocks,
+    each over the gate's other bits in ascending order."""
 
     steps: tuple[_Step, ...]
     restore: tuple[int, ...]
     transfers: tuple[np.ndarray, ...]
 
 
+def _kept_bits(r: np.ndarray) -> frozenset:
+    """The bits 2i + b of a gate's own qubits that its transfer matrix r keeps:
+    every entry between strings that differ in that bit is at most
+    ATOL_SECTOR in magnitude."""
+    k = n_qubits(len(r)) // 2
+    r = np.abs(r).reshape((2,) * (4 * k))
+    kept = set()
+    for bit in range(2 * k):
+        cross = np.moveaxis(r, (bit, 2 * k + bit), (0, 1))  # the row and column values of bit
+        if max(cross[0, 1].max(), cross[1, 0].max()) <= ATOL_SECTOR:
+            kept.add(bit)
+    return frozenset(kept)
+
+
+def _restricted(r: np.ndarray, split: tuple[int, ...]) -> np.ndarray:
+    """The read-only diagonal blocks of the 4**k x 4**k transfer matrix r
+    over the sectors of its bits split, in that order: shape (2**j, 4**k /
+    2**j, 4**k / 2**j), each block over the other bits in ascending order."""
+    k = n_qubits(len(r)) // 2
+    order = list(split) + [b for b in range(2 * k) if b not in split]
+    sectors, rows = 2 ** len(split), 4**k >> len(split)
+    bits = r.reshape((2,) * (4 * k)).transpose(order + [2 * k + b for b in order])
+    out = np.einsum("sisj->sij", bits.reshape(sectors, rows, sectors, rows)).copy()
+    out.flags.writeable = False
+    return out
+
+
+def _schedule(key: tuple, split: list[int], m: int) -> tuple[tuple, tuple[int, ...]]:
+    """The schedule and rows of a _Step with this key and split on m qubits."""
+    lead = len(split) + 1  # the h axis and one axis per split bit
+    order = [bit for bit in range(2 * m) if bit not in split]  # the bit on each row axis
+    schedule = []
+    for t, pos in key:
+        own = [2 * i + b for i in pos for b in (0, 1) if 2 * i + b not in split]
+        new = own + [bit for bit in order if bit not in own]
+        axes = None if new == order else tuple(range(lead)) + tuple(lead + order.index(bit) for bit in new) + (lead + len(order),)
+        order = new
+        schedule.append((t, axes, tuple(2 if bit // 2 in pos else 1 for bit in split)))
+    rows = tuple(range(lead)) + tuple(lead + order.index(bit) for bit in sorted(order)) + (lead + len(order),)
+    return tuple(schedule), rows
+
+
 def _walk_plan(c: Circuit) -> _Plan:
     """The plan of a walk over c's gates.
 
     Gates join the current block, last to first, while the joint support
-    stays within _BLOCK_WIDTH qubits.  A block takes first the first of its
-    qubits that every gate of it touching that qubit holds as a control, if
-    it has one, and then the rest in the order its gates first name them;
-    each step transposes them to the front.
+    stays within _BLOCK_WIDTH qubits.  A block takes its qubits in the order
+    its gates first name them and splits every bit that all of its gates
+    touching that qubit keep; each step transposes the split bits and then
+    the block's other bits to the front.
     A gate on k qubits has a transfer matrix and a block map of 16**k entries
     each, so one with more than _WALK_COEFFS (k >= 5) is refused first.
     """
@@ -170,7 +241,8 @@ def _walk_plan(c: Circuit) -> _Plan:
         if 16 ** len(qubits[g]) > _WALK_COEFFS:
             raise ValueError(f"gate {i} on {len(qubits[g])} qubits is too wide for the walk; use expand_multicontrolled")
     args = {g: (g.base.tobytes(), len(g.base), tuple(pol for _, pol in g.controls)) for g in qubits}
-    controls = {g: {q for q, _ in g.controls} for g in qubits}
+    whole = {a: _adjoint_transfer(*a) for a in set(args.values())}
+    kept = {a: _kept_bits(r) for a, r in whole.items()}
     blocks = []  # (support, gates) per block, in walk order
     support = []
     for g in reversed(c.gates):
@@ -181,42 +253,58 @@ def _walk_plan(c: Circuit) -> _Plan:
         else:
             support += joint
             gates.append(g)
-    order = list(range(1, c.n + 1))  # order[i] is the qubit on axis i + 1 of the array
-    index = {}  # _adjoint_transfer arguments -> position in transfers, in walk order
-    placed = []  # (support, axes, key, sectors) per block
+    order = list(range(2 * c.n))  # order[i] is the bit on axis i + 1 of the array, bit 2(q - 1) + b of qubit q
+    index = {}  # (gate arguments, split bits of the gate) -> position in transfers, in walk order
+    placed = []  # (support, axes, key, split, schedule, rows) per block
     for support, gates in blocks:
-        held = [q for q in support if all(q in controls[g] for g in gates if q in qubits[g])][:1]
-        support = held + [q for q in support if q not in held]
-        new = support + [q for q in order if q not in support]
-        axes = tuple([0] + [order.index(q) + 1 for q in new])
+        pos = {g: [support.index(q) for q in qubits[g]] for g in gates}
+        split = [
+            2 * i + b
+            for i, q in enumerate(support)
+            for b in (0, 1)
+            if all(2 * pos[g].index(i) + b in kept[args[g]] for g in gates if q in qubits[g])
+        ]
+        local = split + [bit for bit in range(2 * len(support)) if bit not in split]
+        bits = [2 * (support[bit // 2] - 1) + bit % 2 for bit in local]
+        new = bits + [bit for bit in order if bit not in bits]
+        axes = tuple([0] + [order.index(bit) + 1 for bit in new])
         order = new
-        local = {q: i for i, q in enumerate(support)}
-        key = tuple((index.setdefault(args[g], len(index)), tuple(map(local.__getitem__, qubits[g]))) for g in gates)
-        placed.append((tuple(support), axes, key, 2 if held else 1))
+        key = []
+        for g in gates:
+            # the gate's own bits that the block splits, in the block's order
+            own = tuple(2 * pos[g].index(bit // 2) + bit % 2 for bit in split if bit // 2 in pos[g])
+            key.append((index.setdefault((args[g], own), len(index)), tuple(pos[g])))
+        placed.append((tuple(support), axes, tuple(key), tuple(split)) + _schedule(tuple(key), split, len(support)))
     first = {block[2]: i for i, block in reversed(list(enumerate(placed)))}
     last = {block[2]: i for i, block in enumerate(placed)}
     steps = tuple(_Step(*block, first[block[2]] == i, last[block[2]] == i) for i, block in enumerate(placed))
-    restore = tuple([0] + [order.index(q) + 1 for q in range(1, c.n + 1)])
-    return _Plan(steps, restore, tuple(_adjoint_transfer(*a) for a in index))
+    restore = tuple([0] + [order.index(bit) + 1 for bit in range(2 * c.n)])
+    return _Plan(steps, restore, tuple(_restricted(whole[a], own) for a, own in index))
 
 
-def _block_map(key, gate_maps: list, m: int, sectors: int) -> np.ndarray:
-    """M_B = M_wj ... M_w1 of the block on m qubits whose gates in walk order
-    and their local positions are key, as its `sectors` diagonal blocks: an
-    array (h, sectors, 4**m / sectors, 4**m / sectors) per h of gate_maps.
-    Each gate's map acts on its own row axes of the running product; with 2
-    sectors the off-diagonal blocks, which are exactly 0, are dropped."""
-    a = np.eye(4**m)[None]
-    order = list(range(m))  # order[i] is the local qubit on row axis i + 1 of a
-    for t, pos in key:
-        new = list(pos) + [q for q in order if q not in pos]
-        if new != order:
-            a = a.reshape((len(a),) + (4,) * m + (4**m,)).transpose([0] + [order.index(q) + 1 for q in new] + [m + 1])
-            order = new
-        a = gate_maps[t] @ a.reshape(len(a), 4 ** len(pos), -1)
-    a = a.reshape((len(a),) + (4,) * m + (4**m,)).transpose([0] + [order.index(q) + 1 for q in range(m)] + [m + 1])
-    a = a.reshape(len(a), sectors, 4**m // sectors, sectors, 4**m // sectors)
-    return np.stack([a[:, i, :, i] for i in range(sectors)], axis=1)
+def _apply_block(step: _Step, gate_maps: list, a: np.ndarray) -> np.ndarray:
+    """M_B a for the step's block, M_B = M_wj ... M_w1, sector by sector: a
+    has shape (h, sectors, rows, columns), rows = 4**m / sectors over the
+    block's bits outside its split, ascending, and may have length 1 along
+    h and the sectors; the result has all of them.  Each gate's restricted
+    map acts on its own bits outside the split, which lead the row axes, and
+    is broadcast over the split bits of the qubits it does not touch."""
+    lead, bits = len(step.split) + 1, 2 * len(step.support) - len(step.split)  # bits on the row axes
+    a = a.reshape(a.shape[:1] + (min(a.shape[1], 2),) * len(step.split) + (2,) * bits + (-1,))
+    for t, axes, shape in step.schedule:
+        if axes:
+            a = a.transpose(axes)
+        g = gate_maps[t]
+        a = g.reshape(g.shape[:1] + shape + g.shape[-2:]) @ a.reshape(a.shape[:lead] + (g.shape[-1], -1))
+        a = a.reshape(a.shape[:lead] + (2,) * bits + (-1,))
+    return a.transpose(step.rows).reshape(len(a), step.sectors, 2**bits, -1)
+
+
+def _block_map(step: _Step, gate_maps: list) -> np.ndarray:
+    """The step's block map M_B as its sectors, an array (h, sectors, rows,
+    rows) per h of gate_maps, rows as in _apply_block."""
+    rows = 4 ** len(step.support) // step.sectors
+    return _apply_block(step, gate_maps, np.eye(rows)[None, None])
 
 
 def pull_back(c: Circuit, coeffs: np.ndarray, grid_h) -> np.ndarray:
@@ -238,47 +326,72 @@ def pull_back(c: Circuit, coeffs: np.ndarray, grid_h) -> np.ndarray:
     return out
 
 
-def _pull_back(plan: _Plan, coeffs: np.ndarray, grid_h: list[float]):
-    """pull_back along a plan for checked h values, in walks of _WALK_COEFFS
-    entries at most: yields, walk by walk, the slice of grid_h it covers and
-    its pulled-back coefficients, a view that the next walk does not touch."""
+def _pull_back(plan: _Plan, coeffs, grid_h: list[float]):
+    """pull_back along a plan for checked h values, coeffs as _walk takes
+    them, in walks of _WALK_COEFFS entries at most: yields, walk by walk, the
+    slice of grid_h it covers and its pulled-back coefficients, a view that
+    the next walk does not touch."""
     widest = max((len(s.support) for s in plan.steps), default=0)
-    per_walk = max(1, _WALK_COEFFS // max(coeffs.size, 16**widest))
+    size = 2 ** (len(plan.restore) - 1)  # 4**n coefficients, one axis of 2 per bit
+    per_walk = max(1, _WALK_COEFFS // max(size, 16**widest))
     for i in range(0, len(grid_h), per_walk):
         rows = slice(i, i + per_walk)
         yield rows, _walk(plan, coeffs, grid_h[rows])
 
 
 def _gate_maps(plan: _Plan, grid_h: list[float]) -> list[np.ndarray]:
-    """M_g = R_g diag(1, p_s, ..., p_s) per h of grid_h, one array (h, 4**k,
-    4**k) for each transfer matrix of the plan, in its order."""
+    """M_g = R_g diag(1, p_s, ..., p_s) per h of grid_h, restricted as the
+    plan's transfer matrices: one array (h, sectors, rows, rows) for each, in
+    its order.  The identity string is row 0 of sector 0."""
     gate_maps = []
     for r in plan.transfers:
-        k = n_qubits(len(r)) // 2  # R_g is 4**k x 4**k
-        damp = np.ones((len(grid_h), 1, len(r)))
-        damp[:, :, 1:] = np.array([h**k for h in grid_h])[:, None, None]  # p_s per h
+        k = n_qubits(r.shape[0] * r.shape[1]) // 2  # the sectors hold 4**k strings
+        damp = np.empty((len(grid_h),) + r.shape[:1] + (1,) + r.shape[2:])
+        damp[...] = np.array([h**k for h in grid_h])[:, None, None, None]  # p_s per h
+        damp[:, 0, 0, 0] = 1.0
         gate_maps.append(r * damp)
     return gate_maps
 
 
-def _walk(plan: _Plan, coeffs: np.ndarray, grid_h: list[float]) -> np.ndarray:
+def _walk(plan: _Plan, coeffs, grid_h: list[float]) -> np.ndarray:
     """One walk of pull_back over its plan, for all of grid_h at once, in the
     two coefficient buffers of the module docstring, which belong to this
-    call; the result is a view of one of them."""
+    call; the result, shape (h,) + (4,)*n, is a view of one of them.  coeffs
+    is an array of shape (4,)*n or a tuple of (slot, value) pairs, slot an
+    index into it, whose other entries are 0."""
     gate_maps = _gate_maps(plan, grid_h)
     maps = {}  # each block map, from the first step with its key to the last
-    x, y = np.empty((2, len(grid_h)) + coeffs.shape)  # x holds the coefficients, y is idle
-    x[...] = coeffs
+    n = (len(plan.restore) - 1) // 2
+    x, y = np.empty((2, len(grid_h)) + (2,) * (2 * n))  # x holds the coefficients, y is idle; bit 2(q - 1) + b on axis 2q - 1 + b
+    start = x.reshape((len(grid_h),) + (4,) * n)
+    if isinstance(coeffs, tuple):
+        start.fill(0.0)
+        for slot, value in coeffs:
+            start[(slice(None),) + slot] = value
+    else:
+        start[...] = coeffs
     for s in plan.steps:
+        rows, columns = 4 ** len(s.support) // s.sectors, 4 ** (n - len(s.support))
+        # a map used once on fewer columns than it has rows would cost more
+        # to build than its gates cost on the coefficients themselves
+        direct = s.first and s.last and columns < rows
+        if s.first and not direct:
+            maps[s.key] = _block_map(s, gate_maps)
+        block = None if direct else maps.pop(s.key) if s.last else maps[s.key]
+        if rows == 1:  # one string per sector: the map is diagonal, a factor of the transpose
+            np.multiply(x.transpose(s.axes), block.reshape(block.shape[:1] + (2,) * len(s.split) + (1,) * (2 * n - len(s.split))), out=y)
+            x, y = y, x
+            continue
         np.copyto(y, x.transpose(s.axes))
         x, y = y, x
-        if s.first:
-            maps[s.key] = _block_map(s.key, gate_maps, len(s.support), s.sectors)
-        block = maps.pop(s.key) if s.last else maps[s.key]
-        rows = (len(grid_h), s.sectors, 4 ** len(s.support) // s.sectors, -1)
-        np.matmul(block, x.reshape(rows), out=y.reshape(rows))
-        x, y = y, x
-    return x.transpose(plan.restore)
+        shape = (len(x), s.sectors, rows, columns)
+        if direct:
+            x.reshape(shape)[...] = _apply_block(s, gate_maps, x.reshape(shape))
+        else:
+            np.matmul(block, x.reshape(shape), out=y.reshape(shape))
+            x, y = y, x
+    np.copyto(y, x.transpose(plan.restore))
+    return y.reshape(start.shape)
 
 
 def thermal_readout(coeffs: np.ndarray, grid_p) -> np.ndarray:
@@ -312,14 +425,15 @@ class _SweepModel:
     """What a sweep computes from (kind, n, mode) alone: the witness constant
     c and the readout's a0, the read-only Pauli coefficients of the target
     projector |psi><psi| (walked from |0...0><0...0| through the noiseless
-    disentangler) and of the readout sum_k a_k Z_k, and the plans of the
+    disentangler), the n pairs (slot, a_k) of the readout sum_k a_k Z_k, slot
+    the index of Z_k in a (4,)*n coefficient array, and the plans of the
     walks that pull them back, the prep and the prep then the measurement
     circuit."""
 
     c: float
     a0: float
     projector: np.ndarray
-    readout: np.ndarray
+    readout: tuple[tuple[tuple[int, ...], float], ...]
     prep: _Plan
     measured: _Plan
 
@@ -336,13 +450,11 @@ def _sweep_model(kind: str, n: int, mode: str) -> _SweepModel:
     w = select_witness(kind, n)
     dec = sed_decomposition(w)
     z = 1  # the Pauli index of Z in the order of tensor.PAULI
-    readout = np.zeros((4,) * n)  # sum_k a_k Z on tensor slot n-k+1
-    for k, a_k in enumerate(dec.a, 1):
-        readout[(0,) * (n - k) + (z,) + (0,) * (k - 1)] = a_k
+    readout = tuple(((0,) * (n - k) + (z,) + (0,) * (k - 1), float(a_k)) for k, a_k in enumerate(dec.a, 1))  # Z on slot n-k+1
     zero = np.zeros((4,) * n)  # |0...0><0...0| = prod_q (I + Z_q) / 2
     zero[(slice(2),) * n] = 2.0**-n
     (projector,) = pull_back(disentangler, zero, [1.0])
-    readout.flags.writeable = projector.flags.writeable = False
+    projector.flags.writeable = False
     prep = entangler if mode == "witness" else Circuit(n, ())
     measurement = disentangler.then(sed_measurement_circuit(n))
     return _SweepModel(w.c, dec.a0, projector, readout, _walk_plan(prep), _walk_plan(prep.then(measurement)))
@@ -383,7 +495,7 @@ def sweep(
     ]
 
 
-def _thermal_pull_back(plan: _Plan, coeffs: np.ndarray, grid_h: list[float], grid_p: list[float]) -> np.ndarray:
+def _thermal_pull_back(plan: _Plan, coeffs, grid_h: list[float], grid_p: list[float]) -> np.ndarray:
     """thermal_readout of the pull-back along plan, shape (len(grid_h),
     len(grid_p)): each walk is read as it ends, so no more than one walk's
     coefficients are held at once."""

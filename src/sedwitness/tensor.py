@@ -18,11 +18,15 @@ import operator
 
 import numpy as np
 
-# default tolerances: algebraic identities vs physics-level assertions, and
-# how far a grid's (hi - lo) / step may sit from a whole number of steps
+# default tolerances: algebraic identities vs physics-level assertions, how
+# far a grid's (hi - lo) / step may sit from a whole number of steps, and the
+# largest transfer-matrix entry the noisy walk drops where it splits a block
+# by a sector that the entry crosses (noise.py): the square roots of X that
+# expand_multicontrolled makes keep the X-sector up to 9.7e-17 of rounding
 ATOL_ALGEBRA = 1e-12
 ATOL_PHYSICS = 1e-10
 ATOL_GRID = 1e-9
+ATOL_SECTOR = 1e-15
 
 # most points in one sweep grid, along one axis and in all: grid_values
 # refuses a step too fine for any sweep before it allocates the axis, and
@@ -42,10 +46,11 @@ SWAP = np.array(
 
 # Pauli index 0..3 = I, Z, X, Y, the one order of every Pauli string and
 # coefficient array in the package.  The diagonal pair leads, so on each
-# qubit's axis the I/Z strings are the leading [:2] and the X/Y strings the
-# trailing [2:]: the thermal input reads only the first half, and a block of
-# the noisy walk that holds a qubit only as a control maps each half to
-# itself, so its map splits into two contiguous diagonal blocks (noise.py)
+# qubit's axis the I/Z strings are the leading [:2], which the thermal input
+# reads.  As two bits the index is I = 00, Z = 01, X = 10, Y = 11: the high
+# bit is 1 where the Pauli anticommutes with Z and the low bit where it
+# anticommutes with X, the two sectors by which the noisy walk splits its
+# blocks (noise.py)
 PAULI = np.stack([I2, Z, X, Y])
 
 

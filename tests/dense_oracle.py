@@ -22,6 +22,7 @@ random and thermal density matrices, the partial-transpose test, separable
 sampling, the dense witness matrix and comparison up to a global phase).
 """
 
+import math
 from functools import cache
 
 import numpy as np
@@ -386,9 +387,13 @@ def dense_noisy_run(c, rho, h):
 def per_gate_pull_back(c, coeffs, grid_h):
     """Pauli coefficients of E^dag(O) per h of grid_h, one gate at a time,
     last to first: gate g applies M_g = R_g diag(1, p_s, ..., p_s), p_s =
-    h**k, to the axes of its own k qubits, which are moved first."""
+    h**k, to the axes of its own k qubits, which are moved first.  coeffs
+    has shape (4,)*n, or (4,)*n followed by axes that are carried along, one
+    observable per entry of them (the identity there gives the whole map)."""
     n = c.n
     out = np.repeat(np.asarray(coeffs, dtype=float)[None], len(grid_h), axis=0)
+    extra = list(range(n + 1, out.ndim))
+    columns = math.prod(out.shape[n + 1 :])
     order = list(range(1, n + 1))  # order[i] is the qubit on axis i + 1 of out
     for g in reversed(c.gates):
         qubits = g.qubits()
@@ -397,7 +402,7 @@ def per_gate_pull_back(c, coeffs, grid_h):
         damp = np.ones((len(grid_h), 1, 4**k))
         damp[:, :, 1:] = np.array([h**k for h in grid_h])[:, None, None]
         new = qubits + [q for q in order if q not in qubits]
-        out = out.transpose([0] + [order.index(q) + 1 for q in new])
+        out = out.transpose([0] + [order.index(q) + 1 for q in new] + extra)
         order = new
-        out = ((r * damp) @ out.reshape(len(grid_h), 4**k, 4 ** (n - k))).reshape((len(grid_h),) + (4,) * n)
-    return out.transpose([0] + [order.index(q) + 1 for q in range(1, n + 1)])
+        out = ((r * damp) @ out.reshape(len(grid_h), 4**k, 4 ** (n - k) * columns)).reshape(out.shape)
+    return out.transpose([0] + [order.index(q) + 1 for q in range(1, n + 1)] + extra)

@@ -19,6 +19,7 @@ from sedwitness.noise import (
     thermal_readout,
     zero_crossing_h,
 )
+from sedwitness.sed import SedDecomposition
 from sedwitness.states import make_ghz
 from sedwitness.tensor import MAX_GRID_POINTS, SWAP, H, X, dagger, haar_unitary
 from sedwitness.witness import select_witness
@@ -314,12 +315,14 @@ def test_cold_and_warm_sweeps_write_the_same_bytes(kind, mode):
 
 
 def test_sweep_model_is_read_only():
+    # the readout is the n pairs (slot, a_k) of its Z_k terms, in a tuple
     model = _sweep_model("w", 4, "witness")
-    arrays = [model.projector, model.readout, *model.prep.transfers, *model.measured.transfers]
+    arrays = [model.projector, *model.prep.transfers, *model.measured.transfers]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
-        model.readout[0, 0, 0, 3] = 1.0
-    assert all(isinstance(x, tuple) for x in (model.measured.steps, model.measured.restore, model.measured.transfers))
+        model.projector[0, 0, 0, 3] = 1.0
+    assert model.readout == tuple(((0,) * (4 - k) + (1,) + (0,) * (k - 1), a) for k, a in enumerate(SedDecomposition(4, model.c).a, 1))
+    assert all(isinstance(x, tuple) for x in (model.readout, model.measured.steps, model.measured.restore, model.measured.transfers))
 
 
 def test_walk_leaves_the_plan_unchanged():
