@@ -25,9 +25,10 @@ so they are built per walk, once for each distinct block (the same bases,
 polarities and local qubit positions), and each is dropped after its last
 use, so none outlives the walk.  The damping stays per gate; only the
 order of rounding differs from a walk gate by gate.  A walk allocates its
-two coefficient buffers once: each step writes its transpose and its matmul
-into the idle one.  A long h grid is walked in chunks whose coefficients
-and block maps each stay within the cache.
+two coefficient buffers once, on a cache line: each step copies its
+transpose into the idle one and writes its matmul back into the other.  A
+long h grid is walked in chunks whose coefficients and block maps each
+stay within the cache.
 
 The coefficients are held as (h,) + (2,)*2n: a Pauli index is two bits, I
 = 00, Z = 01, X = 10, Y = 11 (tensor.PAULI), and qubit q has its high bit,
@@ -51,11 +52,8 @@ between the sectors are never formed.  Each step transposes its split bits
 and then the block's other bits to the front, with no order conversion at
 either end of the walk, and runs one batched matmul (h, s, 4**m/s, 4**m/s)
 @ (h, s, 4**m/s, rest) for its s = 2**j sectors, 1/s of the multiply-adds
-of a whole map.  Two kinds of step skip the matmul.  A map of one string
-per sector is diagonal, and it scales the coefficients as the transpose
-copies them.  A map used once on fewer columns than it has rows (where the
-register is not much wider than the block) is not built: its gates act on
-the coefficients, in arrays of their size.
+of a whole map.  A map of one string per sector is diagonal, and it
+scales the coefficients as the transpose copies them.
 
 The sweep prepares a thermal product state, runs the noisy entangler, then
 compares the conventional witness (noiseless direct trace) with the
@@ -146,7 +144,7 @@ class _Step:
     bits after them.  key holds, for the block's gates in walk order, the
     index of each gate's sector-restricted transfer matrix in the plan with
     the positions of its qubits in support, so equal keys have equal maps
-    and splits.  schedule and rows are how _apply_block runs the block,
+    and splits.  schedule and rows are how _block_map builds the map,
     worked out from the key once: for each gate, its map's index, the
     transpose of the running product that brings the gate's bits outside
     the split to the front of the row axes (None where they lead) and the
@@ -282,15 +280,15 @@ def _walk_plan(c: Circuit) -> _Plan:
     return _Plan(steps, restore, tuple(_restricted(whole[a], own) for a, own in index))
 
 
-def _apply_block(step: _Step, gate_maps: list, a: np.ndarray) -> np.ndarray:
-    """M_B a for the step's block, M_B = M_wj ... M_w1, sector by sector: a
-    has shape (h, sectors, rows, columns), rows = 4**m / sectors over the
-    block's bits outside its split, ascending, and may have length 1 along
-    h and the sectors; the result has all of them.  Each gate's restricted
-    map acts on its own bits outside the split, which lead the row axes, and
-    is broadcast over the split bits of the qubits it does not touch."""
+def _block_map(step: _Step, gate_maps: list) -> np.ndarray:
+    """The step's block map M_B = M_wj ... M_w1 as its sectors, an array (h,
+    sectors, rows, rows) per h of gate_maps, rows = 4**m / sectors over the
+    block's bits outside its split, ascending.  It is built from the
+    identity sector by sector: each gate's restricted map acts on its own
+    bits outside the split, which lead the row axes, and is broadcast over
+    the split bits of the qubits it does not touch."""
     lead, bits = len(step.split) + 1, 2 * len(step.support) - len(step.split)  # bits on the row axes
-    a = a.reshape(a.shape[:1] + (min(a.shape[1], 2),) * len(step.split) + (2,) * bits + (-1,))
+    a = np.eye(2**bits).reshape((1,) * lead + (2,) * bits + (-1,))
     for t, axes, shape in step.schedule:
         if axes:
             a = a.transpose(axes)
@@ -298,13 +296,6 @@ def _apply_block(step: _Step, gate_maps: list, a: np.ndarray) -> np.ndarray:
         a = g.reshape(g.shape[:1] + shape + g.shape[-2:]) @ a.reshape(a.shape[:lead] + (g.shape[-1], -1))
         a = a.reshape(a.shape[:lead] + (2,) * bits + (-1,))
     return a.transpose(step.rows).reshape(len(a), step.sectors, 2**bits, -1)
-
-
-def _block_map(step: _Step, gate_maps: list) -> np.ndarray:
-    """The step's block map M_B as its sectors, an array (h, sectors, rows,
-    rows) per h of gate_maps, rows as in _apply_block."""
-    rows = 4 ** len(step.support) // step.sectors
-    return _apply_block(step, gate_maps, np.eye(rows)[None, None])
 
 
 def pull_back(c: Circuit, coeffs: np.ndarray, grid_h) -> np.ndarray:
@@ -342,7 +333,7 @@ def _pull_back(plan: _Plan, coeffs, grid_h: list[float]):
 def _gate_maps(plan: _Plan, grid_h: list[float]) -> list[np.ndarray]:
     """M_g = R_g diag(1, p_s, ..., p_s) per h of grid_h, restricted as the
     plan's transfer matrices: one array (h, sectors, rows, rows) for each, in
-    its order.  The identity string is row 0 of sector 0."""
+    its order.  The identity string is column 0 of sector 0."""
     gate_maps = []
     for r in plan.transfers:
         k = n_qubits(r.shape[0] * r.shape[1]) // 2  # the sectors hold 4**k strings
@@ -351,6 +342,17 @@ def _gate_maps(plan: _Plan, grid_h: list[float]) -> list[np.ndarray]:
         damp[:, 0, 0, 0] = 1.0
         gate_maps.append(r * damp)
     return gate_maps
+
+
+def _line_aligned(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array of this shape whose data starts on a
+    64-byte cache line.  numpy promises 16 bytes, and where the walk's
+    buffers start off a line its transposes and matmuls run about 1.6x
+    slower (n = 7, 2 h), so the speed of a walk would hang on the heap."""
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    skip = -raw.ctypes.data % 64 // raw.itemsize
+    return raw[skip : skip + size].reshape(shape)
 
 
 def _walk(plan: _Plan, coeffs, grid_h: list[float]) -> np.ndarray:
@@ -362,7 +364,7 @@ def _walk(plan: _Plan, coeffs, grid_h: list[float]) -> np.ndarray:
     gate_maps = _gate_maps(plan, grid_h)
     maps = {}  # each block map, from the first step with its key to the last
     n = (len(plan.restore) - 1) // 2
-    x, y = np.empty((2, len(grid_h)) + (2,) * (2 * n))  # x holds the coefficients, y is idle; bit 2(q - 1) + b on axis 2q - 1 + b
+    x, y = _line_aligned((2, len(grid_h)) + (2,) * (2 * n))  # x holds the coefficients, y is idle; bit 2(q - 1) + b on axis 2q - 1 + b
     start = x.reshape((len(grid_h),) + (4,) * n)
     if isinstance(coeffs, tuple):
         start.fill(0.0)
@@ -371,25 +373,18 @@ def _walk(plan: _Plan, coeffs, grid_h: list[float]) -> np.ndarray:
     else:
         start[...] = coeffs
     for s in plan.steps:
-        rows, columns = 4 ** len(s.support) // s.sectors, 4 ** (n - len(s.support))
-        # a map used once on fewer columns than it has rows would cost more
-        # to build than its gates cost on the coefficients themselves
-        direct = s.first and s.last and columns < rows
-        if s.first and not direct:
+        if s.first:
             maps[s.key] = _block_map(s, gate_maps)
-        block = None if direct else maps.pop(s.key) if s.last else maps[s.key]
-        if rows == 1:  # one string per sector: the map is diagonal, a factor of the transpose
+        block = maps.pop(s.key) if s.last else maps[s.key]
+        if block.shape[-1] == 1:
+            # one string per sector: the map is diagonal, and scaling while
+            # the transpose copies saves the copy and a matmul of 1 x 1 blocks
             np.multiply(x.transpose(s.axes), block.reshape(block.shape[:1] + (2,) * len(s.split) + (1,) * (2 * n - len(s.split))), out=y)
             x, y = y, x
-            continue
-        np.copyto(y, x.transpose(s.axes))
-        x, y = y, x
-        shape = (len(x), s.sectors, rows, columns)
-        if direct:
-            x.reshape(shape)[...] = _apply_block(s, gate_maps, x.reshape(shape))
         else:
-            np.matmul(block, x.reshape(shape), out=y.reshape(shape))
-            x, y = y, x
+            np.copyto(y, x.transpose(s.axes))
+            shape = (len(grid_h), s.sectors, 4 ** len(s.support) // s.sectors, -1)
+            np.matmul(block, y.reshape(shape), out=x.reshape(shape))
     np.copyto(y, x.transpose(plan.restore))
     return y.reshape(start.shape)
 

@@ -335,6 +335,18 @@ def test_walk_leaves_the_plan_unchanged():
     assert np.array_equal(_walk(plan, coeffs, [0.7, 1.0]), first)
 
 
+
+def test_walk_buffers_start_on_a_cache_line():
+    # off a 64-byte line the walk runs about 1.6x slower, so its result, a
+    # view of its second buffer, must start on one whatever the heap did
+    held = []
+    for n in (2, 3, 4, 5):
+        plan = _sweep_model("w", n, "witness").measured
+        for grid_h in ([1.0], [0.7, 1.0], [0.5, 0.7, 1.0]):
+            held.append(np.empty(3 * n + len(grid_h)))
+            assert _walk(plan, np.ones((4,) * n), grid_h).ctypes.data % 64 == 0
+
+
 def test_kind_and_n_spellings_share_one_model():
     _sweep_model.cache_clear()
     assert sweep(3, [1.0], [0.9], "GHZ") == sweep(3, [1.0], [0.9], "ghz") == sweep(np.int64(3), [1.0], [0.9], "Ghz")
