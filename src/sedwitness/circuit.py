@@ -43,37 +43,46 @@ class Gate:
     controls: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        # plain ints are taken as they are and anything else goes to _integer;
         # a malformed field is named from the except clauses, which cost nothing otherwise
         try:
-            targets = tuple(_integer(t, "qubit") for t in self.targets)
+            targets = tuple([t if type(t) is int else _integer(t, "qubit") for t in self.targets])
         except TypeError:
             raise ValueError(f"targets must be a sequence of qubits, got {self.targets!r}") from None
         object.__setattr__(self, "targets", targets)
         try:
-            controls = tuple((_integer(q, "qubit"), _integer(p, "polarity")) for q, p in self.controls)
+            controls = tuple(
+                [
+                    (q, p) if type(q) is int and type(p) is int else (_integer(q, "qubit"), _integer(p, "polarity"))
+                    for q, p in self.controls
+                ]
+            )
         except (TypeError, ValueError):
             if _all_pairs(self.controls):
                 raise  # a qubit or polarity that is not an integer names itself
             raise ValueError(f"controls must be (qubit, polarity) pairs, got {self.controls!r}") from None
         object.__setattr__(self, "controls", controls)
-        ctrl_qubits = [q for q, _ in self.controls]
-        if any(q < 1 for q in ctrl_qubits + list(self.targets)):
+        qubits = [q for q, _ in controls]
+        qubits += targets
+        if qubits and min(qubits) < 1:
             raise ValueError("qubits are numbered from 1")
-        if set(ctrl_qubits) & set(self.targets):
-            raise ValueError("controls and targets must be disjoint")
-        if len(set(ctrl_qubits)) != len(ctrl_qubits) or len(set(self.targets)) != len(self.targets):
+        if len(set(qubits)) != len(qubits):
+            if not {q for q, _ in controls}.isdisjoint(targets):
+                raise ValueError("controls and targets must be disjoint")
             raise ValueError("repeated qubit in gate")
-        if any(p not in (0, 1) for _, p in self.controls):
+        if any(p not in (0, 1) for _, p in controls):
             raise ValueError("control polarity must be 0 or 1")
-        try:
-            base = np.asarray(self.base, dtype=complex)  # the shared constants stay themselves
-        except (TypeError, ValueError):
-            raise ValueError(f"base must be a complex matrix, got {self.base!r}") from None
-        object.__setattr__(self, "base", base)
-        d = 2 ** len(self.targets)
+        base = self.base
+        if type(base) is not np.ndarray or base.dtype != complex:  # a complex array, X, H or SWAP too, is kept
+            try:
+                base = np.asarray(base, dtype=complex)
+            except (TypeError, ValueError):
+                raise ValueError(f"base must be a complex matrix, got {self.base!r}") from None
+            object.__setattr__(self, "base", base)
+        d = 2 ** len(targets)
         if base.shape != (d, d):
             raise ValueError("base dimension does not match targets")
-        if self.label == "OPAQUE" and not is_unitary(base):
+        if not (base is X or base is H or base is SWAP) and not is_unitary(base):  # the named bases are unitary
             raise ValueError("base is not unitary")
 
     @property
@@ -257,7 +266,8 @@ def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
 
 class _Peel:
     """The memo of one expansion call: per distinct base the square root and
-    its dagger, per distinct (base, target, controls) the leaf Gate.
+    its dagger and whether it is self-inverse, per distinct (base, target,
+    controls) the leaf Gate.
 
     A base is keyed by id(), never by its entries, so a named constant (X, H)
     and an OPAQUE array with the same bytes stay apart: the label comes from
@@ -266,6 +276,7 @@ class _Peel:
 
     def __init__(self):
         self.roots: dict[int, tuple] = {}
+        self.involutions: dict[int, tuple] = {}
         self.leaves: dict[tuple, tuple] = {}
 
     def root(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,6 +285,13 @@ class _Peel:
             v = _unitary_sqrt(u)
             hit = self.roots[id(u)] = (u, v, dagger(v))
         return hit[1], hit[2]
+
+    def self_inverse(self, u: np.ndarray) -> bool:
+        """u @ u = 1 on a 2x2 base, within ATOL_ALGEBRA."""
+        hit = self.involutions.get(id(u))
+        if hit is None:
+            hit = self.involutions[id(u)] = (u, np.max(np.abs(u @ u - np.eye(2))) <= ATOL_ALGEBRA)
+        return hit[1]
 
     def leaf(self, u: np.ndarray, target: int, controls: tuple) -> Gate:
         key = (id(u), target, controls)
@@ -293,7 +311,7 @@ def _lambda(u: np.ndarray, controls: list[int], target: int, n: int, memo: _Peel
     m = len(controls)
     if m <= 1:
         return [memo.leaf(u, target, tuple((q, 1) for q in controls))]
-    if m > 2 and np.max(np.abs(u @ u - np.eye(2))) <= ATOL_ALGEBRA:
+    if m > 2 and memo.self_inverse(u):
         used = set(controls) | {target}
         free = [q for q in range(1, n + 1) if q not in used]
         if len(free) >= m - 2:
@@ -401,6 +419,7 @@ def gate_count_exponent(n_values, counts) -> float:
 # entry tokens hold no "|" or "@", so a stray mark fails the grammar.
 # ---------------------------------------------------------------------------
 
+_HEADER = re.compile(r"qubits\s+([0-9]+)")
 _CONTROL = re.compile(r"([0-9]+)\(([0-9]+)\)")
 _GATE_LINE = re.compile(
     r"""(\S+)                                 # label
@@ -420,7 +439,7 @@ def _gate_text(g: Gate) -> str:
         parts += [f"{q}({p})" for q, p in g.controls]
     if label == "OPAQUE":
         parts.append("@")
-        parts += [repr(complex(z)) for z in g.base.ravel()]
+        parts += map(repr, g.base.ravel().tolist())
     return " ".join(parts)
 
 
@@ -438,10 +457,18 @@ def _gate_from_line(ln: str, n: int) -> Gate:
     targets = [int(t) for t in targets.split()]
     controls = [(int(q), int(p)) for q, p in _CONTROL.findall(controls or "")]
     if entries:
-        values = [complex(t) for t in entries.split()]
+        tokens = entries.split()
+        try:
+            values = [complex(t) for t in tokens]
+        except ValueError:
+            # only a failing entry walks the tokens for the first bad one
+            bad = next(t for t in tokens if not _is_complex(t))
+            raise ValueError(f"entry {bad!r} is not a complex number") from None
         if not all(map(cmath.isfinite, values)):
             raise ValueError("base has non-finite entries")
         d = 2 ** len(targets)
+        if len(values) != d * d:
+            raise ValueError(f"base has {len(values)} entries, expected {d * d}")
         base = np.array(values).reshape(d, d)
     elif name in _NAMED_BASE:
         base = _NAMED_BASE[name]
@@ -456,28 +483,45 @@ def _gate_from_line(ln: str, n: int) -> Gate:
     return g
 
 
+def _is_complex(token: str) -> bool:
+    try:
+        complex(token)
+    except ValueError:
+        return False
+    return True
+
+
 def circuit_from_text(text: str) -> Circuit:
     """Parse the text format; the first malformed line raises ValueError naming its number.
 
     A line's label must be the one its gate serializes to, so `CNOT 1` (no
     control), `H 1 | 2(1)` (a CnH) or `X 1 @ ...` (an OPAQUE) are errors, and
-    its qubits must lie in 1..N.  Each distinct stripped gate line is checked
-    whole once per call, in file order, and a repeat appends the same Gate."""
-    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines:
+    its qubits must lie in 1..N.  Each line is looked up by its raw text and
+    stripped only when that text is new; each distinct stripped gate line is
+    checked whole once per call, in file order, so lines that differ only in
+    padding append the same Gate."""
+    lines = text.splitlines()
+    start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if start is None:
         raise ValueError("missing 'qubits N' header")
-    n, gates, parsed = None, [], {}
-    for lineno, ln in lines:
-        try:
-            if n is None:
-                match = re.fullmatch(r"qubits\s+([0-9]+)", ln)
-                if not match:
-                    raise ValueError("expected 'qubits N'")
-                n = int(match[1])
-                continue
-            if ln not in parsed:
-                parsed[ln] = _gate_from_line(ln, n)
-            gates.append(parsed[ln])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {ln!r}: {exc}") from exc
+    lineno, ln = start + 1, lines[start].strip()
+    gates, raw_memo, stripped_memo = [], {}, {}
+    try:
+        match = _HEADER.fullmatch(ln)
+        if not match:
+            raise ValueError("expected 'qubits N'")
+        n = int(match[1])
+        for lineno, raw in enumerate(lines[start + 1 :], start + 2):
+            g = raw_memo.get(raw)
+            if g is None:
+                ln = raw.strip()
+                if not ln:
+                    continue
+                g = stripped_memo.get(ln)
+                if g is None:
+                    g = stripped_memo[ln] = _gate_from_line(ln, n)
+                raw_memo[raw] = g
+            gates.append(g)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {ln!r}: {exc}") from exc
     return Circuit(n, tuple(gates))

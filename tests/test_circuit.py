@@ -199,13 +199,23 @@ def test_gate_validation():
         Gate(X, (1,), ((-1, 1),))
     with pytest.raises(ValueError, match="^base is not unitary$"):
         Gate(np.full((4, 4), np.inf), (1, 2))  # no numpy warning on the way
-    # qubits and polarities are integers, numpy's too; a float or a string is refused
-    for targets, controls in [((1.7,), ()), (("2",), ()), ((1,), ((2.0, 1),)), ((1,), ((2, "1"),))]:
+    # qubits and polarities are integers, numpy's too; a float, a string or a bool is refused
+    for targets, controls in [
+        ((1.7,), ()),
+        (("2",), ()),
+        ((1,), ((2.0, 1),)),
+        ((1,), ((2, "1"),)),
+        ((True,), ()),
+        ((1,), ((False, 1),)),
+        ((1,), ((2, True),)),
+    ]:
         with pytest.raises(ValueError, match="is not an integer$"):
             Gate(X, targets, controls)
     g = Gate(X, (np.int64(1),), ((np.int32(2), np.uint8(1)),))
     assert (g.targets, g.controls) == ((1,), ((2, 1),))
     assert all(type(q) is int for q in g.qubits() + [g.controls[0][1]])
+    u = np.array([[0, 1j], [1j, 0]])
+    assert Gate(u, (1,)).base is u  # a complex array is kept as it is
     # the register size is a non-negative integer
     assert Circuit(0).n == 0
     for n in (-1, 2.0, "2", None):
@@ -270,6 +280,25 @@ def test_register_size_below_its_bound_is_named(build, what, least):
 )
 def test_malformed_fields_are_named(make, message):
     with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Gate(X, (0,), ((0, 1),)), "qubits are numbered from 1"),  # below 1 and overlapping
+        (lambda: Gate(X, (2,), ((2, 1), (3, 1), (3, 0))), "controls and targets must be disjoint"),  # and repeated
+        (lambda: Gate(X, (1,), ((2, 1), (2, 2))), "repeated qubit in gate"),  # and a bad polarity
+        (lambda: Gate(H, (1, 2), ((3, 2),)), "control polarity must be 0 or 1"),  # and a base of the wrong shape
+        (lambda: Gate(np.ones((4, 4)), (1,)), "base dimension does not match targets"),  # and not unitary
+        (lambda: Gate(X, (1.5,), ((0, 1),)), "qubit 1.5 is not an integer"),  # and below 1
+        (lambda: Gate(X, (1,), ((2, 1), ("3", 2))), "qubit '3' is not an integer"),  # and a bad polarity
+    ],
+    ids=["below-1", "overlapping", "repeated", "polarity", "shape", "not-integer", "not-integer-control"],
+)
+def test_gate_reports_the_first_of_two_faults(make, message):
+    # every gate here has two faults; the first check in Gate's order names it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
 
 
@@ -382,6 +411,34 @@ def test_parse_accepts_any_whitespace_between_tokens():
     (plain,) = circuit_from_text("qubits 2\nCNOT 1 | 2(1)\n").gates
     assert spaced.base is plain.base is X
     assert (spaced.targets, spaced.controls) == (plain.targets, plain.controls) == ((1,), ((2, 1),))
+
+
+def test_parse_shares_one_gate_across_padding():
+    # the raw-line memo and the stripped-line memo give one Gate for one stripped line
+    gates = circuit_from_text("qubits 2\nX 1\n\n  X 1  \n\nX 1\r\n\n\tX 1\t\n").gates
+    assert len(gates) == 4 and all(g is gates[0] for g in gates)
+    assert (gates[0].base, gates[0].targets) == (X, (1,))
+
+
+@pytest.mark.parametrize("bad", ["H 3", "  H 3\t"])
+def test_parse_names_a_bad_line_after_memo_hits(bad):
+    text = "qubits 2\n" + "X 1\n  X 1\n\n" * 600 + f"{bad}\nX 1\n"
+    with pytest.raises(ValueError, match=r"^line 1802: 'H 3': qubit 3 out of range 1\.\.2$"):
+        circuit_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("OPAQUE 1 @ 1 0 0", "base has 3 entries, expected 4"),
+        ("OPAQUE 1 2 @ 1 0 0 1", "base has 4 entries, expected 16"),
+        ("OPAQUE 1 @ 1 0 0 x", "entry 'x' is not a complex number"),
+        ("OPAQUE 1 @ 1 0j 1+ 1 0", "entry '1+' is not a complex number"),
+    ],
+)
+def test_parse_names_a_malformed_opaque_base(line, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'line 2: {line!r}: {message}')}$"):
+        circuit_from_text(f"qubits 2\n{line}\n")
 
 
 @pytest.mark.parametrize(
