@@ -383,10 +383,11 @@ def sed_measurement_circuit(n: int) -> Circuit:
     controls, C, C(n-2)X, B, C(n-2)X, A in temporal order, with A, B and C
     controlled by qubit n-1 and each C(n-2)X on controls 1..n-2 and target n
     borrowing qubit n-1 dirty; one expansion call takes that head and the
-    rest of V'_n^dag together.  Dropping D leaves a circuit equal to
-    V'_n^dag D^dag, a diagonal that acts first: its readout is that of
-    V'_n^dag whenever the state it measures is diagonal, the paper's
-    precondition.  For n <= 3 it is the exact expansion, gate for gate.
+    rest of V'_n^dag together.  Dropping D leaves V'_n^dag D^dag, a diagonal
+    that acts first.  V'_n^dag maps the span where D is not 1 onto two basis
+    states, so D commutes with each O_k = V'_n Z_k V'_n^dag: without noise
+    the circuit reads V'_n^dag's z_k on every state, diagonal or not.  For
+    n <= 3 it is the exact expansion, gate for gate.
     """
     circ = vprime_dagger_circuit(n)
     first, rest = circ.gates[0], circ.gates[1:]

@@ -13,7 +13,6 @@ stderr and exit 2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -139,7 +138,7 @@ def cmd_sweep(args) -> int:
     if args.format == "csv":
         payload = sweep_csv(records)
     else:
-        payload = json.dumps([dataclasses.asdict(r) for r in records], indent=2) + "\n"
+        payload = json.dumps([vars(r) for r in records], indent=2) + "\n"
     if _write(args.out, payload):
         return 1
     report = {

@@ -26,9 +26,11 @@ polarities and local qubit positions), and each is dropped after its last
 use, so none outlives the walk.  The damping stays per gate; only the
 order of rounding differs from a walk gate by gate.  A walk allocates its
 two coefficient buffers once, on a cache line: each step copies its
-transpose into the idle one and writes its matmul back into the other.  A
-long h grid is walked in chunks whose coefficients and block maps each
-stay within the cache.
+transpose into the idle one and writes its matmul back into the other.  It
+starts from an observable's nonzero coefficients, (index, values), written
+into a zeroed buffer, and ends on a transposed view that reads the bits in
+canonical order, so neither end copies the whole array.  A long h grid is
+walked in chunks whose coefficients and block maps each stay within cache.
 
 The coefficients are held as (h,) + (2,)*2n: a Pauli index is two bits, I
 = 00, Z = 01, X = 10, Y = 11 (tensor.PAULI), and qubit q has its high bit,
@@ -49,19 +51,19 @@ block splits every bit that all of its gates touching that qubit keep: j
 split bits make its map 2**j diagonal blocks, one per sector, and each is
 built from the gates' maps restricted to that sector, so the entries
 between the sectors are never formed.  Each step transposes its split bits
-and then the block's other bits to the front, with no order conversion at
-either end of the walk, and runs one batched matmul (h, s, 4**m/s, 4**m/s)
-@ (h, s, 4**m/s, rest) for its s = 2**j sectors, 1/s of the multiply-adds
-of a whole map.  A map of one string per sector is diagonal, and it
+and then the block's other bits to the front and runs one batched matmul
+(h, s, 4**m/s, 4**m/s) @ (h, s, 4**m/s, rest) for its s = 2**j sectors,
+1/s of the multiply-adds of a whole map.  A map of one string per sector is diagonal, and it
 scales the coefficients as the transpose copies them.
 
 The sweep prepares a thermal product state, runs the noisy entangler, then
 compares the conventional witness (noiseless direct trace) with the
 single-run readout whose measurement circuit is itself noisy: the
 disentangler V^dag, then `sed_measurement_circuit(n)`.  That circuit is
-V'_n^dag up to a diagonal that acts first, on V^dag rho V, so it reads as
-V'_n^dag exactly under the paper's precondition that V^dag rho V be
-diagonal; for n >= 4 it has fewer noisy gates than the exact expansion.
+V'_n^dag up to a diagonal that acts first and commutes with every readout
+observable, so without noise it reads the same z_k as V'_n^dag on every
+state; for n >= 4 it has fewer noisy gates than the exact expansion, and
+at h < 1 the sweep's value_sed is that of the shorter circuit.
 Both observables are pulled back to the thermal input.  It is diagonal, so
 every p reads only the I/Z strings: Tr(rho_0(p) P_z) = (2p - 1)**|z|.  The
 sweep reads each walk there as it ends, so it holds one walk's
@@ -72,9 +74,10 @@ witness constant, the Pauli coefficients of the target projector and of the
 readout, and the plans of the two walks, whose gate lists hold the expanded
 measurement circuit.  The projector |psi><psi| with psi = V|0...0> is
 itself a walk: |0...0><0...0| = prod_q (I + Z_q) / 2 holds 2**-n on every
-I/Z string, and its noiseless pull-back through V^dag is V|0...0><0...0|V^dag.
-So the walk is the one Pauli transform of the package, and no sweep forms a
-2**n x 2**n matrix.  `_sweep_model` builds that once per process for each
+I/Z string, and its noiseless pull-back through V^dag is V|0...0><0...0|V^dag,
+of which the model keeps the exact nonzeros.  So the walk is the one Pauli
+transform of the package, and no sweep forms a 2**n x 2**n matrix or keeps
+a 4**n array.  `_sweep_model` builds that once per process for each
 checked (kind, n, mode), the package's one cache of computed results; each
 call then walks the cached plans for its own grid.
 """
@@ -158,7 +161,6 @@ class _Step:
     split: tuple[int, ...]
     schedule: tuple
     rows: tuple[int, ...]
-    first: bool
     last: bool
 
     @property
@@ -168,8 +170,8 @@ class _Step:
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """A walk over one gate list: its steps, the transpose that puts the
-    bits back in order after the last step, and the read-only transfer
+    """A walk over one gate list: its steps, the transpose that reads the
+    array of the last step in canonical bit order, and the read-only transfer
     matrices that the steps' keys index.  Each is the Pauli transfer matrix
     of a distinct gate (the same base, dimension and control polarities)
     restricted to the sectors of the bits its block splits on the gate's
@@ -273,9 +275,8 @@ def _walk_plan(c: Circuit) -> _Plan:
             own = tuple(2 * pos[g].index(bit // 2) + bit % 2 for bit in split if bit // 2 in pos[g])
             key.append((index.setdefault((args[g], own), len(index)), tuple(pos[g])))
         placed.append((tuple(support), axes, tuple(key), tuple(split)) + _schedule(tuple(key), split, len(support)))
-    first = {block[2]: i for i, block in reversed(list(enumerate(placed)))}
     last = {block[2]: i for i, block in enumerate(placed)}
-    steps = tuple(_Step(*block, first[block[2]] == i, last[block[2]] == i) for i, block in enumerate(placed))
+    steps = tuple(_Step(*block, last[block[2]] == i) for i, block in enumerate(placed))
     restore = tuple([0] + [order.index(bit) + 1 for bit in range(2 * c.n)])
     return _Plan(steps, restore, tuple(_restricted(whole[a], own) for a, own in index))
 
@@ -312,14 +313,15 @@ def pull_back(c: Circuit, coeffs: np.ndarray, grid_h) -> np.ndarray:
         raise ValueError(f"coefficients of shape {coeffs.shape} do not fit {c.n} qubits")
     grid_h = [_probability(h, "h") for h in grid_h]
     out = np.empty((len(grid_h),) + coeffs.shape)
-    for rows, chunk in _pull_back(_walk_plan(c), coeffs, grid_h):
-        out[rows] = chunk
+    bits = out.reshape((len(grid_h),) + (2,) * (2 * c.n))
+    for rows, chunk in _pull_back(_walk_plan(c), (np.arange(coeffs.size), coeffs.ravel()), grid_h):
+        bits[rows] = chunk
     return out
 
 
-def _pull_back(plan: _Plan, coeffs, grid_h: list[float]):
-    """pull_back along a plan for checked h values, coeffs as _walk takes
-    them, in walks of _WALK_COEFFS entries at most: yields, walk by walk, the
+def _pull_back(plan: _Plan, start: tuple[np.ndarray, np.ndarray], grid_h: list[float]):
+    """pull_back along a plan for checked h values, start as _walk takes
+    it, in walks of _WALK_COEFFS entries at most: yields, walk by walk, the
     slice of grid_h it covers and its pulled-back coefficients, a view that
     the next walk does not touch."""
     widest = max((len(s.support) for s in plan.steps), default=0)
@@ -327,7 +329,7 @@ def _pull_back(plan: _Plan, coeffs, grid_h: list[float]):
     per_walk = max(1, _WALK_COEFFS // max(size, 16**widest))
     for i in range(0, len(grid_h), per_walk):
         rows = slice(i, i + per_walk)
-        yield rows, _walk(plan, coeffs, grid_h[rows])
+        yield rows, _walk(plan, start, grid_h[rows])
 
 
 def _gate_maps(plan: _Plan, grid_h: list[float]) -> list[np.ndarray]:
@@ -355,25 +357,22 @@ def _line_aligned(shape: tuple[int, ...]) -> np.ndarray:
     return raw[skip : skip + size].reshape(shape)
 
 
-def _walk(plan: _Plan, coeffs, grid_h: list[float]) -> np.ndarray:
+def _walk(plan: _Plan, start: tuple[np.ndarray, np.ndarray], grid_h: list[float]) -> np.ndarray:
     """One walk of pull_back over its plan, for all of grid_h at once, in the
     two coefficient buffers of the module docstring, which belong to this
-    call; the result, shape (h,) + (4,)*n, is a view of one of them.  coeffs
-    is an array of shape (4,)*n or a tuple of (slot, value) pairs, slot an
-    index into it, whose other entries are 0."""
+    call.  start is (index, values): flat indices into a (4,)*n coefficient
+    array, the same in its (2,)*2n bits, and the values there; every other
+    coefficient is 0.  The result, shape (h,) + (2,)*2n in canonical bit
+    order, is a transposed view of one buffer."""
     gate_maps = _gate_maps(plan, grid_h)
     maps = {}  # each block map, from the first step with its key to the last
     n = (len(plan.restore) - 1) // 2
     x, y = _line_aligned((2, len(grid_h)) + (2,) * (2 * n))  # x holds the coefficients, y is idle; bit 2(q - 1) + b on axis 2q - 1 + b
-    start = x.reshape((len(grid_h),) + (4,) * n)
-    if isinstance(coeffs, tuple):
-        start.fill(0.0)
-        for slot, value in coeffs:
-            start[(slice(None),) + slot] = value
-    else:
-        start[...] = coeffs
+    x.fill(0.0)
+    for row in x.reshape(len(grid_h), -1):  # per h: half the time of one [:, index] scatter (w, n = 7, 2 h)
+        row[start[0]] = start[1]
     for s in plan.steps:
-        if s.first:
+        if s.key not in maps:
             maps[s.key] = _block_map(s, gate_maps)
         block = maps.pop(s.key) if s.last else maps[s.key]
         if block.shape[-1] == 1:
@@ -385,25 +384,25 @@ def _walk(plan: _Plan, coeffs, grid_h: list[float]) -> np.ndarray:
             np.copyto(y, x.transpose(s.axes))
             shape = (len(grid_h), s.sectors, 4 ** len(s.support) // s.sectors, -1)
             np.matmul(block, y.reshape(shape), out=x.reshape(shape))
-    np.copyto(y, x.transpose(plan.restore))
-    return y.reshape(start.shape)
+    return x.transpose(plan.restore)
 
 
 def thermal_readout(coeffs: np.ndarray, grid_p) -> np.ndarray:
     """Tr(rho_0(p) O) for every row O of coeffs and every p of grid_p.
 
     coeffs has shape (m,) + (4,)*n, the Pauli coefficients of one observable
-    per row; rho_0(p) is the thermal product state.  It is diagonal, so only
-    the I/Z strings count, the leading [:2] of every axis, with
-    Tr(rho_0(p) P_z) = (2p - 1)**|z| for |z| Z factors: each qubit's axis of
-    the I/Z sub-array is contracted with (1, 2p - 1), a pairwise sum that
-    rounds less than one long dot product.  The p values are read in groups
-    whose (m, group, 2**n) array stays within _WALK_COEFFS entries.
+    per row, or (m,) + (2,)*2n as a walk returns them; rho_0(p) is the
+    thermal product state.  It is diagonal, so only the I/Z strings count,
+    Z-sector bit 0 on every qubit, with Tr(rho_0(p) P_z) = (2p - 1)**|z| for
+    |z| Z factors: each qubit's X-sector axis of the I/Z sub-array is
+    contracted with (1, 2p - 1), a pairwise sum that rounds less than one
+    long dot product.  The p values are read in groups whose (m, group,
+    2**n) array stays within _WALK_COEFFS entries.
     Returns the (m, len(grid_p)) array.
     """
-    n = coeffs.ndim - 1
+    n = n_qubits(math.prod(coeffs.shape[1:])) // 2
     x = 2 * np.asarray(grid_p, dtype=float) - 1
-    zi = coeffs[(slice(None),) + (slice(2),) * n]
+    zi = coeffs.reshape(coeffs.shape[:1] + (2,) * (2 * n))[(slice(None),) + (0, slice(None)) * n]
     out = np.empty((len(zi), len(x)))
     per_group = max(1, _WALK_COEFFS // max(1, zi.size))
     for i in range(0, len(x), per_group):
@@ -418,17 +417,16 @@ def thermal_readout(coeffs: np.ndarray, grid_p) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _SweepModel:
     """What a sweep computes from (kind, n, mode) alone: the witness constant
-    c and the readout's a0, the read-only Pauli coefficients of the target
-    projector |psi><psi| (walked from |0...0><0...0| through the noiseless
-    disentangler), the n pairs (slot, a_k) of the readout sum_k a_k Z_k, slot
-    the index of Z_k in a (4,)*n coefficient array, and the plans of the
-    walks that pull them back, the prep and the prep then the measurement
-    circuit."""
+    c and the readout's a0, the two observables as _walk starts them, in
+    read-only arrays, and the plans of the walks that pull them back, the
+    prep and the prep then the measurement circuit.  The projector |psi><psi|
+    holds its exact nonzeros; the readout sum_k a_k Z_k holds a_k at index
+    4**(k-1), Z on slot n-k+1."""
 
     c: float
     a0: float
-    projector: np.ndarray
-    readout: tuple[tuple[tuple[int, ...], float], ...]
+    projector: tuple[np.ndarray, np.ndarray]
+    readout: tuple[np.ndarray, np.ndarray]
     prep: _Plan
     measured: _Plan
 
@@ -438,18 +436,19 @@ def _sweep_model(kind: str, n: int, mode: str) -> _SweepModel:
     """The sweep's model for a checked, normalized (kind, n, mode), built
     once per process: the expanded measurement circuit, the transfer
     matrices and the projector's coefficients do not depend on the grid.
-    The projector is |0...0><0...0| pulled back at h = 1 through V^dag, the
-    dagger of the entangler V that prepares the witness target."""
+    The projector is |0...0><0...0|, 2**-n on each of the 2**n I/Z strings,
+    walked at h = 1 through V^dag, the dagger of the entangler V that
+    prepares the witness target."""
     entangler = select_entangler(kind, n)
     disentangler = dagger_circuit(entangler)
     w = select_witness(kind, n)
     dec = sed_decomposition(w)
-    z = 1  # the Pauli index of Z in the order of tensor.PAULI
-    readout = tuple(((0,) * (n - k) + (z,) + (0,) * (k - 1), float(a_k)) for k, a_k in enumerate(dec.a, 1))  # Z on slot n-k+1
-    zero = np.zeros((4,) * n)  # |0...0><0...0| = prod_q (I + Z_q) / 2
-    zero[(slice(2),) * n] = 2.0**-n
-    (projector,) = pull_back(disentangler, zero, [1.0])
-    projector.flags.writeable = False
+    zero = np.ravel_multi_index(np.indices((2,) * n).reshape(n, -1), (4,) * n)  # slot values I = 0 and Z = 1
+    walked = _walk(_walk_plan(disentangler), (zero, np.full(2**n, 2.0**-n)), [1.0]).ravel()
+    index = np.flatnonzero(walked)
+    projector, readout = (index, walked[index]), (4 ** np.arange(n), dec.a)
+    for a in projector + readout:
+        a.flags.writeable = False
     prep = entangler if mode == "witness" else Circuit(n, ())
     measurement = disentangler.then(sed_measurement_circuit(n))
     return _SweepModel(w.c, dec.a0, projector, readout, _walk_plan(prep), _walk_plan(prep.then(measurement)))
@@ -490,12 +489,12 @@ def sweep(
     ]
 
 
-def _thermal_pull_back(plan: _Plan, coeffs, grid_h: list[float], grid_p: list[float]) -> np.ndarray:
-    """thermal_readout of the pull-back along plan, shape (len(grid_h),
-    len(grid_p)): each walk is read as it ends, so no more than one walk's
-    coefficients are held at once."""
+def _thermal_pull_back(plan: _Plan, start: tuple[np.ndarray, np.ndarray], grid_h: list[float], grid_p: list[float]) -> np.ndarray:
+    """thermal_readout of the pull-back of start along plan, shape
+    (len(grid_h), len(grid_p)): each walk is read as it ends, so no more than
+    one walk's coefficients are held at once."""
     out = np.empty((len(grid_h), len(grid_p)))
-    for rows, chunk in _pull_back(plan, coeffs, grid_h):
+    for rows, chunk in _pull_back(plan, start, grid_h):
         out[rows] = thermal_readout(chunk, grid_p)
     return out
 

@@ -14,6 +14,8 @@ not start with `test_`.  The outputs:
 - `sweep_csv` of `sweep` on the default 11 x 11 grid, n = 2..8 x {ghz, w}
   x {witness, identity}, and at n = 10 for the 11 default p by
   h in {0.95, 1.0}, witness mode, both kinds;
+- the `sweep --format json` file at n = 7 for 4 p by 2 h, both kinds, the
+  argv shape of the `noisy_sweep` benchmark workload;
 - `circuit_to_text` of the expanded V'_n^dag and of
   `sed_measurement_circuit(n)`, n = 2..12;
 - `gatecount --n-min 2 --n-max 12`, its stdout and its --json file;
@@ -64,6 +66,13 @@ def outputs():
                 yield f"sweep/n{n}/{kind}/{mode}", sweep_csv(sweep(n, default, default, kind, mode))
     for kind in ("ghz", "w"):
         yield f"sweep/n10/{kind}/witness/h0.95-1.0", sweep_csv(sweep(10, default, [0.95, 1.0], kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sweep.json")
+        grid = ["--p-min", "0.7", "--p-max", "1.0", "--p-step", repr((1.0 - 0.7) / 3), "--h-min", "0.8", "--h-max", "1.0", "--h-step", repr(1.0 - 0.8)]
+        for kind in ("ghz", "w"):
+            _cli_stdout(["sweep", "--kind", kind, "--n", "7", *grid, "--format", "json", "--out", path])
+            with open(path) as fh:
+                yield f"sweep-json/n7/{kind}/p4-h2", fh.read()
     for n in range(2, 13):
         yield f"circuit/vprime_dagger_expanded/n{n}", circuit_to_text(expand_multicontrolled(vprime_dagger_circuit(n)))
         yield f"circuit/sed_measurement/n{n}", circuit_to_text(sed_measurement_circuit(n))

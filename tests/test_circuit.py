@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import apply_circuit, phase_insensitive_equal, vprime_recursion
+from dense_oracle import apply_circuit, phase_insensitive_equal, random_density_matrix, vprime_recursion
 from sedwitness import circuit
 from sedwitness.circuit import (
     Circuit,
@@ -677,6 +677,28 @@ def test_sed_measurement_circuit_is_vprime_dagger_after_a_diagonal(n):
     exact = circuit_unitary(expand_multicontrolled(vprime_dagger_circuit(n)))
     got = circuit_unitary(sed_measurement_circuit(n))
     assert np.max(np.abs(dagger(exact) @ got - np.diag(_first_diagonal(n)))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sed_measurement_circuit_reads_every_state_as_vprime_dagger(n):
+    # D is a phase on the states whose qubits 1..n-1 hold their control
+    # polarities, and V'^dag maps that subspace onto two basis states, so D
+    # commutes with V' P V'^dag for every diagonal P: with each
+    # O_k = V' Z_k V'^dag, and with each output population.  So without
+    # noise both circuits read the same z_k on any state, not only on a
+    # diagonal one, though their outputs differ off the diagonal
+    exact = circuit_unitary(expand_multicontrolled(vprime_dagger_circuit(n)))
+    got = circuit_unitary(sed_measurement_circuit(n))
+    signs = 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)  # Z of each qubit on each basis state
+    rng = np.random.default_rng(n + 3)
+    for _ in range(3):
+        rho = random_density_matrix(2**n, rng)
+        outs = [u @ rho @ dagger(u) for u in (exact, got)]
+        populations = [np.diagonal(out).real for out in outs]
+        assert np.max(np.abs(populations[0] @ signs - populations[1] @ signs)) <= 1e-14
+        assert np.max(np.abs(populations[0] - populations[1])) <= 1e-15
+        if n >= 4:
+            assert np.max(np.abs(outs[0] - outs[1])) > 1e-3
 
 
 @pytest.mark.parametrize("n", [10, 12])

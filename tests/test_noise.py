@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,22 @@ def test_sweep_closed_forms_at_n_8(kind):
             assert abs(r.value_sed - r.value_conv) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["ghz", "w"])
+def test_sweep_closed_forms_at_h0(kind):
+    # at h = 0 every gate fails, and the prep and the measurement circuit
+    # each touch every qubit, so each walk keeps only the identity string:
+    # value_sed = a0 in both modes and value_conv = c - 2**-n after the
+    # noisy entangler, whatever p.  Both sparse starts reach this point
+    for n in range(3, 9):
+        w = select_witness(kind, n)
+        a0 = SedDecomposition(n, w.c).a0
+        for mode in ("witness", "identity"):
+            for r in sweep(n, [0.5, 0.8, 1.0], [0.0], kind, mode):
+                assert abs(r.value_sed - a0) <= 1e-15, (n, mode, r)
+                if mode == "witness":
+                    assert abs(r.value_conv - (w.c - 2.0**-n)) <= 1e-15, (n, r)
+
+
 def test_sweep_grid_shape_and_order():
     gp = grid_values(0.5, 1.0, 0.05)
     gh = grid_values(0.5, 1.0, 0.05)
@@ -315,36 +332,56 @@ def test_cold_and_warm_sweeps_write_the_same_bytes(kind, mode):
 
 
 def test_sweep_model_is_read_only():
-    # the readout is the n pairs (slot, a_k) of its Z_k terms, in a tuple
+    # each observable is (index, values) into a (4,)*n coefficient array; the
+    # readout holds a_k at the index of Z on slot n-k+1
     model = _sweep_model("w", 4, "witness")
-    arrays = [model.projector, *model.prep.transfers, *model.measured.transfers]
+    arrays = [*model.projector, *model.readout, *model.prep.transfers, *model.measured.transfers]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
-        model.projector[0, 0, 0, 3] = 1.0
-    assert model.readout == tuple(((0,) * (4 - k) + (1,) + (0,) * (k - 1), a) for k, a in enumerate(SedDecomposition(4, model.c).a, 1))
-    assert all(isinstance(x, tuple) for x in (model.readout, model.measured.steps, model.measured.restore, model.measured.transfers))
+        model.projector[1][0] = 1.0
+    index, values = model.readout
+    slots = [(0,) * (4 - k) + (1,) + (0,) * (k - 1) for k in range(1, 5)]
+    assert index.tolist() == [np.ravel_multi_index(slot, (4,) * 4) for slot in slots]
+    assert np.array_equal(values, SedDecomposition(4, model.c).a)
+    assert all(isinstance(x, tuple) for x in (model.projector, model.readout, model.measured.steps, model.measured.restore, model.measured.transfers))
+
+
+def test_cached_model_at_n10_holds_no_dense_array():
+    # the model keeps the projector's nonzeros, not its 8 MB of 4**10
+    # coefficients; the w target has the most nonzeros of the two kinds.  A
+    # first build warms the caches that the model does not own
+    _sweep_model.cache_clear()
+    _sweep_model("w", 10, "witness")
+    _sweep_model.cache_clear()
+    tracemalloc.start()
+    try:
+        _sweep_model("w", 10, "witness")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 3 * 2**20, f"held {held / 2**20:.2f} MB"
 
 
 def test_walk_leaves_the_plan_unchanged():
     plan = _sweep_model("ghz", 5, "witness").measured
     transfers = [r.copy() for r in plan.transfers]
-    coeffs = np.random.default_rng(2).standard_normal((4,) * 5)
-    first = _walk(plan, coeffs, [0.7, 1.0])
+    start = np.arange(4**5), np.random.default_rng(2).standard_normal(4**5)
+    first = _walk(plan, start, [0.7, 1.0])
     assert len(plan.transfers) == len(transfers)
     assert all(np.array_equal(a, b) for a, b in zip(plan.transfers, transfers))
-    assert np.array_equal(_walk(plan, coeffs, [0.7, 1.0]), first)
+    assert np.array_equal(_walk(plan, start, [0.7, 1.0]), first)
 
 
 
 def test_walk_buffers_start_on_a_cache_line():
     # off a 64-byte line the walk runs about 1.6x slower, so its result, a
-    # view of its second buffer, must start on one whatever the heap did
+    # view of one of its buffers, must start on one whatever the heap did
     held = []
     for n in (2, 3, 4, 5):
         plan = _sweep_model("w", n, "witness").measured
         for grid_h in ([1.0], [0.7, 1.0], [0.5, 0.7, 1.0]):
             held.append(np.empty(3 * n + len(grid_h)))
-            assert _walk(plan, np.ones((4,) * n), grid_h).ctypes.data % 64 == 0
+            assert _walk(plan, (np.arange(4**n), np.ones(4**n)), grid_h).ctypes.data % 64 == 0
 
 
 def test_kind_and_n_spellings_share_one_model():
