@@ -416,6 +416,8 @@ def gate_count_exponent(n_values, counts) -> float:
 # line-based serialization: a "qubits N" header, then one gate per line in
 # the grammar of _GATE_LINE; complex entries round-trip via repr().
 # Only OPAQUE gates carry their base; every other label names its base.
+# Within one call each distinct base is formatted once (keyed by identity)
+# and parsed once per entry text and dimension; no memo outlives the call.
 # Qubit numbers and polarities are ASCII decimal digits, as the writer emits;
 # entry tokens hold no "|" or "@", so a stray mark fails the grammar.
 # ---------------------------------------------------------------------------
@@ -432,25 +434,32 @@ _GATE_LINE = re.compile(
 )
 
 
-def _gate_text(g: Gate) -> str:
+def _gate_text(g: Gate, tails: dict) -> str:
     label = g.label
     parts = [label] + [str(t) for t in g.targets]
     if g.controls:
         parts.append("|")
         parts += [f"{q}({p})" for q, p in g.controls]
     if label == "OPAQUE":
-        parts.append("@")
-        parts += map(repr, g.base.ravel().tolist())
+        tail = tails.get(id(g.base))
+        if tail is None:
+            tail = tails[id(g.base)] = "@ " + " ".join(map(repr, g.base.ravel().tolist()))
+        parts.append(tail)
     return " ".join(parts)
 
 
 def circuit_to_text(c: Circuit) -> str:
-    """The text of c; each distinct Gate object (Gate hashes by identity) is formatted once."""
-    text = {g: _gate_text(g) for g in set(c.gates)}
+    """The text of c; each distinct Gate object (Gate hashes by identity) is
+    formatted once, and each distinct base object's `@ entries` tail once.
+    The gates hold their bases for the call, so no id is reused."""
+    tails: dict[int, str] = {}
+    text = {g: _gate_text(g, tails) for g in set(c.gates)}
     return "\n".join([f"qubits {c.n}"] + [text[g] for g in c.gates]) + "\n"
 
 
-def _gate_from_line(ln: str, n: int) -> Gate:
+def _gate_from_line(ln: str, n: int, bases: dict) -> Gate:
+    """The Gate of one stripped line; `bases` maps (entry text, d) to the
+    finite d x d base already parsed from that text in this call."""
     match = _GATE_LINE.fullmatch(ln)
     if not match:
         raise ValueError("expected 'LABEL targets... [| q(pol)...] [@ entries...]'")
@@ -458,19 +467,21 @@ def _gate_from_line(ln: str, n: int) -> Gate:
     targets = [int(t) for t in targets.split()]
     controls = [(int(q), int(p)) for q, p in _CONTROL.findall(controls or "")]
     if entries:
-        tokens = entries.split()
-        try:
-            values = [complex(t) for t in tokens]
-        except ValueError:
-            # only a failing entry walks the tokens for the first bad one
-            bad = next(t for t in tokens if not _is_complex(t))
-            raise ValueError(f"entry {bad!r} is not a complex number") from None
-        if not all(map(cmath.isfinite, values)):
-            raise ValueError("base has non-finite entries")
         d = 2 ** len(targets)
-        if len(values) != d * d:
-            raise ValueError(f"base has {len(values)} entries, expected {d * d}")
-        base = np.array(values).reshape(d, d)
+        base = bases.get((entries, d))
+        if base is None:
+            tokens = entries.split()
+            try:
+                values = [complex(t) for t in tokens]
+            except ValueError:
+                # only a failing entry walks the tokens for the first bad one
+                bad = next(t for t in tokens if not _is_complex(t))
+                raise ValueError(f"entry {bad!r} is not a complex number") from None
+            if not all(map(cmath.isfinite, values)):
+                raise ValueError("base has non-finite entries")
+            if len(values) != d * d:
+                raise ValueError(f"base has {len(values)} entries, expected {d * d}")
+            base = bases[entries, d] = np.array(values).reshape(d, d)
     elif name in _NAMED_BASE:
         base = _NAMED_BASE[name]
     else:
@@ -500,13 +511,14 @@ def circuit_from_text(text: str) -> Circuit:
     its qubits must lie in 1..N.  Each line is looked up by its raw text and
     stripped only when that text is new; each distinct stripped gate line is
     checked whole once per call, in file order, so lines that differ only in
-    padding append the same Gate."""
+    padding append the same Gate.  Lines whose entry text and dimension
+    match share one base array, parsed once."""
     lines = text.splitlines()
     start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
     if start is None:
         raise ValueError("missing 'qubits N' header")
     lineno, ln = start + 1, lines[start].strip()
-    gates, raw_memo, stripped_memo = [], {}, {}
+    gates, raw_memo, stripped_memo, bases = [], {}, {}, {}
     try:
         match = _HEADER.fullmatch(ln)
         if not match:
@@ -520,7 +532,7 @@ def circuit_from_text(text: str) -> Circuit:
                     continue
                 g = stripped_memo.get(ln)
                 if g is None:
-                    g = stripped_memo[ln] = _gate_from_line(ln, n)
+                    g = stripped_memo[ln] = _gate_from_line(ln, n, bases)
                 raw_memo[raw] = g
             gates.append(g)
     except ValueError as exc:

@@ -76,7 +76,9 @@ def is_unitary(m: np.ndarray) -> bool:
             and abs(c * c.conjugate() + d * d.conjugate() - 1) <= ATOL_ALGEBRA
         )
     with np.errstate(invalid="ignore", over="ignore"):  # a huge or non-finite entry just fails
-        return abs(m @ m.conj().T - np.eye(len(m))).max() <= ATOL_ALGEBRA
+        gram = m @ m.conj().T
+        gram.flat[:: len(m) + 1] -= 1  # the diagonal, in place
+        return abs(gram).max() <= ATOL_ALGEBRA
 
 
 def checked_operand(m, dim: int, what: str) -> np.ndarray:

@@ -441,6 +441,37 @@ def test_parse_names_a_malformed_opaque_base(line, message):
         circuit_from_text(f"qubits 2\n{line}\n")
 
 
+def test_parse_base_memo_keys_the_dimension():
+    # the entry text of a valid 2x2 base, reused on two targets, is still too short
+    text = "qubits 2\nOPAQUE 1 @ 1 0 0 1\nOPAQUE 1 2 @ 1 0 0 1\n"
+    with pytest.raises(ValueError, match=r"^line 3: 'OPAQUE 1 2 @ 1 0 0 1': base has 4 entries, expected 16$"):
+        circuit_from_text(text)
+
+
+def test_parse_shares_one_base_per_entry_text():
+    # at n = 12 the 139 distinct OPAQUE lines of the expansion carry 23 distinct entry texts
+    text = circuit_to_text(expand_multicontrolled(vprime_dagger_circuit(12)))
+    opaque = {g for g in circuit_from_text(text).gates if g.label == "OPAQUE"}
+    assert len(opaque) == 139
+    assert len({id(g.base) for g in opaque}) == 23
+
+
+def test_text_formats_a_shared_base_as_each_gate_alone():
+    # one base object shared by several gates, and two distinct objects with equal entries
+    shared = np.array([[0, 1], [1j, 0]], dtype=complex)
+    equal = circuit._ry(0.3)
+    gates = (
+        Gate(shared, (1,)),
+        Gate(shared, (2,), ((1, 0),)),
+        Gate(equal, (3,)),
+        Gate(shared, (3,), ((1, 1), (2, 0))),
+        Gate(equal.copy(), (1,), ((3, 1),)),
+        Gate(X, (2,)),
+    )
+    alone = [circuit_to_text(Circuit(3, (g,))).splitlines()[1] for g in gates]
+    assert circuit_to_text(Circuit(3, gates)).splitlines()[1:] == alone
+
+
 @pytest.mark.parametrize(
     "name, circ",
     [
@@ -498,6 +529,9 @@ SED_CIRCUIT_SHA256 = {
 def test_sed_measurement_circuit_text_is_pinned(n):
     text = circuit_to_text(sed_measurement_circuit(n))
     assert hashlib.sha256(text.encode()).hexdigest() == SED_CIRCUIT_SHA256[n]
+    # the round trip, through the Barenco A/B/C bases too, hits the same digest
+    parsed = circuit_from_text(text)
+    assert hashlib.sha256(circuit_to_text(parsed).encode()).hexdigest() == SED_CIRCUIT_SHA256[n]
 
 
 def test_expansion_makes_each_root_and_leaf_once_per_call(monkeypatch):
