@@ -416,8 +416,9 @@ def gate_count_exponent(n_values, counts) -> float:
 # line-based serialization: a "qubits N" header, then one gate per line in
 # the grammar of _GATE_LINE; complex entries round-trip via repr().
 # Only OPAQUE gates carry their base; every other label names its base.
-# Within one call each distinct base is formatted once (keyed by identity)
-# and parsed once per entry text and dimension; no memo outlives the call.
+# Within one call each distinct stripped line is parsed once, and each
+# distinct base is formatted once (keyed by identity) and parsed once per
+# entry text and dimension; no memo outlives the call.
 # Qubit numbers and polarities are ASCII decimal digits, as the writer emits;
 # entry tokens hold no "|" or "@", so a stray mark fails the grammar.
 # ---------------------------------------------------------------------------
@@ -470,13 +471,12 @@ def _gate_from_line(ln: str, n: int, bases: dict) -> Gate:
         d = 2 ** len(targets)
         base = bases.get((entries, d))
         if base is None:
-            tokens = entries.split()
-            try:
-                values = [complex(t) for t in tokens]
-            except ValueError:
-                # only a failing entry walks the tokens for the first bad one
-                bad = next(t for t in tokens if not _is_complex(t))
-                raise ValueError(f"entry {bad!r} is not a complex number") from None
+            values = []
+            for t in entries.split():
+                try:
+                    values.append(complex(t))
+                except ValueError:
+                    raise ValueError(f"entry {t!r} is not a complex number") from None
             if not all(map(cmath.isfinite, values)):
                 raise ValueError("base has non-finite entries")
             if len(values) != d * d:
@@ -495,45 +495,34 @@ def _gate_from_line(ln: str, n: int, bases: dict) -> Gate:
     return g
 
 
-def _is_complex(token: str) -> bool:
-    try:
-        complex(token)
-    except ValueError:
-        return False
-    return True
-
-
 def circuit_from_text(text: str) -> Circuit:
     """Parse the text format; the first malformed line raises ValueError naming its number.
 
     A line's label must be the one its gate serializes to, so `CNOT 1` (no
     control), `H 1 | 2(1)` (a CnH) or `X 1 @ ...` (an OPAQUE) are errors, and
-    its qubits must lie in 1..N.  Each line is looked up by its raw text and
-    stripped only when that text is new; each distinct stripped gate line is
-    checked whole once per call, in file order, so lines that differ only in
-    padding append the same Gate.  Lines whose entry text and dimension
-    match share one base array, parsed once."""
+    its qubits must lie in 1..N.  Each line is stripped and looked up by that
+    text; each distinct stripped gate line is checked whole once per call, in
+    file order, so lines that differ only in padding append the same Gate.
+    Lines whose entry text and dimension match share one base array, parsed
+    once."""
     lines = text.splitlines()
     start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
     if start is None:
         raise ValueError("missing 'qubits N' header")
     lineno, ln = start + 1, lines[start].strip()
-    gates, raw_memo, stripped_memo, bases = [], {}, {}, {}
+    gates, memo, bases = [], {}, {}
     try:
         match = _HEADER.fullmatch(ln)
         if not match:
             raise ValueError("expected 'qubits N'")
         n = int(match[1])
         for lineno, raw in enumerate(lines[start + 1 :], start + 2):
-            g = raw_memo.get(raw)
+            ln = raw.strip()
+            if not ln:
+                continue
+            g = memo.get(ln)
             if g is None:
-                ln = raw.strip()
-                if not ln:
-                    continue
-                g = stripped_memo.get(ln)
-                if g is None:
-                    g = stripped_memo[ln] = _gate_from_line(ln, n, bases)
-                raw_memo[raw] = g
+                g = memo[ln] = _gate_from_line(ln, n, bases)
             gates.append(g)
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {ln!r}: {exc}") from exc

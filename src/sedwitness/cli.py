@@ -49,7 +49,7 @@ def _write(path: str, payload: str) -> int:
 
 
 def _write_json(report: dict, json_path: str | None) -> int:
-    if not json_path:
+    if json_path is None:
         return 0
     return _write(json_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 

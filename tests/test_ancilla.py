@@ -314,6 +314,8 @@ def test_stage_validation():
         Stage(np.ones(4), 0.5, "flat")
     with pytest.raises(ValueError, match="^stage 'empty' entangler is empty$"):
         ConcatSpec((Stage(np.zeros((0, 0)), 0.5, "empty"),))
+    with pytest.raises(ValueError, match="^all stage entanglers must share the register dimension$"):
+        ConcatSpec((Stage(np.eye(4), 0.5), Stage(np.eye(8), 0.5)))
     spec = ConcatSpec((Stage([[1, 0], [0, 1]], 0.5),))
     assert spec.stages[0].v.dtype == complex and spec.stages[0].v.shape == (2, 2)
     # a witness constant that is non-finite or not a real number is named,

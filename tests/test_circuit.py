@@ -271,11 +271,14 @@ def test_register_size_below_its_bound_is_named(build, what, least):
         (lambda: Gate(X, (1,), (2,)), r"^controls must be \(qubit, polarity\) pairs, got \(2,\)$"),
         (lambda: Gate(X, (1,), ((2, 1, 0),)), r"^controls must be \(qubit, polarity\) pairs, got \(\(2, 1, 0\),\)$"),
         (lambda: Gate(X, (1,), 2), r"^controls must be \(qubit, polarity\) pairs, got 2$"),
+        # a control that is not a pair is named even after one whose qubit is not an integer
+        (lambda: Gate(X, (1,), ((1.5, 1), 7)), r"^controls must be \(qubit, polarity\) pairs, got \(\(1\.5, 1\), 7\)$"),
         (lambda: Gate(X, 1), r"^targets must be a sequence of qubits, got 1$"),
         (lambda: Gate("ab", (1,)), r"^base must be a complex matrix, got 'ab'$"),
         (lambda: Circuit(2, [1, 2]), r"^gate 0: expected a Gate, got 1$"),
         (lambda: Circuit(2, [Gate(X, (1,)), [1]]), r"^gate 1: expected a Gate, got \[1\]$"),
         (lambda: Circuit(2, 5), r"^gates must be a sequence of Gate, got 5$"),
+        (lambda: Circuit(2).then(Circuit(3)), r"^register size mismatch$"),
     ],
 )
 def test_malformed_fields_are_named(make, message):
@@ -414,7 +417,7 @@ def test_parse_accepts_any_whitespace_between_tokens():
 
 
 def test_parse_shares_one_gate_across_padding():
-    # the raw-line memo and the stripped-line memo give one Gate for one stripped line
+    # the memo keyed by the stripped line gives one Gate for one stripped line
     gates = circuit_from_text("qubits 2\nX 1\n\n  X 1  \n\nX 1\r\n\n\tX 1\t\n").gates
     assert len(gates) == 4 and all(g is gates[0] for g in gates)
     assert (gates[0].base, gates[0].targets) == (X, (1,))
@@ -434,6 +437,7 @@ def test_parse_names_a_bad_line_after_memo_hits(bad):
         ("OPAQUE 1 2 @ 1 0 0 1", "base has 4 entries, expected 16"),
         ("OPAQUE 1 @ 1 0 0 x", "entry 'x' is not a complex number"),
         ("OPAQUE 1 @ 1 0j 1+ 1 0", "entry '1+' is not a complex number"),
+        ("OPAQUE 1 @ nan y z 0", "entry 'y' is not a complex number"),  # the first refused, before the non-finite
     ],
 )
 def test_parse_names_a_malformed_opaque_base(line, message):

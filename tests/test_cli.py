@@ -180,16 +180,18 @@ def test_sweep_identity_mode(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["witness", "--n", "3"],
-        ["sed-verify", "--n", "2", "--trials", "3"],
-        ["ancilla", "--n", "3"],
-        ["gatecount", "--n-min", "4", "--n-max", "5"],
+        ["witness", "--n", "3", "--json"],
+        ["sed-verify", "--n", "2", "--trials", "3", "--json"],
+        ["ancilla", "--n", "3", "--json"],
+        ["gatecount", "--n-min", "4", "--n-max", "5", "--json"],
+        ["sweep", "--n", "3", "--out"],
     ],
 )
 def test_unwritable_json_path_exits_1(argv, capsys, tmp_path):
-    path = tmp_path / "missing" / "x.json"
-    assert main(argv + ["--json", str(path)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+    # a path in a missing directory and the empty path fail alike
+    for path in (str(tmp_path / "missing" / "x.json"), ""):
+        assert main(argv + [path]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -83,6 +83,11 @@ def test_noisy_gate_rejects_qubit_zero():
         pull_back(Circuit(2, (Gate(X, (1,), ((0, 1),)),)), coeffs, [1.0])
 
 
+def test_pull_back_names_coefficients_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=re.escape("coefficients of shape (4, 4, 4) do not fit 2 qubits")):
+        pull_back(Circuit(2, ()), np.zeros((4, 4, 4)), [1.0])
+
+
 def test_noisy_gate_preserves_trace():
     # the channel is trace-preserving and unital: the identity string pulls
     # back to itself, and so does the identity coefficient of any observable

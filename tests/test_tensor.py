@@ -174,6 +174,8 @@ def test_max_schmidt_range_and_errors():
         max_schmidt_sq(np.array([np.nan, 0.0, 0.0, 0.0]), [1])
     with pytest.raises(ValueError):
         max_schmidt_sq(make_ghz(2).amplitudes, [1, 2])  # not a proper subset
+    with pytest.raises(ValueError, match=re.escape("duplicate bipartition qubits: [1, 1]")):
+        max_schmidt_sq(make_w(3).amplitudes, [1, 1])
 
 
 def test_max_schmidt_reads_qubits_as_integers():
