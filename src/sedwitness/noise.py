@@ -23,14 +23,16 @@ product of its gates' maps M_g = R_g D_g by one matmul on its own axes, and
 the plan owns the R_g of each distinct gate.  The block maps depend on h,
 so they are built per walk, once for each distinct block (the same bases,
 polarities and local qubit positions), and each is dropped after its last
-use, so none outlives the walk.  The damping stays per gate; only the
-order of rounding differs from a walk gate by gate.  A walk allocates its
-two coefficient buffers once, on a cache line: each step copies its
-transpose into the idle one and writes its matmul back into the other.  It
-starts from an observable's nonzero coefficients, (index, values), written
-into a zeroed buffer, and ends on a transposed view that reads the bits in
-canonical order, so neither end copies the whole array.  A long h grid is
-walked in chunks whose coefficients and block maps each stay within cache.
+use, so none outlives the walk; the plan gives each step the slot of its
+map in a walk and every shape the walk reshapes to.  The damping stays per
+gate; only the order of rounding differs from a walk gate by gate.  A walk
+allocates its two coefficient buffers once, on a cache line: each step
+that transposes copies its transpose into the idle one and writes its
+matmul back into the other.  It starts from an observable's nonzero
+coefficients, (index, values), written into a zeroed buffer, and ends on a
+transposed view that reads the bits in canonical order, so neither end
+copies the whole array.  A long h grid is walked in chunks whose
+coefficients and block maps each stay within cache.
 
 The coefficients are held as (h,) + (2,)*2n: a Pauli index is two bits, I
 = 00, Z = 01, X = 10, Y = 11 (tensor.PAULI), and qubit q has its high bit,
@@ -50,11 +52,14 @@ computes carry up to 9.7e-17 of rounding there, which the split drops.  A
 block splits every bit that all of its gates touching that qubit keep: j
 split bits make its map 2**j diagonal blocks, one per sector, and each is
 built from the gates' maps restricted to that sector, so the entries
-between the sectors are never formed.  Each step transposes its split bits
-and then the block's other bits to the front and runs one batched matmul
-(h, s, 4**m/s, 4**m/s) @ (h, s, 4**m/s, rest) for its s = 2**j sectors,
-1/s of the multiply-adds of a whole map.  A map of one string per sector is diagonal, and it
-scales the coefficients as the transpose copies them.
+between the sectors are never formed.  A map of one string per sector (a
+block of bare X gates splits every bit) is diagonal: its step scales the
+coefficients in place, the map broadcast on the axes where its split bits
+already sit, with no transpose, and leaves the bit order as it is.  Every
+other step transposes its split bits and then the block's other bits to
+the front and runs one batched matmul (h, s, 4**m/s, 4**m/s) @ (h, s,
+4**m/s, rest) for its s = 2**j sectors, 1/s of the multiply-adds of a
+whole map.
 
 The sweep prepares a thermal product state, runs the noisy entangler, then
 compares the conventional witness (noiseless direct trace) with the
@@ -142,22 +147,30 @@ class _Step:
     Z-sector bit, b = 1 the X-sector bit).  split holds, ascending, the local
     bits that every gate of the block keeps (module docstring), so its map is
     2**len(split) diagonal blocks, one per sector, each over the other bits
-    of the block in ascending order.  axes is the transpose of the (h, bits)
-    coefficient array that brings the split bits first and the block's other
-    bits after them.  key holds, for the block's gates in walk order, the
-    index of each gate's sector-restricted transfer matrix in the plan with
-    the positions of its qubits in support, so equal keys have equal maps
-    and splits.  schedule and rows are how _block_map builds the map,
-    worked out from the key once: for each gate, its map's index, the
-    transpose of the running product that brings the gate's bits outside
-    the split to the front of the row axes (None where they lead) and the
-    shape of its map over the split bits, 1 for a qubit it does not touch;
-    then rows, the transpose that puts the row axes back in ascending order.
-    The first step with a key builds its map and the last one drops it."""
+    of the block in ascending order.  A step that splits every bit of its
+    block is diagonal: its map is one string per sector, and it scales the
+    coefficients in place.  For any other step, axes is the transpose of the
+    (h, bits) coefficient array that brings the split bits first and the
+    block's other bits after them, and shape is what both buffers take for
+    the matmul, (-1, sectors, 4**m / sectors, rest); for a diagonal step,
+    shape is that of its map with one axis per split bit and the coefficient
+    array's other axes as 1, and axes the transpose that lays those split
+    axes where the bits sit in the array.  slot names the step's map in a
+    walk: steps whose gates have the same maps at the same positions in the
+    support share a slot, and so a map and a split.  schedule and rows are
+    how _block_map builds the map: for each gate, its map's index in the
+    plan, the transpose of the running product that brings the gate's bits
+    outside the split to the front of the row axes (None where they lead),
+    the shape of its map broadcast over the split bits (1 for a qubit it does
+    not touch), and the shapes of the running product before and after its
+    matmul; then rows, the transpose that puts the row axes back in
+    ascending order.  The first step with a slot builds its map and the last
+    one drops it."""
 
     support: tuple[int, ...]
     axes: tuple[int, ...]
-    key: tuple
+    shape: tuple[int, ...]
+    slot: int
     split: tuple[int, ...]
     schedule: tuple
     rows: tuple[int, ...]
@@ -167,20 +180,26 @@ class _Step:
     def sectors(self) -> int:
         return 2 ** len(self.split)
 
+    @property
+    def diagonal(self) -> bool:
+        return len(self.split) == 2 * len(self.support)
+
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """A walk over one gate list: its steps, the transpose that reads the
-    array of the last step in canonical bit order, and the read-only transfer
-    matrices that the steps' keys index.  Each is the Pauli transfer matrix
-    of a distinct gate (the same base, dimension and control polarities)
-    restricted to the sectors of the bits its block splits on the gate's
-    qubits: an array (2**j, 4**k / 2**j, 4**k / 2**j) of diagonal blocks,
-    each over the gate's other bits in ascending order."""
+    array of the last step in canonical bit order, the read-only transfer
+    matrices that the steps' schedules index and the most qubits of one
+    block.  Each transfer matrix is the Pauli transfer matrix of a distinct
+    gate (the same base, dimension and control polarities) restricted to the
+    sectors of the bits its block splits on the gate's qubits: an array
+    (2**j, 4**k / 2**j, 4**k / 2**j) of diagonal blocks, each over the gate's
+    other bits in ascending order."""
 
     steps: tuple[_Step, ...]
     restore: tuple[int, ...]
     transfers: tuple[np.ndarray, ...]
+    widest: int
 
 
 def _kept_bits(r: np.ndarray) -> frozenset:
@@ -210,17 +229,24 @@ def _restricted(r: np.ndarray, split: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _schedule(key: tuple, split: list[int], m: int) -> tuple[tuple, tuple[int, ...]]:
-    """The schedule and rows of a _Step with this key and split on m qubits."""
+def _schedule(key: list, split: list[int], m: int) -> tuple[tuple, tuple[int, ...]]:
+    """The schedule and rows of a _Step whose gates, in walk order, have
+    these (map index, positions in the support) and this split on m qubits."""
     lead = len(split) + 1  # the h axis and one axis per split bit
     order = [bit for bit in range(2 * m) if bit not in split]  # the bit on each row axis
+    columns = 2 ** len(order)
+    running = (1,) * len(split)  # the product's extent on each split bit
     schedule = []
     for t, pos in key:
         own = [2 * i + b for i in pos for b in (0, 1) if 2 * i + b not in split]
         new = own + [bit for bit in order if bit not in own]
         axes = None if new == order else tuple(range(lead)) + tuple(lead + order.index(bit) for bit in new) + (lead + len(order),)
         order = new
-        schedule.append((t, axes, tuple(2 if bit // 2 in pos else 1 for bit in split)))
+        shape = tuple(2 if bit // 2 in pos else 1 for bit in split)
+        before = (-1,) + running + (2 ** len(own), columns**2 >> len(own))
+        running = tuple(max(a, b) for a, b in zip(running, shape))
+        after = (-1,) + running + (2,) * len(order) + (columns,)
+        schedule.append((t, axes, (-1,) + shape + (2 ** len(own),) * 2, before, after))
     rows = tuple(range(lead)) + tuple(lead + order.index(bit) for bit in sorted(order)) + (lead + len(order),)
     return tuple(schedule), rows
 
@@ -232,7 +258,8 @@ def _walk_plan(c: Circuit) -> _Plan:
     stays within _BLOCK_WIDTH qubits.  A block takes its qubits in the order
     its gates first name them and splits every bit that all of its gates
     touching that qubit keep; each step transposes the split bits and then
-    the block's other bits to the front.
+    the block's other bits to the front, but for a diagonal one, which
+    leaves the order of the bits as it is.
     A gate on k qubits has a transfer matrix and a block map of 16**k entries
     each, so one with more than _WALK_COEFFS (k >= 5) is refused first.
     """
@@ -255,7 +282,8 @@ def _walk_plan(c: Circuit) -> _Plan:
             gates.append(g)
     order = list(range(2 * c.n))  # order[i] is the bit on axis i + 1 of the array, bit 2(q - 1) + b of qubit q
     index = {}  # (gate arguments, split bits of the gate) -> position in transfers, in walk order
-    placed = []  # (support, axes, key, split, schedule, rows) per block
+    slots = {}  # (map index, positions in the support) of each gate of a block -> slot, in walk order
+    placed = []  # (support, axes, shape, slot, split, schedule, rows) per block
     for support, gates in blocks:
         pos = {g: [support.index(q) for q in qubits[g]] for g in gates}
         split = [
@@ -264,21 +292,32 @@ def _walk_plan(c: Circuit) -> _Plan:
             for b in (0, 1)
             if all(2 * pos[g].index(i) + b in kept[args[g]] for g in gates if q in qubits[g])
         ]
-        local = split + [bit for bit in range(2 * len(support)) if bit not in split]
+        m = len(support)
+        local = split + [bit for bit in range(2 * m) if bit not in split]
         bits = [2 * (support[bit // 2] - 1) + bit % 2 for bit in local]
-        new = bits + [bit for bit in order if bit not in bits]
-        axes = tuple([0] + [order.index(bit) + 1 for bit in new])
-        order = new
+        if len(split) == 2 * m:
+            # diagonal: the map, one axis per split bit and then 1s, is laid
+            # over the axes where those bits sit, and the order stays
+            ones = iter(range(2 * m + 1, 2 * c.n + 1))
+            axes = tuple([0] + [bits.index(bit) + 1 if bit in bits else next(ones) for bit in order])
+            shape = (-1,) + (2,) * (2 * m) + (1,) * (2 * c.n - 2 * m)
+        else:
+            new = bits + [bit for bit in order if bit not in bits]
+            axes = tuple([0] + [order.index(bit) + 1 for bit in new])
+            order = new
+            shape = (-1, 2 ** len(split), 4**m >> len(split), 4 ** (c.n - m))
         key = []
         for g in gates:
             # the gate's own bits that the block splits, in the block's order
             own = tuple(2 * pos[g].index(bit // 2) + bit % 2 for bit in split if bit // 2 in pos[g])
             key.append((index.setdefault((args[g], own), len(index)), tuple(pos[g])))
-        placed.append((tuple(support), axes, tuple(key), tuple(split)) + _schedule(tuple(key), split, len(support)))
-    last = {block[2]: i for i, block in enumerate(placed)}
-    steps = tuple(_Step(*block, last[block[2]] == i) for i, block in enumerate(placed))
+        slot = slots.setdefault(tuple(key), len(slots))
+        placed.append((tuple(support), axes, shape, slot, tuple(split)) + _schedule(key, split, m))
+    last = {block[3]: i for i, block in enumerate(placed)}
+    steps = tuple(_Step(*block, last[block[3]] == i) for i, block in enumerate(placed))
     restore = tuple([0] + [order.index(bit) + 1 for bit in range(2 * c.n)])
-    return _Plan(steps, restore, tuple(_restricted(whole[a], own) for a, own in index))
+    widest = max((len(support) for support, _ in blocks), default=0)
+    return _Plan(steps, restore, tuple(_restricted(whole[a], own) for a, own in index), widest)
 
 
 def _block_map(step: _Step, gate_maps: list) -> np.ndarray:
@@ -288,15 +327,14 @@ def _block_map(step: _Step, gate_maps: list) -> np.ndarray:
     identity sector by sector: each gate's restricted map acts on its own
     bits outside the split, which lead the row axes, and is broadcast over
     the split bits of the qubits it does not touch."""
-    lead, bits = len(step.split) + 1, 2 * len(step.support) - len(step.split)  # bits on the row axes
-    a = np.eye(2**bits).reshape((1,) * lead + (2,) * bits + (-1,))
-    for t, axes, shape in step.schedule:
+    bits = 2 * len(step.support) - len(step.split)  # bits on the row axes
+    rows = 2**bits
+    a = np.eye(rows).reshape((1,) * (len(step.split) + 1) + (2,) * bits + (rows,))
+    for t, axes, shape, before, after in step.schedule:
         if axes:
             a = a.transpose(axes)
-        g = gate_maps[t]
-        a = g.reshape(g.shape[:1] + shape + g.shape[-2:]) @ a.reshape(a.shape[:lead] + (g.shape[-1], -1))
-        a = a.reshape(a.shape[:lead] + (2,) * bits + (-1,))
-    return a.transpose(step.rows).reshape(len(a), step.sectors, 2**bits, -1)
+        a = (gate_maps[t].reshape(shape) @ a.reshape(before)).reshape(after)
+    return a.transpose(step.rows).reshape(-1, step.sectors, rows, rows)
 
 
 def pull_back(c: Circuit, coeffs: np.ndarray, grid_h) -> np.ndarray:
@@ -324,9 +362,8 @@ def _pull_back(plan: _Plan, start: tuple[np.ndarray, np.ndarray], grid_h: list[f
     it, in walks of _WALK_COEFFS entries at most: yields, walk by walk, the
     slice of grid_h it covers and its pulled-back coefficients, a view that
     the next walk does not touch."""
-    widest = max((len(s.support) for s in plan.steps), default=0)
     size = 2 ** (len(plan.restore) - 1)  # 4**n coefficients, one axis of 2 per bit
-    per_walk = max(1, _WALK_COEFFS // max(size, 16**widest))
+    per_walk = max(1, _WALK_COEFFS // max(size, 16**plan.widest))
     for i in range(0, len(grid_h), per_walk):
         rows = slice(i, i + per_walk)
         yield rows, _walk(plan, start, grid_h[rows])
@@ -335,14 +372,18 @@ def _pull_back(plan: _Plan, start: tuple[np.ndarray, np.ndarray], grid_h: list[f
 def _gate_maps(plan: _Plan, grid_h: list[float]) -> list[np.ndarray]:
     """M_g = R_g diag(1, p_s, ..., p_s) per h of grid_h, restricted as the
     plan's transfer matrices: one array (h, sectors, rows, rows) for each, in
-    its order.  The identity string is column 0 of sector 0."""
+    its order.  Each is R_g times p_s = h**k, from one array of p_s per gate
+    width k, with the identity string's column, column 0 of sector 0,
+    restored undamped."""
+    damps = {}  # gate width k -> p_s per h, shaped (h, 1, 1, 1) to scale a whole map
     gate_maps = []
     for r in plan.transfers:
         k = n_qubits(r.shape[0] * r.shape[1]) // 2  # the sectors hold 4**k strings
-        damp = np.empty((len(grid_h),) + r.shape[:1] + (1,) + r.shape[2:])
-        damp[...] = np.array([h**k for h in grid_h])[:, None, None, None]  # p_s per h
-        damp[:, 0, 0, 0] = 1.0
-        gate_maps.append(r * damp)
+        if k not in damps:
+            damps[k] = np.array([h**k for h in grid_h])[:, None, None, None]
+        g = r * damps[k]
+        g[:, 0, :, 0] = r[0, :, 0]
+        gate_maps.append(g)
     return gate_maps
 
 
@@ -365,25 +406,21 @@ def _walk(plan: _Plan, start: tuple[np.ndarray, np.ndarray], grid_h: list[float]
     coefficient is 0.  The result, shape (h,) + (2,)*2n in canonical bit
     order, is a transposed view of one buffer."""
     gate_maps = _gate_maps(plan, grid_h)
-    maps = {}  # each block map, from the first step with its key to the last
+    maps = {}  # each block map, from the first step with its slot to the last
     n = (len(plan.restore) - 1) // 2
     x, y = _line_aligned((2, len(grid_h)) + (2,) * (2 * n))  # x holds the coefficients, y is idle; bit 2(q - 1) + b on axis 2q - 1 + b
     x.fill(0.0)
     for row in x.reshape(len(grid_h), -1):  # per h: half the time of one [:, index] scatter (w, n = 7, 2 h)
         row[start[0]] = start[1]
     for s in plan.steps:
-        if s.key not in maps:
-            maps[s.key] = _block_map(s, gate_maps)
-        block = maps.pop(s.key) if s.last else maps[s.key]
-        if block.shape[-1] == 1:
-            # one string per sector: the map is diagonal, and scaling while
-            # the transpose copies saves the copy and a matmul of 1 x 1 blocks
-            np.multiply(x.transpose(s.axes), block.reshape(block.shape[:1] + (2,) * len(s.split) + (1,) * (2 * n - len(s.split))), out=y)
-            x, y = y, x
+        if s.slot not in maps:
+            maps[s.slot] = _block_map(s, gate_maps)
+        block = maps.pop(s.slot) if s.last else maps[s.slot]
+        if s.diagonal:  # scale where the split bits sit: no copy, no matmul
+            np.multiply(x, block.reshape(s.shape).transpose(s.axes), out=x)
         else:
             np.copyto(y, x.transpose(s.axes))
-            shape = (len(grid_h), s.sectors, 4 ** len(s.support) // s.sectors, -1)
-            np.matmul(block, y.reshape(shape), out=x.reshape(shape))
+            np.matmul(block, y.reshape(s.shape), out=x.reshape(s.shape))
     return x.transpose(plan.restore)
 
 

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 from dense_oracle import kron, pauli_coefficients, pauli_operator, random_density_matrix, random_hermitian
-from sedwitness.circuit import Circuit, Gate, circuit_unitary, ghz_entangler
+from sedwitness.circuit import (
+    Circuit,
+    Gate,
+    circuit_unitary,
+    dagger_circuit,
+    expand_multicontrolled,
+    ghz_entangler,
+    select_entangler,
+    vprime_dagger_circuit,
+)
 from sedwitness.cli import main
 from sedwitness.noise import (
     SweepRecord,
@@ -236,6 +245,36 @@ def test_identity_entangler_stays_nonnegative_sample():
     records = sweep(3, [0.6, 1.0], [0.7, 0.9, 1.0], "ghz", entangler_mode="identity")
     for r in records:
         assert r.value_sed >= -1e-10
+
+
+@pytest.mark.parametrize("kind", ["ghz", "w"])
+def test_identity_mode_never_reads_a_separable_input_as_detected(kind):
+    # without preparation the register stays in the separable thermal state,
+    # so the noisy single-run readout must not go negative anywhere on a
+    # coarse grid, at every n up to 8
+    for n in range(2, 9):
+        records = sweep(n, [0.5, 0.75, 1.0], [0.5, 0.75, 0.9, 1.0], kind, "identity")
+        assert min(r.value_sed for r in records) >= -1e-10, n
+
+
+@pytest.mark.parametrize("kind", ["ghz", "w"])
+@pytest.mark.parametrize("mode", ["witness", "identity"])
+def test_h1_column_reads_the_same_through_the_exact_vprime_dagger(kind, mode):
+    # without noise sed_measurement_circuit(n) reads every state as the exact
+    # expansion of V'_n^dag does, so the sweep's h = 1 column equals the
+    # readout sum_k a_k Z_k, Z_k on slot n-k+1, pulled back through the prep,
+    # the disentangler and the exact V'_n^dag and read at the thermal input
+    grid_p = [0.5, 0.75, 1.0]
+    for n in range(3, 9):
+        entangler = select_entangler(kind, n)
+        prep = entangler if mode == "witness" else Circuit(n, ())
+        exact = prep.then(dagger_circuit(entangler)).then(expand_multicontrolled(vprime_dagger_circuit(n)))
+        dec = SedDecomposition(n, select_witness(kind, n).c)
+        readout = np.zeros(4**n)
+        readout[4 ** np.arange(n)] = dec.a
+        want = dec.a0 + thermal_readout(pull_back(exact, readout.reshape((4,) * n), [1.0]), grid_p)[0]
+        got = [r.value_sed for r in sweep(n, grid_p, [1.0], kind, mode)]
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-12, n
 
 
 def test_sweep_validation():

@@ -230,10 +230,12 @@ def test_block_maps_are_keyed_by_gate_and_position():
     layouts = (v23, p12, v46, p45) * 2
     swapped = (p12, z2, s, p12, z1, s, z2, p12, s, p21, s, p12, w, p45)
     c = Circuit(6, layouts + swapped)
-    steps = _walk_plan(c).steps
+    plan, blocks = _check_sectors(c)
+    steps = plan.steps
     assert {s.support for s in steps} >= {(1, 2, 3), (4, 5, 6), (2, 1), (1, 2)}
-    assert any(s.support == (2, 1) and len(s.key) > 1 and s.key[-1][1] == (1, 0) for s in steps), "no gate at swapped positions"
-    assert len({s.key for s in steps}) < len(steps), "no block map is reused"
+    swapped_p12 = [s.support == (2, 1) and len(block) > 1 and block[-1] is p12 for s, block in zip(steps, blocks)]
+    assert any(swapped_p12), "no gate at swapped positions"
+    assert len({s.slot for s in steps}) < len(steps), "no block map is reused"
     coeffs = rng.standard_normal((4,) * 6)
     grid_h = [0.0, 0.6, 1.0]
     assert np.max(np.abs(pull_back(c, coeffs, grid_h) - per_gate_pull_back(c, coeffs, grid_h))) <= 1e-12
@@ -361,13 +363,13 @@ def _expected_split(support, block):
 def _check_sectors(c):
     """c's plan, whose every step splits exactly the bits that its block's
     gates keep on every qubit they touch, derived from the gate list alone;
-    a step covers the next len(key) gates, last to first.  Returns the plan
-    and each step's block."""
+    a step covers the next len(schedule) gates, last to first.  Returns the
+    plan and each step's block."""
     walked = list(reversed(c.gates))
     plan = _walk_plan(c)
     blocks = []
     for s in plan.steps:
-        block, walked = walked[: len(s.key)], walked[len(s.key) :]
+        block, walked = walked[: len(s.schedule)], walked[len(s.schedule) :]
         assert set(s.support) == {q for g in block for q in g.qubits()}
         assert s.split == _expected_split(s.support, block)
         assert s.sectors == 2 ** len(s.split)
@@ -403,11 +405,11 @@ def test_sweep_block_maps_split_exactly(n):
         for c in _sweep_circuits(kind, n):
             plan, blocks = _check_sectors(c)
             gate_maps = _gate_maps(plan, grid_h)
-            seen = set()  # the keys of the maps already checked
+            seen = set()  # the slots of the maps already checked
             for s, block in zip(plan.steps, blocks):
-                if s.key in seen or not s.split:
+                if s.slot in seen or not s.split:
                     continue
-                seen.add(s.key)
+                seen.add(s.slot)
                 m = len(s.support)
                 whole = _whole_block_map(s.support, block, grid_h)
                 for bit in s.split:
@@ -434,7 +436,7 @@ def test_dropped_sector_entries_stay_within_the_tolerance():
             for c in _sweep_circuits(kind, n):
                 walked = list(reversed(c.gates))
                 for s in _walk_plan(c).steps:
-                    block, walked = walked[: len(s.key)], walked[len(s.key) :]
+                    block, walked = walked[: len(s.schedule)], walked[len(s.schedule) :]
                     for g in set(block):
                         own = [2 * g.qubits().index(s.support[bit // 2]) + bit % 2 for bit in s.split if s.support[bit // 2] in g.qubits()]
                         largest = max(largest, _dropped(g, tuple(own)))
@@ -483,6 +485,96 @@ def test_steps_split_by_their_control_only_qubit(case):
         for g in block:
             if not any(g.base is b for b in (H, X, SWAP)):
                 assert not split & set(g.targets)
+
+
+def _check_order(c):
+    """c's plan, replayed on the bit that each axis of the coefficient array
+    holds: a step that transposes brings its split bits and then its block's
+    other bits to the front and reshapes for a matmul over its sectors; a
+    diagonal step lays each axis of its map, (h, split bits), on the axis
+    where that bit sits and leaves the order as it is; and restore reads the
+    last order in canonical bit order.  Returns the plan."""
+    plan = _walk_plan(c)
+    order = list(range(2 * c.n))  # the bit on axis i + 1
+    for s in plan.steps:
+        m = len(s.support)
+        local = list(s.split) + [bit for bit in range(2 * m) if bit not in s.split]
+        bits = [2 * (s.support[bit // 2] - 1) + bit % 2 for bit in local]
+        assert s.axes[0] == 0 and sorted(s.axes) == list(range(2 * c.n + 1))
+        if s.diagonal:
+            assert s.shape == (-1,) + (2,) * (2 * m) + (1,) * (2 * (c.n - m))
+            assert all(bits[a - 1] == order[i - 1] for i, a in enumerate(s.axes) if 0 < a <= 2 * m)
+        else:
+            order = [order[a - 1] for a in s.axes[1:]]
+            assert order[: 2 * m] == bits
+            assert s.shape == (-1, s.sectors, 4**m // s.sectors, 4 ** (c.n - m))
+    assert [order[a - 1] for a in plan.restore[1:]] == list(range(2 * c.n))
+    return plan
+
+
+def test_diagonal_step_scales_in_place_and_keeps_the_order():
+    # walked last to first, u45 and H3 make one block, the bare X gates on
+    # qubits 1-3 a diagonal one, and u24 and H1 a third.  The X gates add a
+    # step but no transpose: the other steps move the same axes with them as
+    # without them, and the diagonal step scales the bits of qubit 3, which
+    # the first step moved to the front, where they sit
+    rng = np.random.default_rng(17)
+    u, v = haar_unitary(4, rng), haar_unitary(4, rng)
+    outer = (Gate(H, (1,)), Gate(v, (2, 4))), (Gate(H, (3,)), Gate(u, (4, 5)))
+    xs = (Gate(X, (3,)), Gate(X, (2,)), Gate(X, (1,)))
+    c, bare = Circuit(5, outer[0] + xs + outer[1]), Circuit(5, outer[0] + outer[1])
+    plan = _check_order(c)
+    assert [s.diagonal for s in plan.steps] == [False, True, False]
+    assert plan.steps[1].support == (1, 2, 3) and plan.steps[1].axes != tuple(range(11))
+    moved = [(s.support, s.axes, s.shape) for s in plan.steps if not s.diagonal]
+    assert moved == [(s.support, s.axes, s.shape) for s in _check_order(bare).steps]
+    assert plan.restore == _walk_plan(bare).restore
+    coeffs = rng.standard_normal((4,) * 5)
+    grid_h = [0.0, 0.6, 1.0]
+    assert np.max(np.abs(pull_back(c, coeffs, grid_h) - per_gate_pull_back(c, coeffs, grid_h))) <= 1e-12
+
+
+def test_sweep_plans_keep_their_order_across_diagonal_steps():
+    # the order replay of every sweep plan at n = 3..8, both kinds
+    for n in range(3, 9):
+        for kind in ("ghz", "w"):
+            for c in _sweep_circuits(kind, n):
+                _check_order(c)
+
+
+def test_measured_plan_at_n7_transposes_71_of_80_steps():
+    # the 9 diagonal steps of the ghz measured walk at n = 7 scale in place
+    steps = _sweep_model("ghz", 7, "witness").measured.steps
+    assert (len(steps), sum(not s.diagonal for s in steps)) == (80, 71)
+
+
+@st.composite
+def bare_x_cases(draw, max_n=6):
+    """A circuit of up to 16 gates on n <= max_n qubits, most of them bare X
+    gates, so that many blocks are diagonal; the rest an X, H or Haar base on
+    one qubit under 1-3 controls, polarity 0 twice as likely as 1.  With 1-3
+    h values and random coefficients."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circ = []
+    for _ in range(draw(st.integers(1, 16))):
+        qubits = draw(st.permutations(range(1, n + 1)))
+        if n == 1 or draw(st.integers(0, 2)):
+            circ.append(Gate(X, (qubits[0],)))
+            continue
+        controls = tuple((q, draw(st.sampled_from([0, 0, 1]))) for q in qubits[1 : 1 + draw(st.integers(1, min(3, n - 1)))])
+        base = draw(st.sampled_from([X, H, None]))
+        circ.append(Gate(haar_unitary(2, rng) if base is None else base, (qubits[0],), controls))
+    grid_h = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=3))
+    return Circuit(n, tuple(circ)), grid_h, rng.standard_normal((4,) * n)
+
+
+@given(bare_x_cases())
+def test_walk_with_diagonal_steps_matches_per_gate_walk(case):
+    c, grid_h, coeffs = case
+    _check_order(c)
+    want = per_gate_pull_back(c, coeffs, grid_h)
+    assert np.max(np.abs(pull_back(c, coeffs, grid_h) - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("kind", ["ghz", "w"])
